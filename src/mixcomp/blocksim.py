@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import reduce
@@ -32,7 +33,7 @@ from .errors import (
     DomainError,
     NotCommuting,
 )
-from .measures import Ensemble, classical_fidelity, fidelity, vn_entropy
+from .measures import Ensemble, as_prob_vector, classical_fidelity, fidelity, vn_entropy
 from .qmat import (
     DEFAULT_DIM_CAP,
     DensityLike,
@@ -47,6 +48,9 @@ from .qmat import (
 from .sampling import block_generator
 
 EXACT_SWEEP_CAP = 1024
+# Elements in the largest array the vectorised diagonal scorer builds
+# (see _table_elements): 2^22 float64 values, 32 MiB.
+DIAGONAL_TABLE_BUDGET = 2**22
 DEFAULT_MC_SAMPLES = 2000
 MC_BLOCK = 256
 _RATE_EPS = 1e-9
@@ -286,10 +290,6 @@ class Scheme:
     def apply(self, sigma: DensityOperator) -> DensityOperator:
         raise NotImplementedError
 
-    def apply_diagonal(self, diag: np.ndarray) -> np.ndarray | None:
-        """Diagonal-in, diagonal-out fast path; None when unsupported."""
-        return None
-
 
 class IdentityScheme(Scheme):
     """Transmit the block untouched (channel as large as the source)."""
@@ -314,11 +314,6 @@ class FixedOutputScheme(Scheme):
     def apply(self, sigma: DensityOperator) -> DensityOperator:
         return self.output
 
-    def apply_diagonal(self, diag: np.ndarray) -> np.ndarray | None:
-        if is_diagonal(self.output.matrix, tol=1e-14):
-            return np.clip(np.real(np.diagonal(self.output.matrix)), 0.0, None)
-        return None
-
 
 class ProjectPatchScheme(Scheme):
     """Project into a typical subspace of the block mean state, patching the tail."""
@@ -330,9 +325,7 @@ class ProjectPatchScheme(Scheme):
     def apply(self, sigma: DensityOperator) -> DensityOperator:
         return project_and_patch(sigma, self.subspace)
 
-    def apply_diagonal(self, diag: np.ndarray) -> np.ndarray | None:
-        if self.subspace.coordinates is None:
-            return None
+    def apply_diagonal(self, diag: np.ndarray) -> np.ndarray:
         return project_and_patch_diagonal(diag, self.subspace)
 
 
@@ -386,11 +379,77 @@ class FidelityScore:
 
 
 def _diagonal_path_available(source: BlockSource, scheme: Scheme) -> bool:
+    """Diagonal base states and a scheme that keeps a set of coordinates."""
     if not all(is_diagonal(s.matrix, tol=1e-12) for s in source.base.states):
         return False
-    probe = np.zeros(source.full_dim)
-    probe[0] = 1.0
-    return scheme.apply_diagonal(probe) is not None
+    if isinstance(scheme, IdentityScheme):
+        return True
+    return (
+        isinstance(scheme, ProjectPatchScheme)
+        and scheme.subspace.coordinates is not None
+        and scheme.subspace.full_dim == source.full_dim
+    )
+
+
+def _table_elements(source: BlockSource) -> int:
+    """Size of the largest array _diagonal_tables builds: max(m, d)^N * d."""
+    return max(len(source.base), source.base.dim) ** source.n_blocks * source.base.dim
+
+
+# Global and local score of every string; local is None when not wanted.
+_Tables = tuple[np.ndarray, np.ndarray | None]
+
+
+def _diagonal_tables(source: BlockSource, scheme: Scheme, want_local: bool) -> _Tables:
+    """Global and local score of every string, as arrays indexed (s_1..s_N).
+
+    Contracting the kept-set mask with the m x d matrix of base diagonals one
+    position at a time gives every string's mass inside the subspace at once;
+    leaving position k uncontracted gives its output marginal there.  No
+    string's d^N vector is built.  Local scores are None unless wanted.
+    """
+    n, d, m = source.n_blocks, source.base.dim, len(source.base)
+    P = np.array([
+        as_prob_vector(np.real(np.diagonal(s.matrix)), f"base state {i} diagonal")
+        for i, s in enumerate(source.base.states)
+    ])
+    identity = isinstance(scheme, IdentityScheme)
+    if identity:
+        mask = np.ones((d,) * n)
+        x0 = (0,) * n
+    else:
+        kept = scheme.subspace.coordinates
+        mask = np.zeros(source.full_dim)
+        mask[kept] = 1.0
+        mask = mask.reshape((d,) * n)
+        x0 = np.unravel_index(kept[0], (d,) * n)
+
+    def contract(keep: int | None = None) -> np.ndarray:
+        # Each step eats the leading x axis and appends s_j; at position ``keep``
+        # x_k stays open beside s_k, weighted by P[s_k, x_k].
+        t = mask
+        for j in range(n):
+            if j == keep:
+                t = np.moveaxis(t, 0, -1)[..., None, :] * P
+            else:
+                t = np.tensordot(t, P, axes=([0], [1]))
+        return t if keep is None else np.moveaxis(t, keep + 1, -1)
+
+    mass = contract()
+    sig0 = reduce(np.multiply.outer, [P[:, x] for x in x0])
+    tail = np.zeros_like(mass) if identity else np.maximum(0.0, 1.0 - mass)
+    # The output equals the string on the kept set, plus the tail at x0.
+    g = np.minimum(1.0, (mass - sig0 + np.sqrt(sig0 * (sig0 + tail))) ** 2)
+    if not want_local:
+        return g, None
+    local = np.ones_like(mass)
+    for k in range(n):
+        marg = contract(k)
+        marg[..., x0[k]] += tail
+        marg /= marg.sum(axis=-1, keepdims=True)
+        base = P.reshape((1,) * k + (m,) + (1,) * (n - k - 1) + (d,))
+        local *= np.minimum(1.0, np.sum(np.sqrt(base * marg), axis=-1) ** 2)
+    return g, local
 
 
 def _string_diag(source: BlockSource, string: tuple[int, ...]) -> np.ndarray:
@@ -442,8 +501,19 @@ def _score_string(source: BlockSource, scheme: Scheme, string, diagonal: bool,
     return g, loc
 
 
-def _exact_scores(source: BlockSource, scheme: Scheme, want_local: bool) -> tuple[FidelityScore, FidelityScore]:
-    diagonal = _diagonal_path_available(source, scheme)
+def _exact_scores(source: BlockSource, scheme: Scheme, want_local: bool, diagonal: bool,
+                  tables: _Tables | None) -> tuple[FidelityScore, FidelityScore]:
+    method = "exact-diagonal" if diagonal else "exact-dense"
+    clamp = lambda v: min(1.0, max(0.0, float(v)))
+    if tables is not None:
+        g_table, l_table = tables
+        weights = kron_power_vector(source.base.probs, source.n_blocks).reshape(g_table.shape)
+        count = int(np.count_nonzero(weights))
+        total_l = np.sum(weights * l_table) if l_table is not None else 0.0
+        return (
+            FidelityScore(clamp(np.sum(weights * g_table)), None, method, count),
+            FidelityScore(clamp(total_l), None, method, count),
+        )
     n_states = len(source.base)
     total_g = 0.0
     total_l = 0.0
@@ -456,8 +526,6 @@ def _exact_scores(source: BlockSource, scheme: Scheme, want_local: bool) -> tupl
         total_g += p * g
         total_l += p * loc
         count += 1
-    method = "exact-diagonal" if diagonal else "exact-dense"
-    clamp = lambda v: min(1.0, max(0.0, float(v)))
     return (
         FidelityScore(clamp(total_g), None, method, count),
         FidelityScore(clamp(total_l), None, method, count),
@@ -465,23 +533,28 @@ def _exact_scores(source: BlockSource, scheme: Scheme, want_local: bool) -> tupl
 
 
 def _mc_scores(source: BlockSource, scheme: Scheme, want_local: bool, n_samples: int,
-               seed: int, workers: int) -> tuple[FidelityScore, FidelityScore]:
-    diagonal = _diagonal_path_available(source, scheme)
+               seed: int, workers: int, diagonal: bool,
+               tables: _Tables | None) -> tuple[FidelityScore, FidelityScore]:
     n_states = len(source.base)
     probs = source.base.probs
 
     def run_block(block: int) -> tuple[np.ndarray, np.ndarray]:
         rng = block_generator(seed, block)
         m = min(MC_BLOCK, n_samples - block * MC_BLOCK)
+        picks = rng.choice(n_states, size=(m, source.n_blocks), p=probs)
+        if tables is not None:
+            g_table, l_table = tables
+            idx = tuple(picks.T)
+            return g_table[idx], (l_table[idx] if l_table is not None else np.zeros(m))
         gs = np.empty(m)
         ls = np.empty(m)
-        picks = rng.choice(n_states, size=(m, source.n_blocks), p=probs)
         for row in range(m):
             string = tuple(int(x) for x in picks[row])
             gs[row], ls[row] = _score_string(source, scheme, string, diagonal, want_local)
         return gs, ls
 
     n_blocks = math.ceil(n_samples / MC_BLOCK)
+    workers = min(workers, os.cpu_count() or 1, n_blocks)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(run_block, range(n_blocks)))
@@ -504,15 +577,21 @@ def _scores(source: BlockSource, scheme: Scheme, want_local: bool, mode: str,
     if mode not in ("auto", "exact", "mc"):
         raise DomainError(f"mode must be auto|exact|mc, got {mode!r}")
     diagonal = _diagonal_path_available(source, scheme)
-    exact_ok = source.n_strings <= exact_cap or diagonal
+    tabled = diagonal and _table_elements(source) <= DIAGONAL_TABLE_BUDGET
+    exact_ok = tabled or source.n_strings <= exact_cap
     if mode == "exact" and not exact_ok:
+        if diagonal:
+            reason = (f"and the diagonal tables need {_table_elements(source)} elements, "
+                      f"over the budget {DIAGONAL_TABLE_BUDGET}")
+        else:
+            reason = "and no diagonal fast path applies"
         raise DimensionOverflow(
-            f"exact sweep over {source.n_strings} strings exceeds cap {exact_cap} "
-            "and no diagonal fast path applies"
+            f"exact sweep over {source.n_strings} strings exceeds cap {exact_cap} {reason}"
         )
+    tables = _diagonal_tables(source, scheme, want_local) if tabled else None
     if mode == "exact" or (mode == "auto" and exact_ok):
-        return _exact_scores(source, scheme, want_local)
-    return _mc_scores(source, scheme, want_local, n_samples, seed, workers)
+        return _exact_scores(source, scheme, want_local, diagonal, tables)
+    return _mc_scores(source, scheme, want_local, n_samples, seed, workers, diagonal, tables)
 
 
 def global_fidelity_score(source: BlockSource, scheme: Scheme, mode: str = "auto",
@@ -520,8 +599,11 @@ def global_fidelity_score(source: BlockSource, scheme: Scheme, mode: str = "auto
                           workers: int = 1, exact_cap: int = EXACT_SWEEP_CAP) -> FidelityScore:
     """Probability-weighted whole-block fidelity of the scheme's output.
 
-    Exact when the string sweep is feasible (always on the diagonal fast
-    path); otherwise a seeded Monte Carlo estimate with standard error.
+    Exact when the sweep is feasible: on the diagonal fast path while its
+    score tables fit ``DIAGONAL_TABLE_BUDGET`` elements, otherwise while the
+    source has at most ``exact_cap`` strings.  Beyond both, ``mode="exact"``
+    raises ``DimensionOverflow`` and ``"auto"`` returns a seeded Monte Carlo
+    estimate with standard error.
     """
     g, _ = _scores(source, scheme, False, mode, n_samples, seed, workers, exact_cap)
     return g

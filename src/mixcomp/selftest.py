@@ -6,6 +6,7 @@ pass/fail counts, so a selftest run is reproducible end to end.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -220,6 +221,15 @@ def blocksim_suite(seed: int = 4, trials: int = 15) -> SuiteResult:
         abs(blocksim.global_fidelity_score(source, ident).value - 1.0) <= 1e-10,
         "identity scheme has unit global fidelity",
     )
+    short = blocksim.BlockSource.build(base, 4)
+    for rate in (0.0, 0.6, 1.0):
+        scheme = blocksim.project_patch_scheme(short, rate)
+        g_table, l_table = blocksim._diagonal_tables(short, scheme, want_local=True)
+        worst = 0.0
+        for string in itertools.product(range(len(base)), repeat=short.n_blocks):
+            g, loc = blocksim._score_string(short, scheme, string, True, True)
+            worst = max(worst, abs(g_table[string] - g), abs(l_table[string] - loc))
+        res.check(worst <= 1e-12, "vectorised diagonal scores equal the per-string scorer")
     return res
 
 

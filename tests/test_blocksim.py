@@ -1,9 +1,13 @@
+import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-from mixcomp import sampling
+from mixcomp import blocksim, sampling
 from mixcomp.blocksim import (
     BlockSource,
     FixedOutputScheme,
@@ -211,9 +215,11 @@ class TestScores:
             assert 0.0 <= loc <= 1.0
 
     def test_monte_carlo_matches_exact(self):
+        # Rate 0.6 keeps 2^4 of 64 dimensions; at 0.9 the scheme would keep
+        # all 64, every string would score 1 and the spread would be zero.
         base = two_coin_base(0.85)
         source = BlockSource.build(base, 6)
-        scheme = project_patch_scheme(source, 0.9)
+        scheme = project_patch_scheme(source, 0.6)
         exact = global_fidelity_score(source, scheme, mode="exact").value
         mc = global_fidelity_score(source, scheme, mode="mc", n_samples=3000, seed=11)
         assert mc.method == "monte-carlo"
@@ -237,6 +243,61 @@ class TestScores:
         scheme = project_patch_scheme(source, 1.2)
         with pytest.raises(DimensionOverflow):
             global_fidelity_score(source, scheme, mode="exact", exact_cap=1000)
+
+    def test_exact_mode_rejects_diagonal_sweep_over_budget(self):
+        # 10^12 strings: the tables would need 2 * 10^12 elements, so the
+        # request must fail before any sweep starts.
+        diags = [diag_state(a, 1 - a) for a in np.linspace(0.05, 0.95, 10)]
+        base = Ensemble.from_lists(np.full(10, 0.1), diags)
+        source = BlockSource.build(base, 12)
+        scheme = project_patch_scheme(source, 0.8)
+        with pytest.raises(DimensionOverflow, match="budget"):
+            global_fidelity_score(source, scheme, mode="exact")
+        with mock.patch.object(blocksim, "_diagonal_tables") as tables:
+            mc = global_fidelity_score(source, scheme, n_samples=200, seed=1)
+        tables.assert_not_called()
+        assert mc.method == "monte-carlo" and mc.n_terms == 200
+
+    def test_four_state_diagonal_source_sweeps_exactly(self):
+        diags = [diag_state(a, 1 - a) for a in (0.9, 0.6, 0.3, 0.05)]
+        base = Ensemble.from_lists([0.1, 0.2, 0.3, 0.4], diags)
+        source = BlockSource.build(base, 10)
+        scheme = project_patch_scheme(source, 0.8)
+        g = global_fidelity_score(source, scheme)
+        loc = local_fidelity_score(source, scheme)
+        assert g.method == loc.method == "exact-diagonal"
+        assert g.n_terms == loc.n_terms == 4**10
+        assert 0.0 < g.value <= loc.value <= 1.0
+
+    @pytest.mark.parametrize(
+        "workers, cpus, n_samples, expected",
+        [(10_000, 3, 1500, 3), (1000, 64, 300, 2), (8, None, 1500, None), (4, 8, 256, None)],
+    )
+    def test_monte_carlo_worker_clamp(self, monkeypatch, workers, cpus, n_samples, expected):
+        # Pool size is min(workers, cores, sample blocks); no pool below two.
+        created = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                created.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(blocksim, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(blocksim.os, "cpu_count", lambda: cpus)
+        source = BlockSource.build(two_coin_base(0.85), 6)
+        scheme = project_patch_scheme(source, 0.6)
+        score = global_fidelity_score(source, scheme, mode="mc", n_samples=n_samples,
+                                      seed=7, workers=workers)
+        assert score.n_terms == n_samples
+        assert created == ([] if expected is None else [expected])
 
     def test_dense_mc_on_noncommuting(self, rng):
         states = [sampling.random_density(2, rng) for _ in range(2)]
@@ -324,3 +385,74 @@ class TestTheorem7Demo:
     def test_block_source_cap(self):
         with pytest.raises(DimensionOverflow):
             BlockSource.build(two_coin_base(), 13)
+
+
+@st.composite
+def diagonal_sources(draw):
+    """Diagonal ensembles from small integer weights, so ties and zeros are common."""
+    d = draw(st.sampled_from([2, 3]))
+    m = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 5))
+    diags = []
+    for _ in range(m):
+        w = np.array(draw(st.lists(st.integers(0, 4), min_size=d, max_size=d)), dtype=float)
+        w[0] += w.sum() == 0
+        diags.append(diag_state(*(w / w.sum())))
+    priors = np.array(draw(st.lists(st.integers(0, 3), min_size=m, max_size=m)), dtype=float)
+    priors[0] += priors.sum() == 0
+    source = BlockSource.build(Ensemble.from_lists(priors / priors.sum(), diags), n)
+    rate = draw(st.one_of(st.just(0.0), st.just(math.log2(d)), st.floats(0.0, 2.0)))
+    return source, rate
+
+
+def _pinned(priors, diags, n: int, rate: float):
+    base = Ensemble.from_lists(priors, [diag_state(*w) for w in diags])
+    return BlockSource.build(base, n), rate
+
+
+# Mirrored coins tie the mean diagonal; the middle state has a zero prior.
+_TIED = ([0.5, 0.0, 0.5], [(0.75, 0.25), (1.0, 0.0), (0.25, 0.75)])
+
+
+class TestDiagonalTablesOracle:
+    """The vectorised diagonal tables against the per-string scorer they replace."""
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(diagonal_sources(), st.booleans())
+    @example(_pinned(*_TIED, 4, 0.0), False)
+    @example(_pinned(*_TIED, 3, 1.0), False)
+    @example(_pinned(*_TIED, 5, 0.5), True)
+    @example(_pinned([0.3, 0.7], [(0.5, 0.5, 0.0), (0.0, 0.5, 0.5)], 3, 0.9), False)
+    def test_tables_match_per_string_scorer(self, source_rate, identity):
+        source, rate = source_rate
+        if identity:
+            scheme = IdentityScheme(source.full_dim)
+        else:
+            scheme = project_patch_scheme(source, rate)
+        assert blocksim._diagonal_path_available(source, scheme)
+        g_table, l_table = blocksim._diagonal_tables(source, scheme, want_local=True)
+        for string in itertools.product(range(len(source.base)), repeat=source.n_blocks):
+            g, loc = blocksim._score_string(source, scheme, string, True, True)
+            assert abs(g_table[string] - g) <= 1e-12
+            assert abs(l_table[string] - loc) <= 1e-12
+
+        kwargs = dict(n_samples=300, seed=5)
+        fast = [score(source, scheme, mode=mode, **kwargs)
+                for score in (global_fidelity_score, local_fidelity_score)
+                for mode in ("exact", "mc")]
+        # A zero budget sends every call through the per-string loop.
+        with mock.patch.object(blocksim, "DIAGONAL_TABLE_BUDGET", 0):
+            slow = [score(source, scheme, mode=mode, **kwargs)
+                    for score in (global_fidelity_score, local_fidelity_score)
+                    for mode in ("exact", "mc")]
+        for a, b in zip(fast, slow):
+            assert (a.method, a.n_terms) == (b.method, b.n_terms)
+            assert abs(a.value - b.value) <= 1e-12
+            assert (a.stderr is None) == (b.stderr is None)
+            if a.stderr is not None:
+                assert abs(a.stderr - b.stderr) <= 1e-12
+
+    def test_fixed_output_scheme_takes_dense_path(self, bell_state):
+        base = Ensemble.from_lists([1.0], [maximally_mixed(2)])
+        source = BlockSource.build(base, 2)
+        assert not blocksim._diagonal_path_available(source, FixedOutputScheme(bell_state))
