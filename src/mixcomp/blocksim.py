@@ -22,7 +22,7 @@ import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import reduce
 
 import numpy as np
@@ -100,11 +100,6 @@ class BlockSource:
     def string_prob(self, string: tuple[int, ...]) -> float:
         return float(np.prod([self.base.probs[i] for i in string]))
 
-    def average_weights(self) -> np.ndarray:
-        """Diagonal of the mean block state when the base states are diagonal."""
-        mu = np.real(np.diagonal(self.base.average().matrix))
-        return kron_power_vector(np.clip(mu, 0.0, None), self.n_blocks)
-
 
 def kron_power_vector(v: np.ndarray, n: int) -> np.ndarray:
     """n-fold Kronecker power of a vector."""
@@ -147,45 +142,56 @@ def diagonalized(ensemble: Ensemble) -> tuple[Ensemble, np.ndarray]:
 
 @dataclass(frozen=True, eq=False)
 class TypicalSubspace:
-    """Span of retained eigenvectors of a reference state, plus its tail weight.
+    """Span of retained product eigenvectors of a reference state, plus its tail weight.
 
-    Either ``coordinates`` (retained computational-basis indices, heaviest
-    first) or ``basis`` (dense orthonormal columns, heaviest first) is set.
+    The subspace is coordinate aligned in a product frame: ``frame`` is the
+    d x d unitary applied to each of the n tensor factors of the
+    ``full_dim = d^n`` space (``None`` means the computational basis), and
+    ``coordinates`` are the retained indices in that frame, heaviest first.
     ``eta`` is the reference state's weight outside the subspace; the patch
     state is the heaviest retained vector.
     """
 
     full_dim: int
     eta: float
-    coordinates: np.ndarray | None = None
-    basis: np.ndarray | None = None
+    coordinates: np.ndarray
+    frame: np.ndarray | None = None
 
     @property
     def dim(self) -> int:
-        return len(self.coordinates) if self.coordinates is not None else self.basis.shape[1]
+        return len(self.coordinates)
 
     def projector(self) -> np.ndarray:
-        if self.coordinates is not None:
-            p = np.zeros((self.full_dim, self.full_dim), dtype=complex)
-            p[self.coordinates, self.coordinates] = 1.0
-            return p
-        return self.basis @ dagger(self.basis)
+        """Orthogonal projector onto the subspace, in the computational basis."""
+        u = _frame_unitary(self)
+        if u is None:
+            u = np.eye(self.full_dim, dtype=complex)
+        cols = u[:, self.coordinates]
+        return cols @ dagger(cols)
+
+
+def _frame_unitary(subspace: TypicalSubspace) -> np.ndarray | None:
+    """The n-fold Kronecker power of the frame, or None for the computational basis."""
+    u = subspace.frame
+    if u is None:
+        return None
+    n = round(math.log(subspace.full_dim) / math.log(u.shape[0]))
+    return reduce(np.kron, [u] * n)
 
 
 def typical_subspace(reference: DensityLike, subspace_dim: int) -> TypicalSubspace:
-    """Subspace of the ``subspace_dim`` largest-eigenvalue eigenvectors of a state."""
+    """Subspace of the ``subspace_dim`` largest-eigenvalue eigenvectors of a state.
+
+    The frame is the state's eigenbasis, or the computational basis when the
+    state is diagonal.
+    """
     rho = as_density(reference)
-    if not (1 <= subspace_dim <= rho.dim):
-        raise DomainError(
-            f"subspace_dim must lie in [1, {rho.dim}], got {subspace_dim}"
-        )
     if is_diagonal(rho.matrix, tol=1e-14):
-        w = np.clip(np.real(np.diagonal(rho.matrix)), 0.0, None)
-        return typical_subspace_from_weights(w, subspace_dim)
-    spec = eig_hermitian(rho.matrix)
-    kept_vals, kept_vecs = spec.top_k(subspace_dim)
-    eta = float(max(0.0, 1.0 - np.sum(kept_vals)))
-    return TypicalSubspace(full_dim=rho.dim, eta=eta, basis=np.ascontiguousarray(kept_vecs))
+        w, frame = np.clip(np.real(np.diagonal(rho.matrix)), 0.0, None), None
+    else:
+        spec = eig_hermitian(rho.matrix)
+        w, frame = spec.eigenvalues, spec.eigenvectors
+    return replace(typical_subspace_from_weights(w, subspace_dim), frame=frame)
 
 
 def typical_subspace_from_weights(weights: np.ndarray, subspace_dim: int) -> TypicalSubspace:
@@ -208,6 +214,8 @@ def typical_subspace_from_weights(weights: np.ndarray, subspace_dim: int) -> Typ
 def project_and_patch(rho: DensityLike, subspace: TypicalSubspace) -> DensityOperator:
     """Compress a state into the subspace: Pi rho Pi plus the lost weight on the patch.
 
+    ``rho`` is given in the computational basis; it is rotated into the
+    subspace's frame, projected onto the kept coordinates and rotated back.
     The patched weight is the state's own tail tr((I - Pi) rho), so the output
     has unit trace; its fidelity with the input is at least (1 - tail)^2.
     """
@@ -217,27 +225,20 @@ def project_and_patch(rho: DensityLike, subspace: TypicalSubspace) -> DensityOpe
             f"state dimension {r.dim} does not match subspace ambient dimension "
             f"{subspace.full_dim}"
         )
-    if subspace.coordinates is not None:
-        kept = subspace.coordinates
-        out = np.zeros_like(r.matrix)
-        out[np.ix_(kept, kept)] = r.matrix[np.ix_(kept, kept)]
-        tail = max(0.0, 1.0 - float(np.real(np.trace(out))))
-        patch = kept[0]
-        out[patch, patch] += tail
-    else:
-        b = subspace.basis
-        inner = dagger(b) @ r.matrix @ b
-        out = b @ inner @ dagger(b)
-        tail = max(0.0, 1.0 - float(np.real(np.trace(inner))))
-        patch_vec = b[:, 0]
-        out = out + tail * np.outer(patch_vec, patch_vec.conj())
+    u = _frame_unitary(subspace)
+    a = r.matrix if u is None else dagger(u) @ r.matrix @ u
+    kept = subspace.coordinates
+    out = np.zeros_like(a)
+    out[np.ix_(kept, kept)] = a[np.ix_(kept, kept)]
+    tail = max(0.0, 1.0 - float(np.real(np.trace(out))))
+    out[kept[0], kept[0]] += tail
+    if u is not None:
+        out = u @ out @ dagger(u)
     return DensityOperator.from_matrix((out + dagger(out)) / 2.0)
 
 
 def project_and_patch_diagonal(diag: np.ndarray, subspace: TypicalSubspace) -> np.ndarray:
-    """Diagonal-vector form of project-and-patch (coordinate subspaces only)."""
-    if subspace.coordinates is None:
-        raise DimensionMismatch("diagonal fast path needs a coordinate-aligned subspace")
+    """Diagonal-vector form of project-and-patch, in the subspace's frame."""
     out = np.zeros_like(diag)
     kept = subspace.coordinates
     out[kept] = diag[kept]
@@ -283,11 +284,17 @@ def lemma_a1_ceiling(source: BlockSource, rate: float) -> tuple[float, int]:
 
 
 class Scheme:
-    """Encode/decode pair collapsed to its net action on block states."""
+    """Encode/decode pair collapsed to its net action on block states.
+
+    ``frame`` is the d x d unitary in which the scheme reads block states, one
+    copy per tensor factor; ``None`` means the computational basis.
+    """
 
     channel_dim: int = 0
+    frame: np.ndarray | None = None
 
     def apply(self, sigma: DensityOperator) -> DensityOperator:
+        """Output for a block state written in the scheme's frame."""
         raise NotImplementedError
 
 
@@ -321,53 +328,34 @@ class ProjectPatchScheme(Scheme):
     def __init__(self, subspace: TypicalSubspace):
         self.subspace = subspace
         self.channel_dim = subspace.dim
+        self.frame = subspace.frame
+        # The same subspace seen from inside its frame: plain coordinates.
+        self._kept = replace(subspace, frame=None)
 
     def apply(self, sigma: DensityOperator) -> DensityOperator:
-        return project_and_patch(sigma, self.subspace)
+        return project_and_patch(sigma, self._kept)
 
     def apply_diagonal(self, diag: np.ndarray) -> np.ndarray:
-        return project_and_patch_diagonal(diag, self.subspace)
+        return project_and_patch_diagonal(diag, self._kept)
 
 
 def project_patch_scheme(source: BlockSource, rate: float) -> ProjectPatchScheme:
     """Project-and-patch scheme at a qubits/signal rate for this source.
 
-    The subspace spans the heaviest eigenvectors of the block mean state; for
-    diagonal bases it is coordinate aligned and block matrices are never built.
+    The subspace spans the heaviest product eigenvectors of the block mean
+    state, so it is a set of kept coordinates in the frame of the base mean
+    state's eigenvectors.  A source of diagonal states keeps the computational
+    basis as its frame.  No block-sized matrix is built here.
     """
     k = scheme_subspace_dim(rate, source.n_blocks, source.full_dim)
-    base_states = [s.matrix for s in source.base.states]
-    if all(is_diagonal(m, tol=1e-12) for m in base_states):
-        return ProjectPatchScheme(typical_subspace_from_weights(source.average_weights(), k))
-    avg = source.base.average()
-    spec = eig_hermitian(avg.matrix)
-    w = kron_power_vector(spec.eigenvalues, source.n_blocks)
-    order = np.argsort(-w, kind="stable")[:k]
-    if source.full_dim * k > 2**22:
-        raise DimensionOverflow(
-            f"dense typical subspace of size {source.full_dim} x {k} is too large"
-        )
-    cols = np.empty((source.full_dim, k), dtype=complex)
-    digits = _decode_indices(order, source.base.dim, source.n_blocks)
-    for col, idx in enumerate(digits):
-        vec = reduce(np.kron, [spec.eigenvectors[:, j] for j in idx])
-        cols[:, col] = vec
-    eta = float(max(0.0, 1.0 - w[order].sum()))
-    return ProjectPatchScheme(
-        TypicalSubspace(full_dim=source.full_dim, eta=eta, basis=cols)
-    )
-
-
-def _decode_indices(flat: np.ndarray, d: int, n: int) -> list[tuple[int, ...]]:
-    out = []
-    for f in flat:
-        digits = []
-        x = int(f)
-        for _ in range(n):
-            digits.append(x % d)
-            x //= d
-        out.append(tuple(reversed(digits)))
-    return out
+    mean = source.base.average().matrix
+    if all(is_diagonal(s.matrix, tol=1e-12) for s in source.base.states):
+        w, frame = np.clip(np.real(np.diagonal(mean)), 0.0, None), None
+    else:
+        spec = eig_hermitian(mean)
+        w, frame = spec.eigenvalues, spec.eigenvectors
+    sub = typical_subspace_from_weights(kron_power_vector(w, source.n_blocks), k)
+    return ProjectPatchScheme(replace(sub, frame=frame))
 
 
 @dataclass(frozen=True)
@@ -378,15 +366,27 @@ class FidelityScore:
     n_terms: int
 
 
+def _in_frame(source: BlockSource, scheme: Scheme) -> BlockSource:
+    """The source with each base state rotated once into the scheme's frame.
+
+    Global and local fidelities are unchanged by a product unitary, so scores
+    computed in the frame equal scores in the computational basis.
+    """
+    u = scheme.frame
+    if u is None:
+        return source
+    states = tuple(DensityOperator._wrap(dagger(u) @ s.matrix @ u) for s in source.base.states)
+    return BlockSource(Ensemble(states, source.base.probs), source.n_blocks)
+
+
 def _diagonal_path_available(source: BlockSource, scheme: Scheme) -> bool:
-    """Diagonal base states and a scheme that keeps a set of coordinates."""
+    """Diagonal base states and a scheme that keeps coordinates, in the scheme's frame."""
     if not all(is_diagonal(s.matrix, tol=1e-12) for s in source.base.states):
         return False
     if isinstance(scheme, IdentityScheme):
         return True
     return (
         isinstance(scheme, ProjectPatchScheme)
-        and scheme.subspace.coordinates is not None
         and scheme.subspace.full_dim == source.full_dim
     )
 
@@ -407,6 +407,7 @@ def _diagonal_tables(source: BlockSource, scheme: Scheme, want_local: bool) -> _
     position at a time gives every string's mass inside the subspace at once;
     leaving position k uncontracted gives its output marginal there.  No
     string's d^N vector is built.  Local scores are None unless wanted.
+    ``source`` is written in the scheme's frame, like every per-string helper.
     """
     n, d, m = source.n_blocks, source.base.dim, len(source.base)
     P = np.array([
@@ -576,6 +577,7 @@ def _scores(source: BlockSource, scheme: Scheme, want_local: bool, mode: str,
             exact_cap: int) -> tuple[FidelityScore, FidelityScore]:
     if mode not in ("auto", "exact", "mc"):
         raise DomainError(f"mode must be auto|exact|mc, got {mode!r}")
+    source = _in_frame(source, scheme)
     diagonal = _diagonal_path_available(source, scheme)
     tabled = diagonal and _table_elements(source) <= DIAGONAL_TABLE_BUDGET
     exact_ok = tabled or source.n_strings <= exact_cap

@@ -25,6 +25,7 @@ from .qmat import (
     as_density,
     dagger,
     eig_hermitian,
+    is_diagonal,
     matrix_sqrt_psd,
 )
 
@@ -39,15 +40,17 @@ CONTINUITY_COEFF = 2.0 + 2.0 * np.sqrt(2.0)
 
 
 def as_prob_vector(p, name: str = "probability vector") -> np.ndarray:
-    """Validate nonnegativity and unit sum (within 1e-10); returns a float array."""
+    """Validate finiteness, nonnegativity and unit sum (within 1e-10); returns a float array."""
     a = np.asarray(p, dtype=float).reshape(-1)
     if a.size == 0:
         raise ValidationError(f"{name}: must be non-empty")
+    if not np.isfinite(a).all():
+        raise ValidationError(f"{name}: entries must be finite")
     if np.min(a) < -PROB_TOL:
         raise ValidationError(f"{name}: entry {np.min(a):.3e} is negative")
-    s = float(np.sum(a))
-    if abs(s - 1.0) > PROB_TOL:
-        raise ValidationError(f"{name}: |sum - 1| = {abs(s - 1.0):.3e} exceeds {PROB_TOL}")
+    defect = abs(float(np.sum(a)) - 1.0)
+    if not (defect <= PROB_TOL):
+        raise ValidationError(f"{name}: |sum - 1| = {defect:.3e} exceeds {PROB_TOL}")
     return np.clip(a, 0.0, None)
 
 
@@ -159,14 +162,10 @@ def vn_entropy(rho: DensityLike) -> float:
     r = as_density(rho)
     vals = (
         np.real(np.diagonal(r.matrix))
-        if _is_diag(r.matrix)
+        if is_diagonal(r.matrix, tol=1e-14)
         else eig_hermitian(r.matrix).eigenvalues
     )
     return entropy_of_spectrum(np.clip(vals, 0.0, None))
-
-
-def _is_diag(m: np.ndarray) -> bool:
-    return bool(np.max(np.abs(m - np.diag(np.diagonal(m)))) <= 1e-14)
 
 
 def _sqrt_fid_oriented(r1: np.ndarray, r2: np.ndarray) -> float:
@@ -186,7 +185,7 @@ def sqrt_fidelity(rho1: DensityLike, rho2: DensityLike) -> float:
     r1, r2 = as_density(rho1), as_density(rho2)
     if r1.dim != r2.dim:
         raise DimensionMismatch(f"fidelity operands have dims {r1.dim} and {r2.dim}")
-    if _is_diag(r1.matrix) and _is_diag(r2.matrix):
+    if is_diagonal(r1.matrix, tol=1e-14) and is_diagonal(r2.matrix, tol=1e-14):
         p = np.clip(np.real(np.diagonal(r1.matrix)), 0.0, None)
         q = np.clip(np.real(np.diagonal(r2.matrix)), 0.0, None)
         g = float(np.sum(np.sqrt(p * q)))

@@ -51,6 +51,8 @@ def _as_square_complex(m, name: str = "matrix") -> np.ndarray:
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"{name} must be a square matrix, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValidationError(f"{name}: entries must be finite")
     return a
 
 
@@ -79,10 +81,6 @@ class Spectrum:
     @property
     def dim(self) -> int:
         return int(self.eigenvalues.shape[0])
-
-    def top_k(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """Leading k eigenvalues and the matching eigenvector columns."""
-        return self.eigenvalues[:k], self.eigenvectors[:, :k]
 
     def reconstruct(self) -> np.ndarray:
         v = self.eigenvectors

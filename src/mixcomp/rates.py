@@ -18,7 +18,7 @@ from .classical import CoinSource, xi_rate
 from .errors import DomainError, TauMismatch, ValidationError
 from .measures import Ensemble, holevo, shannon_entropy, vn_entropy
 from .purify import two_state_purification_rate
-from .qmat import DensityLike, DensityOperator, as_density, commutator_norm
+from .qmat import DensityLike, DensityOperator, as_density, commutator_norm, is_diagonal
 
 ORDER_TOL = 1e-8
 SHAPE_TOL = 1e-8
@@ -210,13 +210,11 @@ def _detect_photographic_negative(ensemble: Ensemble) -> int | None:
         return None
     if np.max(np.abs(ensemble.probs - 1.0 / d)) > SHAPE_TOL:
         return None
-    hole = np.full((d, d), 1.0 / (d - 1))
     seen = set()
     for s in ensemble.states:
-        m = s.matrix
-        if np.max(np.abs(m - np.diag(np.diagonal(m)))) > SHAPE_TOL:
+        if not is_diagonal(s.matrix, tol=SHAPE_TOL):
             return None
-        diag = np.real(np.diagonal(m))
+        diag = np.real(np.diagonal(s.matrix))
         holes = np.flatnonzero(np.abs(diag) <= SHAPE_TOL)
         if holes.size != 1:
             return None

@@ -1,5 +1,7 @@
 import itertools
 import math
+import tracemalloc
+from functools import reduce
 from unittest import mock
 
 import numpy as np
@@ -28,7 +30,7 @@ from mixcomp.blocksim import (
 )
 from mixcomp.errors import DimensionMismatch, DimensionOverflow, DomainError
 from mixcomp.measures import Ensemble, fidelity, vn_entropy
-from mixcomp.qmat import maximally_mixed
+from mixcomp.qmat import eig_hermitian, maximally_mixed, partial_trace
 
 from conftest import diag_state
 
@@ -137,6 +139,21 @@ class TestProjectAndPatch:
         sub = typical_subspace(sampling.random_density(4, rng), 2)
         with pytest.raises(DimensionMismatch):
             project_and_patch(rho, sub)
+
+    def test_dense_state_matches_eigenvector_columns(self, rng):
+        # Oracle: B B^dag rho B B^dag + tail b0 b0^dag with B the top-k eigenvectors.
+        for d in (2, 3, 5, 8):
+            rho = sampling.random_density(d, rng)
+            b = eig_hermitian(rho.matrix).eigenvectors
+            for k in range(1, d + 1):
+                sub = typical_subspace(rho, k)
+                bk = b[:, :k]
+                pi = bk @ bk.conj().T
+                kept = pi @ rho.matrix @ pi
+                tail = 1.0 - np.real(np.trace(kept))
+                want = kept + tail * np.outer(bk[:, 0], bk[:, 0].conj())
+                assert sub.frame is not None and sub.dim == k
+                assert np.max(np.abs(project_and_patch(rho, sub).matrix - want)) <= 1e-12
 
 
 class TestLemmaA1Bound:
@@ -306,6 +323,105 @@ class TestScores:
         scheme = project_patch_scheme(source, vn_entropy(base.average()) + 0.4)
         score = global_fidelity_score(source, scheme, mode="mc", n_samples=300, seed=2)
         assert 0.0 <= score.value <= 1.0
+
+
+def dense_basis_oracle(source: BlockSource, rate: float):
+    """Eta and per-string (global, local) scores from a dense D x k basis.
+
+    This is the representation the eigenframe coordinates replaced: the kept
+    columns are Kronecker products of the mean state's eigenvectors, and every
+    string is projected and patched in the computational basis.
+    """
+    base, n, d = source.base, source.n_blocks, source.base.dim
+    spec = eig_hermitian(base.average().matrix)
+    w = blocksim.kron_power_vector(spec.eigenvalues, n)
+    k = scheme_subspace_dim(rate, n, source.full_dim)
+    order = np.argsort(-w, kind="stable")[:k]
+    b = np.column_stack([
+        reduce(np.kron, [spec.eigenvectors[:, j] for j in np.unravel_index(flat, (d,) * n)])
+        for flat in order
+    ])
+    eta = float(max(0.0, 1.0 - w[order].sum()))
+    scores = {}
+    for string in itertools.product(range(len(base)), repeat=n):
+        sigma = reduce(np.kron, [base.states[i].matrix for i in string])
+        inner = b.conj().T @ sigma @ b
+        tail = max(0.0, 1.0 - float(np.real(np.trace(inner))))
+        out = b @ inner @ b.conj().T + tail * np.outer(b[:, 0], b[:, 0].conj())
+        out = (out + out.conj().T) / 2.0
+        loc = math.prod(fidelity(base.states[i], partial_trace(out, [d] * n, keep=pos))
+                        for pos, i in enumerate(string))
+        scores[string] = (fidelity(sigma, out), loc)
+    return eta, scores
+
+
+def _program_per_string(source: BlockSource, scheme):
+    framed = blocksim._in_frame(source, scheme)
+    diagonal = blocksim._diagonal_path_available(framed, scheme)
+    return diagonal, {
+        string: blocksim._score_string(framed, scheme, string, diagonal, True)
+        for string in itertools.product(range(len(source.base)), repeat=source.n_blocks)
+    }
+
+
+class TestEigenframeSubspace:
+    """Kept coordinates in the mean state's eigenframe against the dense basis oracle."""
+
+    @pytest.mark.parametrize("d, m, n", [
+        (2, 1, 4), (2, 2, 4), (2, 3, 3), (3, 1, 2), (3, 2, 3), (3, 3, 2),
+    ])
+    def test_dense_sources_match_basis_oracle(self, rng, d, m, n):
+        for rate in (0.0, 0.5, 0.9, 1.4):
+            base = Ensemble.from_lists(sampling.random_prob_vector(m, rng),
+                                       [sampling.random_density(d, rng) for _ in range(m)])
+            source = BlockSource.build(base, n)
+            scheme = project_patch_scheme(source, rate)
+            eta, want = dense_basis_oracle(source, rate)
+            assert scheme.subspace.eta == eta
+            # One state is diagonal in its own eigenframe; several dense ones are not.
+            diagonal, got = _program_per_string(source, scheme)
+            assert diagonal == (m == 1)
+            for string, (g, loc) in want.items():
+                assert abs(got[string][0] - g) <= 1e-6
+                assert abs(got[string][1] - loc) <= 1e-6
+            weights = {s: source.string_prob(s) for s in want}
+            for score, field in ((global_fidelity_score, 0), (local_fidelity_score, 1)):
+                exact = score(source, scheme, mode="exact").value
+                assert abs(exact - sum(weights[s] * want[s][field] for s in want)) <= 1e-6
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_rotated_commuting_pair_takes_diagonal_path(self, rng, d):
+        r1, r2, _ = sampling.random_commuting_pair(d, rng)
+        base = Ensemble.from_lists([0.35, 0.65], [r1, r2])
+        assert np.min(np.diff(eig_hermitian(base.average().matrix).eigenvalues)) < -1e-3
+        source = BlockSource.build(base, 3)
+        for rate in (0.4, 1.0):
+            scheme = project_patch_scheme(source, rate)
+            eta, want = dense_basis_oracle(source, rate)
+            assert scheme.subspace.eta == eta
+            g = global_fidelity_score(source, scheme, mode="exact")
+            loc = local_fidelity_score(source, scheme, mode="exact")
+            assert g.method == loc.method == "exact-diagonal"
+            weights = {s: source.string_prob(s) for s in want}
+            assert abs(g.value - sum(weights[s] * want[s][0] for s in want)) <= 1e-6
+            assert abs(loc.value - sum(weights[s] * want[s][1] for s in want)) <= 1e-6
+
+    def test_full_rate_dense_scheme_at_dimension_cap(self, rng):
+        # 4096 kept dimensions: a dense basis would be a 4096 x 4096 complex
+        # matrix (256 MiB); the coordinates take 32 KiB.
+        base = Ensemble.from_lists([0.5, 0.5], [sampling.random_density(2, rng) for _ in range(2)])
+        source = BlockSource.build(base, 12)
+        tracemalloc.start()
+        try:
+            scheme = project_patch_scheme(source, 1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**22
+        assert scheme.channel_dim == 4096
+        assert scheme.frame.shape == (2, 2)
+        np.testing.assert_array_equal(np.sort(scheme.subspace.coordinates), np.arange(4096))
+        assert scheme.subspace.eta <= 1e-12
 
 
 class TestCommonEigenbasis:

@@ -158,6 +158,19 @@ class TestCliCommands:
         err = capsys.readouterr().err
         assert "trace" in err
 
+    @pytest.mark.parametrize("where", ["probs", "states"])
+    def test_holevo_rejects_nan_literal(self, tmp_path, capsys, where):
+        payload = wire.ensemble_to_json(photographic_negative_ensemble(3))
+        if where == "probs":
+            payload["probs"][0] = float("nan")
+        else:
+            payload["states"][1]["re"][0][0] = float("nan")
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(payload))
+        assert "NaN" in path.read_text()
+        assert main(["holevo", "--ensemble", str(path)]) == 2
+        assert "finite" in capsys.readouterr().err
+
     def test_dim_cap_flag(self, tmp_path, capsys):
         ens = Ensemble.from_lists(
             [0.5, 0.5], [diag_state(0.9, 0.1), diag_state(0.1, 0.9)]

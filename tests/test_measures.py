@@ -4,12 +4,19 @@ import numpy as np
 import pytest
 
 from mixcomp import sampling
-from mixcomp.errors import DimensionMismatch, InvalidPovm, LengthMismatch, ProbabilityMismatch
+from mixcomp.errors import (
+    DimensionMismatch,
+    InvalidPovm,
+    LengthMismatch,
+    ProbabilityMismatch,
+    ValidationError,
+)
 from mixcomp.measures import (
     CONTINUITY_COEFF,
     CONTINUITY_THRESHOLD,
     Ensemble,
     Povm,
+    as_prob_vector,
     avg_ensemble_fidelity,
     avg_entropy_continuity_bound,
     classical_fidelity,
@@ -187,6 +194,21 @@ class TestHolevo:
             chi = holevo(ens)
             assert -1e-12 <= chi <= vn_entropy(ens.average()) + 1e-9
             assert chi <= math.log2(d) + 1e-9
+
+
+class TestNonFiniteInput:
+    def test_prob_vector_rejects_nan_and_inf(self):
+        for bad in ([np.nan, 1.0], [np.inf, 0.0], [0.5, 0.5, -np.inf]):
+            with pytest.raises(ValidationError, match="finite"):
+                as_prob_vector(bad)
+
+    def test_entropy_of_nan_state_is_refused(self):
+        with pytest.raises(ValidationError, match="finite"):
+            vn_entropy(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+    def test_nan_priors_are_refused(self):
+        with pytest.raises(ValidationError, match="finite"):
+            Ensemble.from_lists([np.nan, 1.0], [diag_state(1.0, 0.0), diag_state(0.0, 1.0)])
 
 
 class TestAvgEnsembleFidelity:

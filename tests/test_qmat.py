@@ -101,6 +101,14 @@ class TestDensityOperator:
         with pytest.raises(ValidationError):
             DensityOperator.from_matrix(diag_state(0.6, 0.6))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_rejects_non_finite_entries(self, bad):
+        m = np.array([[bad, 0.0], [0.0, 1.0]], dtype=complex)
+        with pytest.raises(ValidationError, match="finite"):
+            DensityOperator.from_matrix(m)
+        with pytest.raises(ValidationError, match="finite"):
+            eig_hermitian(m)
+
     def test_eigenvalues_sum_to_one(self, rng):
         for _ in range(10):
             rho = sampling.random_density(int(rng.integers(2, 8)), rng)
