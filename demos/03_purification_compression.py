@@ -31,8 +31,7 @@ print("== Purification overlap saturates the fidelity limit ==")
 eps = 0.2
 rho1 = np.diag([eps, 1 - eps]).astype(complex)
 rho2 = np.diag([1 - eps, eps]).astype(complex)
-basis = np.eye(2, dtype=complex)
-print(f"  |<psi1|psi2>|^2 = {canonical_overlap(rho1, rho2, basis=basis):.6f}")
+print(f"  |<psi1|psi2>|^2 = {canonical_overlap(rho1, rho2):.6f}")
 print(f"  F(rho1, rho2)   = {fidelity(rho1, rho2):.6f}")
 
 print()

@@ -31,7 +31,6 @@ from .classical import (
     analytic_output_law,
     apply_channel,
     classical_rate_comparison,
-    conjectured_mutual_information,
     example9_message_distribution,
     example9_simulate,
     xi_rate,
@@ -81,5 +80,3 @@ from .rates import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [name for name in dir() if not name.startswith("_")]

@@ -27,19 +27,13 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    DimensionOverflow,
-    DomainError,
-    NotCommuting,
-)
+from .errors import DimensionMismatch, DimensionOverflow, DomainError
 from .measures import Ensemble, as_prob_vector, classical_fidelity, fidelity, vn_entropy
 from .qmat import (
     DEFAULT_DIM_CAP,
     DensityLike,
     DensityOperator,
     as_density,
-    commutator_norm,
     dagger,
     eig_hermitian,
     is_diagonal,
@@ -104,40 +98,6 @@ class BlockSource:
 def kron_power_vector(v: np.ndarray, n: int) -> np.ndarray:
     """n-fold Kronecker power of a vector."""
     return reduce(np.kron, [np.asarray(v, dtype=float)] * n)
-
-
-def common_eigenbasis(ensemble: Ensemble, tol: float = 1e-8) -> np.ndarray | None:
-    """Unitary diagonalising every ensemble state at once, or None.
-
-    Mutual commutation is necessary; the basis is found from a generic
-    Hermitian combination of the states and then verified.
-    """
-    mats = [s.matrix for s in ensemble.states]
-    if all(is_diagonal(m, tol=1e-12) for m in mats):
-        return np.eye(ensemble.dim, dtype=complex)
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            if commutator_norm(mats[i], mats[j]) > tol:
-                return None
-    # Generic coefficients split accidental degeneracies of the combination.
-    coeffs = np.array([2.0 + np.sin(3.7 * (k + 1)) for k in range(len(mats))])
-    combo = sum(c * m for c, m in zip(coeffs, mats))
-    basis = eig_hermitian(combo).eigenvectors
-    for m in mats:
-        rot = dagger(basis) @ m @ basis
-        if not is_diagonal(rot, tol=tol):
-            return None
-    return basis
-
-
-def diagonalized(ensemble: Ensemble) -> tuple[Ensemble, np.ndarray]:
-    """Rotate a mutually commuting ensemble into its common eigenbasis."""
-    basis = common_eigenbasis(ensemble)
-    if basis is None:
-        raise NotCommuting("ensemble states do not share an eigenbasis")
-    states = [dagger(basis) @ s.matrix @ basis for s in ensemble.states]
-    states = [np.diag(np.clip(np.real(np.diagonal(m)), 0.0, None)).astype(complex) for m in states]
-    return Ensemble.from_lists(ensemble.probs.copy(), states), basis
 
 
 @dataclass(frozen=True, eq=False)

@@ -40,11 +40,13 @@ class StochasticMatrix:
         a = np.asarray(m, dtype=float)
         if a.ndim != 2:
             raise ValidationError(f"stochastic matrix must be 2-D, got shape {a.shape}")
-        if np.min(a) < -PROB_TOL:
+        if not np.isfinite(a).all():
+            raise ValidationError("stochastic matrix: entries must be finite")
+        if not (np.min(a) >= -PROB_TOL):
             raise ValidationError(f"stochastic matrix has negative entry {np.min(a):.3e}")
         col_sums = a.sum(axis=0)
         worst = float(np.max(np.abs(col_sums - 1.0)))
-        if worst > PROB_TOL:
+        if not (worst <= PROB_TOL):
             raise ValidationError(
                 f"stochastic matrix columns must sum to 1 (max deviation {worst:.3e})"
             )
@@ -238,20 +240,6 @@ def example9_simulate(src: CoinSource, n_tosses: int, seed: int = 0) -> Protocol
     return ProtocolTrace(coins, messages, outputs, seed=seed, swapped=swapped)
 
 
-def conjectured_mutual_information(src: CoinSource) -> float:
-    """H(avg coin) - sum_i p_i H(coin i): the conjectured optimal rate.
-
-    Reported as a conjecture only; it coincides with the Holevo lower bound
-    for this commuting source.
-    """
-    abar = src.average_heads()
-    h_avg = shannon_entropy([abar, 1.0 - abar])
-    h_cond = src.p1 * shannon_entropy([src.alpha1, 1.0 - src.alpha1]) + src.p2 * shannon_entropy(
-        [src.alpha2, 1.0 - src.alpha2]
-    )
-    return max(0.0, h_avg - h_cond)
-
-
 def matches_symmetric_family(src: CoinSource, tol: float = 1e-9) -> float | None:
     """Epsilon if the source is the symmetric family (p = 1/2, alpha2 = 1 - alpha1)."""
     s, _ = orient_coins(src)
@@ -278,11 +266,11 @@ def classical_rate_comparison(src: CoinSource):
     eps = matches_symmetric_family(src)
     if eps is not None:
         entries.append(RateEntry("purification scheme Upsilon", upsilon_rate(eps), "scheme_rate"))
-    entries.append(RateEntry("Holevo quantity", holevo(ensemble), "lower_bound"))
-    entries.append(
-        RateEntry("conjectured optimal rate (mutual information)",
-                  conjectured_mutual_information(src), "conjecture")
-    )
+    # The mutual information H(avg coin) - sum_i p_i H(coin i) equals chi for
+    # this commuting source.
+    chi = holevo(ensemble)
+    entries.append(RateEntry("Holevo quantity", chi, "lower_bound"))
+    entries.append(RateEntry("conjectured optimal rate (mutual information)", chi, "conjecture"))
     label = (
         f"coins p1={src.p1:g} alpha1={src.alpha1:g} alpha2={src.alpha2:g}"
         f" avg_heads={abar:g}" + (" (labels swapped internally)" if swapped else "")

@@ -29,10 +29,6 @@ class NotCommuting(ValidationError):
     """Operators do not commute within tolerance."""
 
 
-class AmbiguousEigenbasis(ValidationError):
-    """Degenerate spectrum: a common eigenbasis must be supplied explicitly."""
-
-
 class DimensionMismatch(ValidationError):
     """Operand dimensions are incompatible."""
 

@@ -111,17 +111,19 @@ class Povm:
                 dim = a.shape[0]
             elif a.shape[0] != dim:
                 raise InvalidPovm(f"POVM element {i} has dimension {a.shape[0]}, expected {dim}")
-            if np.max(np.abs(a - dagger(a))) > POVM_TOL:
+            if not np.isfinite(a).all():
+                raise InvalidPovm(f"POVM element {i}: entries must be finite")
+            if not (np.max(np.abs(a - dagger(a))) <= POVM_TOL):
                 raise InvalidPovm(f"POVM element {i} is not Hermitian within {POVM_TOL}")
             a = (a + dagger(a)) / 2.0
             lo = float(np.min(np.linalg.eigvalsh(a)))
-            if lo < -POVM_TOL:
+            if not (lo >= -POVM_TOL):
                 raise InvalidPovm(f"POVM element {i} has negative eigenvalue {lo:.3e}")
             a.setflags(write=False)
             mats.append(a)
         total = sum(mats)
         defect = float(np.max(np.abs(total - np.eye(dim))))
-        if defect > POVM_TOL:
+        if not (defect <= POVM_TOL):
             raise InvalidPovm(
                 f"POVM elements do not sum to identity: max deviation {defect:.3e} > {POVM_TOL}"
             )

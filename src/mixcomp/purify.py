@@ -2,9 +2,15 @@
 
 The canonical purification of a state with spectral decomposition
 rho = sum_i lambda_i |e_i><e_i| is |psi> = sum_i sqrt(lambda_i) |e_i> x |e_i>.
-Tracing out either tensor factor recovers rho.  For simultaneously diagonal
-states the canonical purifications achieve the Bures-Uhlmann overlap limit
-pairwise, which is what makes them useful for visible compression.
+Tracing out either tensor factor recovers rho.  For commuting states written
+in one common eigenbasis the purifications achieve the Bures-Uhlmann overlap
+limit pairwise, which is what makes them useful for visible compression.
+
+Every purification overlap and rate here comes from one formula: the overlap
+<psi_i|psi_j> = tr(sqrt(rho_i) sqrt(rho_j)), which for commuting states is the
+same in every common eigenbasis, so no code picks one.  A mixture
+sum_i p_i |psi_i><psi_i| has the nonzero spectrum of its Gram matrix
+G_ij = sqrt(p_i p_j) <psi_i|psi_j>.
 """
 
 from __future__ import annotations
@@ -13,33 +19,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    AmbiguousEigenbasis,
-    DomainError,
-    NotCommuting,
-    NotOrthonormal,
-    ValidationError,
-)
-from .measures import (
-    Ensemble,
-    classical_fidelity,
-    entropy_of_spectrum,
-    holevo,
-    shannon_entropy,
-    vn_entropy,
-)
+from .errors import DomainError, NotCommuting, ValidationError
+from .measures import Ensemble, entropy_of_spectrum, holevo, shannon_entropy
 from .qmat import (
     DensityLike,
     DensityOperator,
     PureState,
     as_density,
     commutator_norm,
-    dagger,
     eig_hermitian,
+    is_diagonal,
+    matrix_sqrt_psd,
 )
 
 COMMUTE_TOL = 1e-8
-DEGENERACY_TOL = 1e-10
 _PHASE_FLOOR = 1e-12
 
 
@@ -86,76 +79,53 @@ def canonical_purification(rho: DensityLike) -> Purification:
     return Purification(PureState.from_vector(psi / nrm), r, d)
 
 
-def purification_vector_in_basis(diag_probs: np.ndarray) -> np.ndarray:
-    """Canonical purification of diag(p) written in the {|e_i>x|e_i>} subspace.
+def _root_overlaps(states) -> np.ndarray:
+    """Matrix of tr(sqrt(rho_i) sqrt(rho_j)), the overlaps <psi_i|psi_j> of purifications.
 
-    For states sharing one diagonalising basis, all canonical purifications
-    live in this d-dimensional subspace, and the representation is just the
-    entrywise square root of the diagonal.
+    For commuting states these are the overlaps of the purifications
+    sum_k sqrt(p_k) |k> x |k> written in any common eigenbasis {|k>}: the sum
+    sum_k sqrt(p_k q_k) does not depend on which common eigenbasis is used.
     """
-    p = np.clip(np.asarray(diag_probs, dtype=float), 0.0, None)
-    return np.sqrt(p)
+    mats = [s.matrix for s in states]
+    if all(is_diagonal(m) for m in mats):
+        # Diagonal roots: the trace is sum_k sqrt(p_ik p_jk), with no d x d products.
+        roots = np.sqrt(np.clip(np.real([np.diagonal(m) for m in mats]), 0.0, None))
+        return roots @ roots.T
+    roots = np.stack([matrix_sqrt_psd(m) for m in mats])
+    return np.real(np.einsum("iab,jba->ij", roots, roots))
 
 
-def _common_diagonal(
-    rho1: DensityOperator, rho2: DensityOperator, basis: np.ndarray | None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonals of both states in a verified common eigenbasis."""
+def _purification_spectrum(ensemble: Ensemble) -> np.ndarray:
+    """Spectrum of the purification mixture sum_i p_i |psi_i><psi_i|, descending.
+
+    Its nonzero eigenvalues are those of the m x m Gram matrix
+    G_ij = sqrt(p_i p_j) <psi_i|psi_j>, so no d^2-dimensional state is built.
+    """
+    w = np.sqrt(ensemble.probs)
+    gram = np.outer(w, w) * _root_overlaps(ensemble.states)
+    return np.clip(np.linalg.eigvalsh(gram)[::-1], 0.0, None)
+
+
+def _require_commuting(rho1: DensityOperator, rho2: DensityOperator) -> None:
     c = commutator_norm(rho1.matrix, rho2.matrix)
     if c > COMMUTE_TOL:
         raise NotCommuting(
             f"states do not commute: max |[rho1, rho2]| = {c:.3e} > {COMMUTE_TOL}"
         )
-    if basis is None:
-        spec = eig_hermitian(rho1.matrix)
-        basis = spec.eigenvectors
-        rotated2 = dagger(basis) @ rho2.matrix @ basis
-        off = np.max(np.abs(rotated2 - np.diag(np.diagonal(rotated2))))
-        if off > COMMUTE_TOL:
-            gaps = np.abs(np.diff(spec.eigenvalues))
-            if gaps.size and np.min(gaps) < DEGENERACY_TOL:
-                raise AmbiguousEigenbasis(
-                    "rho1 has a degenerate spectrum; supply the common eigenbasis explicitly"
-                )
-            raise NotCommuting(
-                f"default eigenbasis fails to diagonalise rho2 (off-diagonal {off:.3e})"
-            )
-    else:
-        basis = np.asarray(basis, dtype=complex)
-        if basis.shape != (rho1.dim, rho1.dim):
-            raise NotOrthonormal(
-                f"supplied basis must be a full {rho1.dim}x{rho1.dim} unitary, "
-                f"got shape {basis.shape}"
-            )
-        gram = dagger(basis) @ basis
-        defect = float(np.max(np.abs(gram - np.eye(basis.shape[1]))))
-        if defect > COMMUTE_TOL:
-            raise NotOrthonormal(f"supplied basis not orthonormal (defect {defect:.3e})")
-        for name, rho in (("rho1", rho1), ("rho2", rho2)):
-            rot = dagger(basis) @ rho.matrix @ basis
-            off = np.max(np.abs(rot - np.diag(np.diagonal(rot))))
-            if off > COMMUTE_TOL:
-                raise NotCommuting(
-                    f"supplied basis fails to diagonalise {name} (off-diagonal {off:.3e})"
-                )
-    p = np.clip(np.real(np.diagonal(dagger(basis) @ rho1.matrix @ basis)), 0.0, None)
-    q = np.clip(np.real(np.diagonal(dagger(basis) @ rho2.matrix @ basis)), 0.0, None)
-    return p, q
 
 
-def canonical_overlap(
-    rho1: DensityLike, rho2: DensityLike, basis: np.ndarray | None = None
-) -> float:
-    """|<psi1|psi2>|^2 for canonical purifications in a common eigenbasis.
+def canonical_overlap(rho1: DensityLike, rho2: DensityLike) -> float:
+    """|<psi1|psi2>|^2 for purifications written in a common eigenbasis.
 
-    Equals the Bures-Uhlmann fidelity of the two commuting states, i.e. the
-    purifications are optimally parallel.  When either spectrum is degenerate
-    the basis must be supplied, because the purifications are only pinned down
-    by an explicit shared diagonalising basis.
+    Equals tr(sqrt(rho1) sqrt(rho2))^2, the same in every common eigenbasis,
+    and equals the Bures-Uhlmann fidelity of the two commuting states, i.e. the
+    purifications are optimally parallel.  Degenerate spectra need no special
+    treatment.
     """
     r1, r2 = as_density(rho1), as_density(rho2)
-    p, q = _common_diagonal(r1, r2, basis)
-    return classical_fidelity(p / p.sum(), q / q.sum())
+    _require_commuting(r1, r2)
+    c = _root_overlaps((r1, r2))[0, 1]
+    return min(1.0, float(c * c))
 
 
 def upsilon_rate(epsilon: float) -> float:
@@ -172,21 +142,17 @@ def upsilon_rate(epsilon: float) -> float:
     return shannon_entropy([0.5 + s, 0.5 - s])
 
 
-def two_state_purification_rate(ensemble: Ensemble, basis: np.ndarray | None = None) -> float:
-    """Entropy of the canonical-purification mixture for a two-state commuting ensemble.
+def two_state_purification_rate(ensemble: Ensemble) -> float:
+    """Entropy of the purification mixture for a two-state commuting ensemble.
 
     The mixture p1 |psi1><psi1| + p2 |psi2><psi2| has rank <= 2; its spectrum
-    follows from the 2x2 Gram matrix with the purification overlap
-    c = sum_i sqrt(p_i q_i).
+    is that of the 2x2 Gram matrix with the purification overlap
+    c = tr(sqrt(rho1) sqrt(rho2)) = sum_k sqrt(p_k q_k).
     """
     if len(ensemble) != 2:
         raise DomainError("two_state_purification_rate needs exactly two states")
-    p, q = _common_diagonal(ensemble.states[0], ensemble.states[1], basis)
-    c = float(np.sum(np.sqrt(p * q)))
-    w1, w2 = float(ensemble.probs[0]), float(ensemble.probs[1])
-    disc = np.sqrt(max(0.0, (w1 - w2) ** 2 + 4.0 * w1 * w2 * c * c))
-    lam = np.array([(1.0 + disc) / 2.0, max(0.0, (1.0 - disc) / 2.0)])
-    return entropy_of_spectrum(lam)
+    _require_commuting(*ensemble.states)
+    return entropy_of_spectrum(_purification_spectrum(ensemble))
 
 
 def photographic_negative_ensemble(d: int) -> Ensemble:
@@ -223,22 +189,13 @@ SPECTRUM_TOL = 1e-8
 def photographic_negative_report(d: int) -> PhotographicNegativeReport:
     """Spectrum and rates of the equal mixture of canonical purifications.
 
-    The purifications all lie in the d-dimensional subspace spanned by
-    {|e_i> x |e_i>}, so the mixture is built there directly.  Its spectrum is
-    verified against the closed form {(d-1)/d, (d-1) copies of 1/(d(d-1))};
-    q is the entropy of the constructed mixture and chi the Holevo quantity of
-    the source ensemble.
+    The spectrum comes from the d x d Gram matrix of the purification overlaps
+    and is verified against the closed form {(d-1)/d, (d-1) copies of
+    1/(d(d-1))}; q is its entropy and chi the Holevo quantity of the source
+    ensemble.
     """
     ensemble = photographic_negative_ensemble(d)
-    vectors = np.column_stack(
-        [
-            purification_vector_in_basis(np.real(np.diagonal(rho.matrix)))
-            for rho in ensemble.states
-        ]
-    )
-    mixture = (vectors * ensemble.probs) @ vectors.T
-    mixture = DensityOperator.from_matrix(mixture.astype(complex))
-    spec = eig_hermitian(mixture.matrix).eigenvalues
+    spec = _purification_spectrum(ensemble)
 
     expected = np.concatenate([[(d - 1) / d], np.full(d - 1, 1.0 / (d * (d - 1)))])
     defect = float(np.max(np.abs(spec - expected)))
@@ -247,8 +204,7 @@ def photographic_negative_report(d: int) -> PhotographicNegativeReport:
             f"purification mixture spectrum deviates from closed form by {defect:.3e}"
         )
 
-    q = vn_entropy(mixture)
-    chi = holevo(ensemble)
-    spec_ro = spec.copy()
-    spec_ro.setflags(write=False)
-    return PhotographicNegativeReport(d=d, mixture_spectrum=spec_ro, q=q, chi=chi)
+    spec.setflags(write=False)
+    return PhotographicNegativeReport(
+        d=d, mixture_spectrum=spec, q=entropy_of_spectrum(spec), chi=holevo(ensemble)
+    )

@@ -16,9 +16,16 @@ import numpy as np
 
 from .classical import CoinSource, xi_rate
 from .errors import DomainError, TauMismatch, ValidationError
-from .measures import Ensemble, holevo, shannon_entropy, vn_entropy
-from .purify import two_state_purification_rate
-from .qmat import DensityLike, DensityOperator, as_density, commutator_norm, is_diagonal
+from .measures import Ensemble, entropy_of_spectrum, holevo, shannon_entropy, vn_entropy
+from .purify import _purification_spectrum, two_state_purification_rate
+from .qmat import (
+    DensityLike,
+    DensityOperator,
+    as_density,
+    commutator_norm,
+    eig_hermitian,
+    is_diagonal,
+)
 
 ORDER_TOL = 1e-8
 SHAPE_TOL = 1e-8
@@ -204,49 +211,42 @@ def _detect_block_split(ensemble: Ensemble) -> BlockDiagonalEnsemble | None:
     return None if best is None else best[1]
 
 
-def _detect_photographic_negative(ensemble: Ensemble) -> int | None:
+def _detect_photographic_negative(ensemble: Ensemble) -> bool:
     d = ensemble.dim
     if len(ensemble) != d or d < 3:
-        return None
+        return False
     if np.max(np.abs(ensemble.probs - 1.0 / d)) > SHAPE_TOL:
-        return None
+        return False
     seen = set()
     for s in ensemble.states:
         if not is_diagonal(s.matrix, tol=SHAPE_TOL):
-            return None
+            return False
         diag = np.real(np.diagonal(s.matrix))
         holes = np.flatnonzero(np.abs(diag) <= SHAPE_TOL)
         if holes.size != 1:
-            return None
+            return False
         i = int(holes[0])
         expected = np.full(d, 1.0 / (d - 1))
         expected[i] = 0.0
         if np.max(np.abs(diag - expected)) > SHAPE_TOL:
-            return None
+            return False
         seen.add(i)
-    return d if len(seen) == d else None
+    return len(seen) == d
 
 
 def _coin_source_from_qubit_pair(ensemble: Ensemble) -> CoinSource | None:
     if ensemble.dim != 2 or len(ensemble) != 2 or not _mutually_commuting(ensemble):
         return None
     r1, r2 = ensemble.states
-    from .purify import _common_diagonal
-
-    try:
-        p, q = _common_diagonal(r1, r2, None)
-    except ValidationError:
-        # First state may be degenerate; the second state's eigenbasis works
-        # just as well for a commuting pair.
-        try:
-            q, p = _common_diagonal(r2, r1, None)
-        except ValidationError:
-            return None
+    # The top eigenvector of rho1 - rho2 is a common eigenvector when rho1 != rho2;
+    # when they are equal any vector gives alpha1 = alpha2, and Xi depends only on
+    # |alpha2 - alpha1|.
+    e = eig_hermitian(r1.matrix - r2.matrix).eigenvectors[:, 0]
+    alpha1, alpha2 = (
+        float(np.clip(np.real(np.vdot(e, r.matrix @ e)), 0.0, 1.0)) for r in (r1, r2)
+    )
     return CoinSource(
-        p1=float(ensemble.probs[0]),
-        p2=float(ensemble.probs[1]),
-        alpha1=float(np.clip(p[0], 0.0, 1.0)),
-        alpha2=float(np.clip(q[0], 0.0, 1.0)),
+        p1=float(ensemble.probs[0]), p2=float(ensemble.probs[1]), alpha1=alpha1, alpha2=alpha2
     )
 
 
@@ -270,16 +270,13 @@ def rate_report(ensemble: Ensemble, label: str = "ensemble") -> RateReport:
             entries.append(
                 RateEntry("three-message protocol Xi", xi_rate(coin), "scheme_rate")
             )
-        try:
-            entries.append(
-                RateEntry(
-                    "canonical purification scheme",
-                    two_state_purification_rate(ensemble),
-                    "scheme_rate",
-                )
+        entries.append(
+            RateEntry(
+                "canonical purification scheme",
+                two_state_purification_rate(ensemble),
+                "scheme_rate",
             )
-        except ValidationError:
-            pass
+        )
 
     block = _detect_block_split(ensemble)
     if block is not None:
@@ -291,14 +288,11 @@ def rate_report(ensemble: Ensemble, label: str = "ensemble") -> RateReport:
             )
         )
 
-    pn_dim = _detect_photographic_negative(ensemble)
-    if pn_dim is not None:
-        from .purify import photographic_negative_report
-
+    if _detect_photographic_negative(ensemble):
         entries.append(
             RateEntry(
                 "photographic-negative purification mixture",
-                photographic_negative_report(pn_dim).q,
+                entropy_of_spectrum(_purification_spectrum(ensemble)),
                 "scheme_rate",
             )
         )

@@ -15,8 +15,6 @@ from mixcomp.blocksim import (
     FixedOutputScheme,
     IdentityScheme,
     ceiling_subspace_dim,
-    common_eigenbasis,
-    diagonalized,
     fidelity_subspace_upper_bound,
     global_fidelity_score,
     lemma_a1_ceiling,
@@ -422,25 +420,6 @@ class TestEigenframeSubspace:
         assert scheme.frame.shape == (2, 2)
         np.testing.assert_array_equal(np.sort(scheme.subspace.coordinates), np.arange(4096))
         assert scheme.subspace.eta <= 1e-12
-
-
-class TestCommonEigenbasis:
-    def test_diagonal_states(self):
-        assert common_eigenbasis(two_coin_base()) is not None
-
-    def test_rotated_commuting_pair(self, rng):
-        r1, r2, _ = sampling.random_commuting_pair(3, rng)
-        ens = Ensemble.from_lists([0.4, 0.6], [r1, r2])
-        basis = common_eigenbasis(ens)
-        assert basis is not None
-        diag_ens, _ = diagonalized(ens)
-        for orig, diag in zip(ens.states, diag_ens.states):
-            assert abs(vn_entropy(orig) - vn_entropy(diag)) <= 1e-8
-
-    def test_noncommuting_returns_none(self, rng):
-        states = [sampling.random_density(3, rng) for _ in range(2)]
-        ens = Ensemble.from_lists([0.5, 0.5], states)
-        assert common_eigenbasis(ens) is None
 
 
 class TestTheorem7Demo:

@@ -210,6 +210,10 @@ class TestNonFiniteInput:
         with pytest.raises(ValidationError, match="finite"):
             Ensemble.from_lists([np.nan, 1.0], [diag_state(1.0, 0.0), diag_state(0.0, 1.0)])
 
+    def test_nan_povm_element_is_refused(self):
+        with pytest.raises(InvalidPovm, match="finite"):
+            Povm.from_elements([diag_state(np.nan, 0.0), diag_state(0.0, 1.0)])
+
 
 class TestAvgEnsembleFidelity:
     def test_identical(self, rng):

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mixcomp import sampling
-from mixcomp.errors import AmbiguousEigenbasis, DomainError, NotCommuting
+from mixcomp.errors import DomainError, NotCommuting
 from mixcomp.measures import Ensemble, classical_fidelity, fidelity, vn_entropy
 from mixcomp.purify import (
     canonical_overlap,
@@ -74,11 +76,7 @@ class TestCanonicalOverlap:
 
     @pytest.mark.parametrize("eps", [0.1, 0.25, 0.4])
     def test_swapped_binary_pair(self, eps):
-        overlap = canonical_overlap(
-            diag_state(eps, 1 - eps),
-            diag_state(1 - eps, eps),
-            basis=np.eye(2, dtype=complex),
-        )
+        overlap = canonical_overlap(diag_state(eps, 1 - eps), diag_state(1 - eps, eps))
         assert abs(overlap - 4 * eps * (1 - eps)) <= 1e-10
 
     def test_equals_classical_fidelity(self, rng):
@@ -86,22 +84,21 @@ class TestCanonicalOverlap:
             r1, r2, basis = sampling.random_commuting_pair(4, rng)
             p = np.real(np.diagonal(basis.conj().T @ r1.matrix @ basis))
             q = np.real(np.diagonal(basis.conj().T @ r2.matrix @ basis))
-            overlap = canonical_overlap(r1, r2, basis=basis)
+            overlap = canonical_overlap(r1, r2)
             assert abs(overlap - classical_fidelity(p, q)) <= 1e-8
 
     def test_equals_bures_uhlmann_limit(self, rng):
         for _ in range(10):
-            r1, r2, basis = sampling.random_commuting_pair(3, rng)
-            assert abs(canonical_overlap(r1, r2, basis=basis) - fidelity(r1, r2)) <= 1e-8
+            r1, r2, _ = sampling.random_commuting_pair(3, rng)
+            assert abs(canonical_overlap(r1, r2) - fidelity(r1, r2)) <= 1e-8
 
     def test_simultaneous_pairwise_parallelism(self, rng):
         # Three or more simultaneously diagonal states: every pair of canonical
         # purifications hits its own optimal overlap at once.
-        basis = np.eye(5, dtype=complex)
         states = [np.diag(sampling.random_prob_vector(5, rng)).astype(complex) for _ in range(4)]
         for i in range(4):
             for j in range(i + 1, 4):
-                overlap = canonical_overlap(states[i], states[j], basis=basis)
+                overlap = canonical_overlap(states[i], states[j])
                 assert abs(overlap - fidelity(states[i], states[j])) <= 1e-8
 
     def test_rejects_noncommuting(self, rng):
@@ -110,14 +107,66 @@ class TestCanonicalOverlap:
         with pytest.raises(NotCommuting):
             canonical_overlap(r1, r2)
 
-    def test_degenerate_needs_explicit_basis(self, rng):
+    def test_degenerate_state_needs_no_basis(self, rng):
+        # I/2 is diagonal in every basis; the overlap is the same in all of them.
         u = sampling.random_unitary(2, rng)
         sigma = u @ np.diag([0.8, 0.2]).astype(complex) @ u.conj().T
-        with pytest.raises(AmbiguousEigenbasis):
-            canonical_overlap(maximally_mixed(2), sigma)
-        # With the basis supplied the overlap is well defined.
-        overlap = canonical_overlap(maximally_mixed(2), sigma, basis=u)
+        overlap = canonical_overlap(maximally_mixed(2), sigma)
+        assert abs(overlap - (math.sqrt(0.4) + math.sqrt(0.1)) ** 2) <= 1e-12
         assert abs(overlap - fidelity(maximally_mixed(2), sigma)) <= 1e-8
+
+
+def closed_form_two_state_rate(w1, w2, p, q) -> float:
+    """The 2x2 Gram-matrix closed form on the diagonals of a common eigenbasis."""
+    c = float(np.sum(np.sqrt(p * q)))
+    disc = math.sqrt(max(0.0, (w1 - w2) ** 2 + 4.0 * w1 * w2 * c * c))
+    return h_bits((1.0 + disc) / 2.0, max(0.0, (1.0 - disc) / 2.0))
+
+
+@st.composite
+def commuting_pairs(draw):
+    """(w1, p, q, U): states U diag(p) U^dag and U diag(q) U^dag with prior w1.
+
+    Small integer weights make ties, i.e. degenerate spectra, common.  Zero
+    eigenvalues are drawn only when U = I: at a zero eigenvalue the square root
+    turns eigensolver rounding of 1e-17 into 3e-9, beyond the 1e-12 checked here.
+    """
+    d = draw(st.integers(2, 5))
+    rotated = draw(st.booleans())
+    weights = st.lists(st.integers(1 if rotated else 0, 4), min_size=d, max_size=d)
+    diags = []
+    for _ in range(2):
+        w = np.array(draw(weights), dtype=float)
+        w[0] += w.sum() == 0
+        diags.append(w / w.sum())
+    if rotated:
+        u = sampling.random_unitary(d, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    else:
+        u = np.eye(d, dtype=complex)
+    return draw(st.floats(0.05, 0.95)), diags[0], diags[1], u
+
+
+class TestGramPurificationRate:
+    """Purification rates and overlaps from tr(sqrt(rho1) sqrt(rho2)) against closed forms."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(commuting_pairs())
+    def test_matches_common_eigenbasis_closed_form(self, pair):
+        w1, p, q, u = pair
+        r1 = u @ np.diag(p).astype(complex) @ u.conj().T
+        r2 = u @ np.diag(q).astype(complex) @ u.conj().T
+        ens = Ensemble.from_lists([w1, 1.0 - w1], [r1, r2])
+        want = closed_form_two_state_rate(w1, 1.0 - w1, p, q)
+        assert abs(two_state_purification_rate(ens) - want) <= 1e-12
+        overlap = float(np.sum(np.sqrt(p * q))) ** 2
+        assert abs(canonical_overlap(r1, r2) - overlap) <= 1e-12
+
+    def test_rejects_other_sizes_and_noncommuting_pairs(self, rng):
+        with pytest.raises(DomainError):
+            two_state_purification_rate(photographic_negative_ensemble(3))
+        pair = [sampling.random_density(3, rng) for _ in range(2)]
+        with pytest.raises(NotCommuting):
+            two_state_purification_rate(Ensemble.from_lists([0.5, 0.5], pair))
 
 
 class TestUpsilonRate:
@@ -195,15 +244,11 @@ class TestPhotographicNegative:
         # The mixture equals (d-2)/(d-1) |psi><psi| + 1/(d-1) I/d on the
         # symmetric subspace, with |psi> the uniform superposition.
         ens = photographic_negative_ensemble(d)
-        from mixcomp.purify import purification_vector_in_basis
-
-        vectors = np.column_stack(
-            [
-                purification_vector_in_basis(np.real(np.diagonal(s.matrix)))
-                for s in ens.states
-            ]
-        )
+        # Canonical purifications of diagonal states, in the {|k> x |k>} subspace.
+        vectors = np.column_stack([np.sqrt(np.real(np.diagonal(s.matrix))) for s in ens.states])
         mixture = (vectors * ens.probs) @ vectors.T
         psi = np.full(d, 1 / math.sqrt(d))
         displayed = (d - 2) / (d - 1) * np.outer(psi, psi) + np.eye(d) / (d * (d - 1))
         assert np.max(np.abs(mixture - displayed)) <= 1e-10
+        spectrum = photographic_negative_report(d).mixture_spectrum
+        np.testing.assert_allclose(spectrum, np.linalg.eigvalsh(displayed)[::-1], atol=1e-12)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mixcomp import sampling
+from mixcomp.classical import CoinSource, xi_rate
 from mixcomp.errors import TauMismatch, ValidationError
 from mixcomp.measures import Ensemble, holevo, shannon_entropy, vn_entropy
 from mixcomp.purify import photographic_negative_ensemble, photographic_negative_report, upsilon_rate
@@ -154,7 +155,7 @@ class TestRateReport:
             rates["block-diagonal scheme (shared tau)"] - example11_rate(block).scheme_rate
         ) <= 1e-9
 
-    def test_photographic_negative_recognised(self):
+    def test_photographic_negative_recognised(self, rng):
         ens = photographic_negative_ensemble(5)
         report = rate_report(ens)
         rates = {e.name: e.rate for e in report.entries}
@@ -162,6 +163,27 @@ class TestRateReport:
             rates["photographic-negative purification mixture"]
             - photographic_negative_report(5).q
         ) <= 1e-10
+        # Shuffled hole patterns at d = 3..16 against the closed form.
+        for d in range(3, 17):
+            states = photographic_negative_ensemble(d).states
+            order = rng.permutation(d)
+            shuffled = Ensemble.from_lists(np.full(d, 1 / d), [states[i] for i in order])
+            rates = {e.name: e.rate for e in rate_report(shuffled).entries}
+            closed = (2.0 / d) * math.log2(d - 1) - math.log2(1 - 1 / d)
+            assert abs(rates["photographic-negative purification mixture"] - closed) <= 1e-12
+
+    def test_degenerate_commuting_pair_gets_purification_entry(self, rng):
+        # I/2 has no preferred eigenbasis; the purification rate needs none.
+        u = sampling.random_unitary(2, rng)
+        sigma = u @ np.diag([0.8, 0.2]).astype(complex) @ u.conj().T
+        ens = Ensemble.from_lists([0.3, 0.7], [maximally_mixed(2), sigma])
+        rates = {e.name: e.rate for e in rate_report(ens).entries}
+        c = math.sqrt(0.4) + math.sqrt(0.1)
+        disc = math.sqrt((0.3 - 0.7) ** 2 + 4 * 0.3 * 0.7 * c * c)
+        want = shannon_entropy([(1 + disc) / 2, (1 - disc) / 2])
+        assert abs(rates["canonical purification scheme"] - want) <= 1e-12
+        xi = xi_rate(CoinSource(0.3, 0.7, 0.5, 0.8))
+        assert abs(rates["three-message protocol Xi"] - xi) <= 1e-12
 
     def test_scheme_rates_respect_lower_bound(self, rng):
         for _ in range(30):
