@@ -28,7 +28,7 @@ from functools import reduce
 import numpy as np
 
 from .errors import DimensionMismatch, DimensionOverflow, DomainError
-from .measures import Ensemble, as_prob_vector, classical_fidelity, fidelity, vn_entropy
+from .measures import Ensemble, classical_fidelity, fidelity, vn_entropy
 from .qmat import (
     DEFAULT_DIM_CAP,
     DensityLike,
@@ -36,10 +36,10 @@ from .qmat import (
     as_density,
     dagger,
     eig_hermitian,
-    is_diagonal,
     partial_trace,
 )
 from .sampling import block_generator
+from .tolerance import PARAM_EPS
 
 EXACT_SWEEP_CAP = 1024
 # Elements in the largest array the vectorised diagonal scorer builds
@@ -47,14 +47,13 @@ EXACT_SWEEP_CAP = 1024
 DIAGONAL_TABLE_BUDGET = 2**22
 DEFAULT_MC_SAMPLES = 2000
 MC_BLOCK = 256
-_RATE_EPS = 1e-9
 
 
 def scheme_subspace_dim(rate: float, n_blocks: int, full_dim: int) -> int:
     """Channel dimension of a scheme using whole qubits: 2^ceil(rate*N), capped."""
     if rate < 0:
         raise DomainError(f"rate must be nonnegative, got {rate}")
-    qubits = math.ceil(rate * n_blocks - _RATE_EPS)
+    qubits = math.ceil(rate * n_blocks - PARAM_EPS)
     return int(min(2 ** max(qubits, 0), full_dim))
 
 
@@ -63,7 +62,7 @@ def ceiling_subspace_dim(rate: float, n_blocks: int, full_dim: int) -> int:
     if rate < 0:
         raise DomainError(f"rate must be nonnegative, got {rate}")
     raw = 2.0 ** (rate * n_blocks)
-    return int(min(max(1, math.ceil(raw * (1.0 - _RATE_EPS))), full_dim))
+    return int(min(max(1, math.ceil(raw * (1.0 - PARAM_EPS))), full_dim))
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,10 +145,10 @@ def typical_subspace(reference: DensityLike, subspace_dim: int) -> TypicalSubspa
     state is diagonal.
     """
     rho = as_density(reference)
-    if is_diagonal(rho.matrix, tol=1e-14):
+    if rho.is_diagonal:
         w, frame = np.clip(np.real(np.diagonal(rho.matrix)), 0.0, None), None
     else:
-        spec = eig_hermitian(rho.matrix)
+        spec = eig_hermitian(rho)
         w, frame = spec.eigenvalues, spec.eigenvectors
     return replace(typical_subspace_from_weights(w, subspace_dim), frame=frame)
 
@@ -214,7 +213,7 @@ def fidelity_subspace_upper_bound(rho: DensityLike, subspace_dim: int) -> float:
     r = as_density(rho)
     if not (1 <= subspace_dim <= r.dim):
         raise DomainError(f"subspace_dim must lie in [1, {r.dim}], got {subspace_dim}")
-    vals = eig_hermitian(r.matrix).eigenvalues
+    vals = eig_hermitian(r).eigenvalues
     return float(min(1.0, np.sum(vals[:subspace_dim])))
 
 
@@ -230,7 +229,7 @@ def power_spectrum_top_sum(base_avg: DensityLike, n_blocks: int, retained: int,
         raise DimensionOverflow(
             f"power dimension {rho.dim}^{n_blocks} exceeds cap {dim_cap}"
         )
-    w = kron_power_vector(eig_hermitian(rho.matrix).eigenvalues, n_blocks)
+    w = kron_power_vector(eig_hermitian(rho).eigenvalues, n_blocks)
     if not (1 <= retained <= w.size):
         raise DomainError(f"retained count {retained} outside [1, {w.size}]")
     top = np.partition(w, -retained)[-retained:]
@@ -308,9 +307,9 @@ def project_patch_scheme(source: BlockSource, rate: float) -> ProjectPatchScheme
     basis as its frame.  No block-sized matrix is built here.
     """
     k = scheme_subspace_dim(rate, source.n_blocks, source.full_dim)
-    mean = source.base.average().matrix
-    if all(is_diagonal(s.matrix, tol=1e-12) for s in source.base.states):
-        w, frame = np.clip(np.real(np.diagonal(mean)), 0.0, None), None
+    mean = source.base.average()
+    if all(s.is_diagonal for s in source.base.states):
+        w, frame = np.clip(np.real(np.diagonal(mean.matrix)), 0.0, None), None
     else:
         spec = eig_hermitian(mean)
         w, frame = spec.eigenvalues, spec.eigenvectors
@@ -335,13 +334,15 @@ def _in_frame(source: BlockSource, scheme: Scheme) -> BlockSource:
     u = scheme.frame
     if u is None:
         return source
-    states = tuple(DensityOperator._wrap(dagger(u) @ s.matrix @ u) for s in source.base.states)
+    rotated = [dagger(u) @ s.matrix @ u for s in source.base.states]
+    # Symmetrised: a DensityOperator's matrix is exactly Hermitian.
+    states = tuple(DensityOperator._wrap((r + dagger(r)) / 2.0) for r in rotated)
     return BlockSource(Ensemble(states, source.base.probs), source.n_blocks)
 
 
 def _diagonal_path_available(source: BlockSource, scheme: Scheme) -> bool:
     """Diagonal base states and a scheme that keeps coordinates, in the scheme's frame."""
-    if not all(is_diagonal(s.matrix, tol=1e-12) for s in source.base.states):
+    if not all(s.is_diagonal for s in source.base.states):
         return False
     if isinstance(scheme, IdentityScheme):
         return True
@@ -370,10 +371,7 @@ def _diagonal_tables(source: BlockSource, scheme: Scheme, want_local: bool) -> _
     ``source`` is written in the scheme's frame, like every per-string helper.
     """
     n, d, m = source.n_blocks, source.base.dim, len(source.base)
-    P = np.array([
-        as_prob_vector(np.real(np.diagonal(s.matrix)), f"base state {i} diagonal")
-        for i, s in enumerate(source.base.states)
-    ])
+    P = np.clip(np.real([np.diagonal(s.matrix) for s in source.base.states]), 0.0, None)
     identity = isinstance(scheme, IdentityScheme)
     if identity:
         mask = np.ones((d,) * n)

@@ -16,8 +16,7 @@ import numpy as np
 from .errors import DegenerateProtocol, DimensionMismatch, DomainError, ValidationError
 from .measures import Ensemble, as_prob_vector, holevo, shannon_entropy, vn_entropy
 from .sampling import block_generator
-
-PROB_TOL = 1e-10
+from .tolerance import PARAM_EPS, UNIT_TOL
 
 #: Message codes in protocol traces.
 M0, M1, M2 = 0, 1, 2
@@ -38,15 +37,15 @@ class StochasticMatrix:
     @classmethod
     def from_matrix(cls, m) -> "StochasticMatrix":
         a = np.asarray(m, dtype=float)
-        if a.ndim != 2:
-            raise ValidationError(f"stochastic matrix must be 2-D, got shape {a.shape}")
+        if a.ndim != 2 or a.size == 0:
+            raise ValidationError(f"stochastic matrix must be 2-D and non-empty, got shape {a.shape}")
         if not np.isfinite(a).all():
             raise ValidationError("stochastic matrix: entries must be finite")
-        if not (np.min(a) >= -PROB_TOL):
+        if not UNIT_TOL.admits(-np.min(a)):
             raise ValidationError(f"stochastic matrix has negative entry {np.min(a):.3e}")
         col_sums = a.sum(axis=0)
         worst = float(np.max(np.abs(col_sums - 1.0)))
-        if not (worst <= PROB_TOL):
+        if not UNIT_TOL.admits(worst):
             raise ValidationError(
                 f"stochastic matrix columns must sum to 1 (max deviation {worst:.3e})"
             )
@@ -81,7 +80,7 @@ class CoinSource:
             v = getattr(self, name)
             if not (0.0 <= v <= 1.0):
                 raise ValidationError(f"coin source field {name} = {v} outside [0, 1]")
-        if abs(self.p1 + self.p2 - 1.0) > PROB_TOL:
+        if not UNIT_TOL.admits(abs(self.p1 + self.p2 - 1.0)):
             raise ValidationError(
                 f"coin priors must sum to 1 (p1 + p2 = {self.p1 + self.p2})"
             )
@@ -240,10 +239,10 @@ def example9_simulate(src: CoinSource, n_tosses: int, seed: int = 0) -> Protocol
     return ProtocolTrace(coins, messages, outputs, seed=seed, swapped=swapped)
 
 
-def matches_symmetric_family(src: CoinSource, tol: float = 1e-9) -> float | None:
+def matches_symmetric_family(src: CoinSource) -> float | None:
     """Epsilon if the source is the symmetric family (p = 1/2, alpha2 = 1 - alpha1)."""
     s, _ = orient_coins(src)
-    if abs(s.p1 - 0.5) <= tol and abs(s.alpha2 - (1.0 - s.alpha1)) <= tol and s.alpha1 <= 0.5 + tol:
+    if PARAM_EPS.admits([abs(s.p1 - 0.5), abs(s.alpha2 - (1.0 - s.alpha1)), s.alpha1 - 0.5]):
         return float(min(s.alpha1, 0.5))
     return None
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,44 +22,15 @@ from .measures import fidelity, holevo, shannon_entropy, vn_entropy
 from .qmat import DEFAULT_DIM_CAP
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved options for one CLI invocation."""
-
-    subcommand: str
-    out: str | None
-    fmt: str
-    seed: int
-    workers: int
-    dim_cap: int
-
-
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", help="write the artifact here instead of stdout")
-    parser.add_argument("--format", choices=("json", "csv"), default="json",
-                        help="output format (default json)")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for any stochastic step (default 0)")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="worker count for parallel sweeps (default 1)")
-    parser.add_argument("--dim-cap", type=int, default=DEFAULT_DIM_CAP,
-                        help=f"operator dimension cap (default {DEFAULT_DIM_CAP})")
 
 
-def _config(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        subcommand=args.command,
-        out=args.out,
-        fmt=getattr(args, "format", "json"),
-        seed=args.seed,
-        workers=max(1, args.workers),
-        dim_cap=args.dim_cap,
-    )
-
-
-def _emit(text: str, config: RunConfig) -> None:
-    if config.out:
-        with open(config.out, "w", encoding="utf-8", newline="\n") as fh:
+def _emit(text: str, args: argparse.Namespace) -> None:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -83,32 +53,32 @@ def _rate_report_csv(report: rates.RateReport) -> str:
     return wire.csv_lines(["name", "kind", "rate_bits_per_signal"], rows)
 
 
-def cmd_fidelity(args, config: RunConfig) -> None:
+def cmd_fidelity(args) -> None:
     a = wire.load_density(args.state_a)
     b = wire.load_density(args.state_b)
-    _emit(wire.dumps({"fidelity": fidelity(a, b)}), config)
+    _emit(wire.dumps({"fidelity": fidelity(a, b)}), args)
 
 
-def cmd_entropy(args, config: RunConfig) -> None:
+def cmd_entropy(args) -> None:
     rho = wire.load_density(args.state)
-    _emit(wire.dumps({"entropy_bits": vn_entropy(rho)}), config)
+    _emit(wire.dumps({"entropy_bits": vn_entropy(rho)}), args)
 
 
-def cmd_holevo(args, config: RunConfig) -> None:
+def cmd_holevo(args) -> None:
     ensemble = wire.load_ensemble(args.ensemble)
-    _emit(wire.dumps({"holevo_bits": holevo(ensemble)}), config)
+    _emit(wire.dumps({"holevo_bits": holevo(ensemble)}), args)
 
 
-def cmd_rates_report(args, config: RunConfig) -> None:
+def cmd_rates_report(args) -> None:
     ensemble = wire.load_ensemble(args.ensemble)
     report = rates.rate_report(ensemble, label=args.ensemble)
-    if args.csv or config.fmt == "csv":
-        _emit(_rate_report_csv(report), config)
+    if args.csv:
+        _emit(_rate_report_csv(report), args)
     else:
-        _emit(wire.dumps(_rate_report_payload(report, config.seed)), config)
+        _emit(wire.dumps(_rate_report_payload(report, args.seed)), args)
 
 
-def cmd_purify_report(args, config: RunConfig) -> None:
+def cmd_purify_report(args) -> None:
     report = purify.photographic_negative_report(args.dim)
     payload = {
         "d": report.d,
@@ -117,7 +87,7 @@ def cmd_purify_report(args, config: RunConfig) -> None:
         "chi": report.chi,
         "gap": report.gap,
     }
-    _emit(wire.dumps(payload), config)
+    _emit(wire.dumps(payload), args)
 
 
 def _compare_row(label, src: classical.CoinSource) -> list:
@@ -137,7 +107,7 @@ def _compare_row(label, src: classical.CoinSource) -> list:
     ]
 
 
-def cmd_classical_compare(args, config: RunConfig) -> None:
+def cmd_classical_compare(args) -> None:
     header = ["epsilon_or_params", "S_rho_bar", "H_p", "Xi", "Upsilon", "chi", "conjectured_MI"]
     rows = []
     if args.grid:
@@ -150,17 +120,17 @@ def cmd_classical_compare(args, config: RunConfig) -> None:
         rows.append(_compare_row(
             f"p1={args.p1:g};a1={args.alpha1:g};a2={args.alpha2:g}", src
         ))
-    _emit(wire.csv_lines(header, rows), config)
+    _emit(wire.csv_lines(header, rows), args)
 
 
-def cmd_classical_simulate(args, config: RunConfig) -> None:
+def cmd_classical_simulate(args) -> None:
     src = classical.CoinSource(args.p1, 1.0 - args.p1, args.alpha1, args.alpha2)
-    trace = classical.example9_simulate(src, args.n, seed=config.seed)
+    trace = classical.example9_simulate(src, args.n, seed=args.seed)
     law = classical.analytic_output_law(src)
     empirical = trace.empirical_heads_given_coin()
     msg_counts = {f"M{m}": int(np.sum(trace.message_sequence == m)) for m in (0, 1, 2)}
     payload = {
-        "seed": config.seed,
+        "seed": args.seed,
         "n_tosses": args.n,
         "coins_swapped_internally": trace.swapped,
         "message_counts": msg_counts,
@@ -168,20 +138,20 @@ def cmd_classical_simulate(args, config: RunConfig) -> None:
         "analytic_heads_given_coin": {"1": law[0, 0], "2": law[1, 0]},
         "xi_rate_bits_per_toss": classical.xi_rate(src),
     }
-    _emit(wire.dumps(payload), config)
+    _emit(wire.dumps(payload), args)
 
 
-def cmd_blocksim_run(args, config: RunConfig) -> None:
+def cmd_blocksim_run(args) -> None:
     ensemble = wire.load_ensemble(args.ensemble)
-    source = blocksim.BlockSource.build(ensemble, args.n_blocks, dim_cap=config.dim_cap)
+    source = blocksim.BlockSource.build(ensemble, args.n_blocks, dim_cap=args.dim_cap)
     scheme = blocksim.project_patch_scheme(source, args.rate)
-    kwargs = dict(mode=args.mode, n_samples=args.samples, seed=config.seed,
-                  workers=config.workers)
+    kwargs = dict(mode=args.mode, n_samples=args.samples, seed=args.seed,
+                  workers=max(1, args.workers))
     g = blocksim.global_fidelity_score(source, scheme, **kwargs)
     loc = blocksim.local_fidelity_score(source, scheme, **kwargs)
     ceiling, _ = blocksim.lemma_a1_ceiling(source, args.rate)
     payload = {
-        "seed": config.seed,
+        "seed": args.seed,
         "rate": args.rate,
         "realized_rate": float(np.log2(scheme.channel_dim)) / args.n_blocks,
         "N": args.n_blocks,
@@ -193,13 +163,13 @@ def cmd_blocksim_run(args, config: RunConfig) -> None:
         "ceiling": ceiling,
         "eta": scheme.subspace.eta,
     }
-    _emit(wire.dumps(payload), config)
+    _emit(wire.dumps(payload), args)
 
 
-def cmd_selftest(args, config: RunConfig) -> int:
+def cmd_selftest(args) -> int:
     from .selftest import run_all
 
-    results = run_all(seed=config.seed)
+    results = run_all(seed=args.seed)
     total_pass = total_fail = 0
     lines = []
     for r in results:
@@ -208,8 +178,8 @@ def cmd_selftest(args, config: RunConfig) -> int:
             lines.append(f"  FAIL {msg}")
         total_pass += r.passed
         total_fail += r.failed
-    lines.append(f"total: {total_pass} passed, {total_fail} failed (seed {config.seed})")
-    _emit("\n".join(lines) + "\n", config)
+    lines.append(f"total: {total_pass} passed, {total_fail} failed (seed {args.seed})")
+    _emit("\n".join(lines) + "\n", args)
     return 0 if total_fail == 0 else 1
 
 
@@ -279,6 +249,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rate", type=float, required=True, help="target qubits/signal")
     p.add_argument("--mode", choices=("auto", "exact", "mc"), default="auto")
     p.add_argument("--samples", type=int, default=blocksim.DEFAULT_MC_SAMPLES)
+    p.add_argument("--workers", type=int, default=1,
+                   help="worker count for Monte Carlo sample blocks (default 1)")
+    p.add_argument("--dim-cap", type=int, default=DEFAULT_DIM_CAP,
+                   help=f"block dimension cap (default {DEFAULT_DIM_CAP})")
     _add_common(p)
     p.set_defaults(func=cmd_blocksim_run)
 
@@ -292,9 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    config = _config(args)
     try:
-        result = args.func(args, config)
+        result = args.func(args)
     except MixcompError as exc:
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         return 2

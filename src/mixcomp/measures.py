@@ -25,13 +25,9 @@ from .qmat import (
     as_density,
     dagger,
     eig_hermitian,
-    is_diagonal,
     matrix_sqrt_psd,
 )
-
-PROB_TOL = 1e-10
-POVM_TOL = 1e-8
-_LOG_FLOOR = 1e-15
+from .tolerance import LOG_FLOOR, STRUCTURE_TOL, UNIT_TOL, max_abs
 
 #: Average-fidelity threshold above which the Holevo continuity bound applies.
 CONTINUITY_THRESHOLD = float(np.sqrt(35.0 / 36.0))
@@ -46,11 +42,11 @@ def as_prob_vector(p, name: str = "probability vector") -> np.ndarray:
         raise ValidationError(f"{name}: must be non-empty")
     if not np.isfinite(a).all():
         raise ValidationError(f"{name}: entries must be finite")
-    if np.min(a) < -PROB_TOL:
+    if not UNIT_TOL.admits(-np.min(a)):
         raise ValidationError(f"{name}: entry {np.min(a):.3e} is negative")
     defect = abs(float(np.sum(a)) - 1.0)
-    if not (defect <= PROB_TOL):
-        raise ValidationError(f"{name}: |sum - 1| = {defect:.3e} exceeds {PROB_TOL}")
+    if not UNIT_TOL.admits(defect):
+        raise ValidationError(f"{name}: |sum - 1| = {defect:.3e} exceeds {UNIT_TOL}")
     return np.clip(a, 0.0, None)
 
 
@@ -105,27 +101,27 @@ class Povm:
         dim = None
         for i, e in enumerate(elements):
             a = np.asarray(e, dtype=complex)
-            if a.ndim != 2 or a.shape[0] != a.shape[1]:
-                raise InvalidPovm(f"POVM element {i} is not a square matrix")
+            if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
+                raise InvalidPovm(f"POVM element {i} is not a non-empty square matrix")
             if dim is None:
                 dim = a.shape[0]
             elif a.shape[0] != dim:
                 raise InvalidPovm(f"POVM element {i} has dimension {a.shape[0]}, expected {dim}")
             if not np.isfinite(a).all():
                 raise InvalidPovm(f"POVM element {i}: entries must be finite")
-            if not (np.max(np.abs(a - dagger(a))) <= POVM_TOL):
-                raise InvalidPovm(f"POVM element {i} is not Hermitian within {POVM_TOL}")
+            if not STRUCTURE_TOL.admits(max_abs(a - dagger(a))):
+                raise InvalidPovm(f"POVM element {i} is not Hermitian within {STRUCTURE_TOL}")
             a = (a + dagger(a)) / 2.0
             lo = float(np.min(np.linalg.eigvalsh(a)))
-            if not (lo >= -POVM_TOL):
+            if not STRUCTURE_TOL.admits(-lo):
                 raise InvalidPovm(f"POVM element {i} has negative eigenvalue {lo:.3e}")
             a.setflags(write=False)
             mats.append(a)
         total = sum(mats)
-        defect = float(np.max(np.abs(total - np.eye(dim))))
-        if not (defect <= POVM_TOL):
+        defect = max_abs(total - np.eye(dim))
+        if not STRUCTURE_TOL.admits(defect):
             raise InvalidPovm(
-                f"POVM elements do not sum to identity: max deviation {defect:.3e} > {POVM_TOL}"
+                f"POVM elements do not sum to identity: max deviation {defect:.3e} > {STRUCTURE_TOL}"
             )
         return cls(tuple(mats))
 
@@ -147,32 +143,24 @@ class Povm:
 
 def shannon_entropy(p) -> float:
     """H(p) = -sum p_i log2 p_i in bits."""
-    a = as_prob_vector(p, "shannon_entropy argument")
-    nz = a[a > _LOG_FLOOR]
-    return float(-np.sum(nz * np.log2(nz))) + 0.0
+    return entropy_of_spectrum(as_prob_vector(p, "shannon_entropy argument"))
 
 
 def entropy_of_spectrum(vals: np.ndarray) -> float:
     """Entropy in bits of a nonnegative spectrum (not necessarily validated)."""
     v = np.asarray(vals, dtype=float)
-    v = v[v > _LOG_FLOOR]
+    v = v[v > LOG_FLOOR]
     return float(-np.sum(v * np.log2(v))) + 0.0 if v.size else 0.0
 
 
 def vn_entropy(rho: DensityLike) -> float:
     """Von Neumann entropy -tr(rho log2 rho) in bits."""
-    r = as_density(rho)
-    vals = (
-        np.real(np.diagonal(r.matrix))
-        if is_diagonal(r.matrix, tol=1e-14)
-        else eig_hermitian(r.matrix).eigenvalues
-    )
-    return entropy_of_spectrum(np.clip(vals, 0.0, None))
+    return entropy_of_spectrum(eig_hermitian(as_density(rho)).eigenvalues)
 
 
-def _sqrt_fid_oriented(r1: np.ndarray, r2: np.ndarray) -> float:
+def _sqrt_fid_oriented(r1: DensityOperator, r2: DensityOperator) -> float:
     root = matrix_sqrt_psd(r1)
-    mid = root @ r2 @ root
+    mid = root @ r2.matrix @ root
     mid = (mid + dagger(mid)) / 2.0
     vals = np.clip(np.linalg.eigvalsh(mid), 0.0, None)
     return float(np.sum(np.sqrt(vals)))
@@ -187,12 +175,12 @@ def sqrt_fidelity(rho1: DensityLike, rho2: DensityLike) -> float:
     r1, r2 = as_density(rho1), as_density(rho2)
     if r1.dim != r2.dim:
         raise DimensionMismatch(f"fidelity operands have dims {r1.dim} and {r2.dim}")
-    if is_diagonal(r1.matrix, tol=1e-14) and is_diagonal(r2.matrix, tol=1e-14):
+    if r1.is_diagonal and r2.is_diagonal:
         p = np.clip(np.real(np.diagonal(r1.matrix)), 0.0, None)
         q = np.clip(np.real(np.diagonal(r2.matrix)), 0.0, None)
         g = float(np.sum(np.sqrt(p * q)))
     else:
-        g = 0.5 * (_sqrt_fid_oriented(r1.matrix, r2.matrix) + _sqrt_fid_oriented(r2.matrix, r1.matrix))
+        g = 0.5 * (_sqrt_fid_oriented(r1, r2) + _sqrt_fid_oriented(r2, r1))
     return min(g, 1.0)
 
 
@@ -222,10 +210,10 @@ def _check_same_shape(a: Ensemble, b: Ensemble) -> None:
         raise LengthMismatch(f"ensembles have {len(a)} and {len(b)} states")
     if a.dim != b.dim:
         raise DimensionMismatch(f"ensembles have dims {a.dim} and {b.dim}")
-    if np.max(np.abs(a.probs - b.probs)) > PROB_TOL:
+    defect = max_abs(a.probs - b.probs)
+    if not UNIT_TOL.admits(defect):
         raise ProbabilityMismatch(
-            "ensembles must share one probability vector (max deviation "
-            f"{float(np.max(np.abs(a.probs - b.probs))):.3e} > {PROB_TOL})"
+            f"ensembles must share one probability vector (max deviation {defect:.3e} > {UNIT_TOL})"
         )
 
 

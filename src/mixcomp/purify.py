@@ -26,14 +26,11 @@ from .qmat import (
     DensityOperator,
     PureState,
     as_density,
-    commutator_norm,
+    commuting,
     eig_hermitian,
-    is_diagonal,
     matrix_sqrt_psd,
 )
-
-COMMUTE_TOL = 1e-8
-_PHASE_FLOOR = 1e-12
+from .tolerance import PHASE_FLOOR, STRUCTURE_TOL, max_abs
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,7 +51,7 @@ def _fix_phases(vecs: np.ndarray) -> np.ndarray:
     out = vecs.copy()
     for j in range(out.shape[1]):
         col = out[:, j]
-        nz = np.flatnonzero(np.abs(col) > _PHASE_FLOOR)
+        nz = np.flatnonzero(np.abs(col) > PHASE_FLOOR)
         if nz.size:
             pivot = col[nz[0]]
             out[:, j] = col * (pivot.conj() / abs(pivot))
@@ -68,7 +65,7 @@ def canonical_purification(rho: DensityLike) -> Purification:
     phases fixed, so the construction is deterministic.
     """
     r = as_density(rho)
-    spec = eig_hermitian(r.matrix)
+    spec = eig_hermitian(r)
     vecs = _fix_phases(spec.eigenvectors)
     d = r.dim
     psi = np.zeros(d * d, dtype=complex)
@@ -86,12 +83,11 @@ def _root_overlaps(states) -> np.ndarray:
     sum_k sqrt(p_k) |k> x |k> written in any common eigenbasis {|k>}: the sum
     sum_k sqrt(p_k q_k) does not depend on which common eigenbasis is used.
     """
-    mats = [s.matrix for s in states]
-    if all(is_diagonal(m) for m in mats):
+    if all(s.is_diagonal for s in states):
         # Diagonal roots: the trace is sum_k sqrt(p_ik p_jk), with no d x d products.
-        roots = np.sqrt(np.clip(np.real([np.diagonal(m) for m in mats]), 0.0, None))
+        roots = np.sqrt(np.clip(np.real([np.diagonal(s.matrix) for s in states]), 0.0, None))
         return roots @ roots.T
-    roots = np.stack([matrix_sqrt_psd(m) for m in mats])
+    roots = np.stack([matrix_sqrt_psd(s) for s in states])
     return np.real(np.einsum("iab,jba->ij", roots, roots))
 
 
@@ -106,12 +102,9 @@ def _purification_spectrum(ensemble: Ensemble) -> np.ndarray:
     return np.clip(np.linalg.eigvalsh(gram)[::-1], 0.0, None)
 
 
-def _require_commuting(rho1: DensityOperator, rho2: DensityOperator) -> None:
-    c = commutator_norm(rho1.matrix, rho2.matrix)
-    if c > COMMUTE_TOL:
-        raise NotCommuting(
-            f"states do not commute: max |[rho1, rho2]| = {c:.3e} > {COMMUTE_TOL}"
-        )
+def _require_commuting(states) -> None:
+    if not commuting(states):
+        raise NotCommuting(f"states do not commute: max |[rho1, rho2]| > {STRUCTURE_TOL}")
 
 
 def canonical_overlap(rho1: DensityLike, rho2: DensityLike) -> float:
@@ -123,7 +116,7 @@ def canonical_overlap(rho1: DensityLike, rho2: DensityLike) -> float:
     treatment.
     """
     r1, r2 = as_density(rho1), as_density(rho2)
-    _require_commuting(r1, r2)
+    _require_commuting((r1, r2))
     c = _root_overlaps((r1, r2))[0, 1]
     return min(1.0, float(c * c))
 
@@ -151,7 +144,7 @@ def two_state_purification_rate(ensemble: Ensemble) -> float:
     """
     if len(ensemble) != 2:
         raise DomainError("two_state_purification_rate needs exactly two states")
-    _require_commuting(*ensemble.states)
+    _require_commuting(ensemble.states)
     return entropy_of_spectrum(_purification_spectrum(ensemble))
 
 
@@ -183,9 +176,6 @@ class PhotographicNegativeReport:
         return self.q - self.chi
 
 
-SPECTRUM_TOL = 1e-8
-
-
 def photographic_negative_report(d: int) -> PhotographicNegativeReport:
     """Spectrum and rates of the equal mixture of canonical purifications.
 
@@ -198,8 +188,8 @@ def photographic_negative_report(d: int) -> PhotographicNegativeReport:
     spec = _purification_spectrum(ensemble)
 
     expected = np.concatenate([[(d - 1) / d], np.full(d - 1, 1.0 / (d * (d - 1)))])
-    defect = float(np.max(np.abs(spec - expected)))
-    if defect > SPECTRUM_TOL:
+    defect = max_abs(spec - expected)
+    if not STRUCTURE_TOL.admits(defect):
         raise ValidationError(
             f"purification mixture spectrum deviates from closed form by {defect:.3e}"
         )

@@ -9,7 +9,9 @@ dimensions this package targets are small by design and a configurable cap
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence, Union
 
 import numpy as np
@@ -23,13 +25,14 @@ from .errors import (
     NotPSD,
     ValidationError,
 )
-
-HERMITIAN_TOL = 1e-10
-PSD_TOL = 1e-9
-TRACE_TOL = 1e-10
-NORM_TOL = 1e-10
-ORTHO_TOL = 1e-8
-RECON_TOL = 1e-8
+from .tolerance import (
+    DIAGONAL_TOL,
+    HERMITIAN_TOL,
+    PSD_TOL,
+    STRUCTURE_TOL,
+    UNIT_TOL,
+    max_abs,
+)
 
 #: Default ceiling on any constructed operator dimension (tensor products,
 #: block simulators).  Callers may pass their own cap.
@@ -49,21 +52,37 @@ def dagger(m: np.ndarray) -> np.ndarray:
 
 def _as_square_complex(m, name: str = "matrix") -> np.ndarray:
     a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"{name} must be a square matrix, got shape {a.shape}")
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
+        raise DimensionMismatch(f"{name} must be a non-empty square matrix, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise ValidationError(f"{name}: entries must be finite")
     return a
 
 
-def is_diagonal(m: np.ndarray, tol: float = 1e-12) -> bool:
-    off = m - np.diag(np.diagonal(m))
-    return bool(np.max(np.abs(off)) <= tol) if m.size else True
+def _hermitian_part(a: np.ndarray, name: str) -> np.ndarray:
+    """(A + A^dag) / 2 of a raw matrix that is Hermitian within HERMITIAN_TOL."""
+    defect = max_abs(a - dagger(a))
+    if not HERMITIAN_TOL.admits(defect):
+        raise NotHermitian(f"{name}: max |A - A^dag| = {defect:.3e} exceeds {HERMITIAN_TOL}")
+    return (a + dagger(a)) / 2.0
+
+
+def is_diagonal(m: np.ndarray) -> bool:
+    """The package's one diagonal test: every off-diagonal |entry| within DIAGONAL_TOL."""
+    return DIAGONAL_TOL.admits(max_abs(m - np.diag(np.diagonal(m))))
 
 
 def commutator_norm(a: np.ndarray, b: np.ndarray) -> float:
     """Max-entry norm of [a, b]; zero iff the operators commute."""
     return float(np.max(np.abs(a @ b - b @ a)))
+
+
+def commuting(states: Sequence["DensityOperator"]) -> bool:
+    """The package's one commuting test: every pair's commutator within STRUCTURE_TOL."""
+    return all(
+        STRUCTURE_TOL.admits(commutator_norm(a.matrix, b.matrix))
+        for a, b in itertools.combinations(states, 2)
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,20 +106,8 @@ class Spectrum:
         return (v * self.eigenvalues) @ dagger(v)
 
 
-def eig_hermitian(m) -> Spectrum:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
-
-    Raises NotHermitian if the symmetry tolerance is violated and NoConvergence
-    if the underlying iterative solver fails.
-    """
-    a = _as_square_complex(m)
-    herm_defect = float(np.max(np.abs(a - dagger(a)))) if a.size else 0.0
-    if herm_defect > HERMITIAN_TOL:
-        raise NotHermitian(
-            f"matrix is not Hermitian: max |A - A^dag| = {herm_defect:.3e} > {HERMITIAN_TOL}"
-        )
-    a = (a + dagger(a)) / 2.0
-    if is_diagonal(a):
+def _eig(a: np.ndarray, diagonal: bool) -> Spectrum:
+    if diagonal:
         vals = np.real(np.diagonal(a)).copy()
         vecs = np.eye(a.shape[0], dtype=complex)
     else:
@@ -110,6 +117,20 @@ def eig_hermitian(m) -> Spectrum:
             raise NoConvergence(f"eigensolver did not converge: {exc}") from exc
     order = np.argsort(-vals, kind="stable")
     return Spectrum(_readonly(vals[order]), _readonly(vecs[:, order]))
+
+
+def eig_hermitian(m) -> Spectrum:
+    """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
+
+    A raw array is checked (finite, Hermitian within HERMITIAN_TOL, else
+    NotHermitian) and symmetrised; a DensityOperator was checked when it was
+    built and is used as it is.  Diagonal matrices skip the solver.  Raises
+    NoConvergence if the underlying iterative solver fails.
+    """
+    if isinstance(m, DensityOperator):
+        return _eig(m.matrix, m.is_diagonal)
+    a = _hermitian_part(_as_square_complex(m), "matrix")
+    return _eig(a, is_diagonal(a))
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,53 +151,37 @@ class DensityOperator:
 
     @classmethod
     def _wrap(cls, matrix: np.ndarray) -> "DensityOperator":
-        # Internal fast path for matrices valid by construction.
+        # Internal fast path for matrices valid by construction.  Callers keep
+        # the matrix exactly Hermitian: nothing downstream symmetrises it again.
         obj = object.__new__(cls)
         object.__setattr__(obj, "matrix", _readonly(matrix))
         return obj
 
     @classmethod
     def from_matrix(cls, m, name: str = "density operator") -> "DensityOperator":
-        a = _as_square_complex(m, name)
-        herm_defect = float(np.max(np.abs(a - dagger(a))))
-        if herm_defect > HERMITIAN_TOL:
-            raise NotHermitian(
-                f"{name}: max |A - A^dag| = {herm_defect:.3e} exceeds {HERMITIAN_TOL}"
-            )
+        a = _hermitian_part(_as_square_complex(m, name), name)
+        tr = float(np.real(np.trace(a)))
+        if not UNIT_TOL.admits(abs(tr - 1.0)):
+            raise ValidationError(f"{name}: |trace - 1| = {abs(tr - 1.0):.3e} exceeds {UNIT_TOL}")
+        rho = cls._wrap(a)
+        spec = eig_hermitian(rho)
+        lo = float(spec.eigenvalues[-1])
+        if not PSD_TOL.admits(-lo):
+            raise NotPSD(f"{name}: eigenvalue {lo:.3e} below PSD tolerance -{PSD_TOL}")
+        if lo >= 0.0:
+            return rho
+        vecs = spec.eigenvectors
+        a = (vecs * np.clip(spec.eigenvalues, 0.0, None)) @ dagger(vecs)
         a = (a + dagger(a)) / 2.0
         tr = float(np.real(np.trace(a)))
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise ValidationError(f"{name}: |trace - 1| = {abs(tr - 1.0):.3e} exceeds {TRACE_TOL}")
-
-        if is_diagonal(a):
-            vals = np.real(np.diagonal(a))
-            vecs = None
-        else:
-            spec = eig_hermitian(a)
-            vals, vecs = spec.eigenvalues, spec.eigenvectors
-        lo = float(np.min(vals)) if vals.size else 0.0
-        if lo < -PSD_TOL:
-            raise NotPSD(f"{name}: eigenvalue {lo:.3e} below PSD tolerance -{PSD_TOL}")
-        if lo < 0.0:
-            clamped = np.clip(vals, 0.0, None)
-            if vecs is None:
-                a = np.diag(clamped).astype(complex)
-            else:
-                a = (vecs * clamped) @ dagger(vecs)
-                a = (a + dagger(a)) / 2.0
-            tr = float(np.real(np.trace(a)))
-            if abs(tr - 1.0) > TRACE_TOL:
-                a = a / tr
+        if not UNIT_TOL.admits(abs(tr - 1.0)):
+            a = a / tr
         return cls._wrap(a)
 
-    def spectrum(self) -> Spectrum:
-        return eig_hermitian(self.matrix)
-
-    def entropy_bits(self) -> float:
-        # Convenience alias; the canonical entry point is measures.vn_entropy.
-        from .measures import vn_entropy
-
-        return vn_entropy(self)
+    @cached_property
+    def is_diagonal(self) -> bool:
+        """Whether the matrix passes the one diagonal test; computed once per state."""
+        return is_diagonal(self.matrix)
 
 
 DensityLike = Union[DensityOperator, np.ndarray, Sequence]
@@ -203,26 +208,28 @@ class PureState:
     def from_vector(cls, v, name: str = "pure state") -> "PureState":
         a = np.asarray(v, dtype=complex).reshape(-1)
         nrm2 = float(np.real(np.vdot(a, a)))
-        if abs(nrm2 - 1.0) > NORM_TOL:
+        if not UNIT_TOL.admits(abs(nrm2 - 1.0)):
             raise ValidationError(
-                f"{name}: |norm^2 - 1| = {abs(nrm2 - 1.0):.3e} exceeds {NORM_TOL}"
+                f"{name}: |norm^2 - 1| = {abs(nrm2 - 1.0):.3e} exceeds {UNIT_TOL}"
             )
         return cls(_readonly(a))
 
     def projector(self) -> DensityOperator:
-        return DensityOperator._wrap(np.outer(self.amplitudes, self.amplitudes.conj()))
+        p = np.outer(self.amplitudes, self.amplitudes.conj())
+        return DensityOperator._wrap((p + dagger(p)) / 2.0)
 
 
 def matrix_sqrt_psd(m) -> np.ndarray:
     """Principal square root of a PSD Hermitian matrix.
 
-    Eigenvalues within -1e-9 of zero are treated as exactly zero; anything
-    more negative raises NotPSD.
+    A raw array is checked like eig_hermitian's, and eigenvalues within -1e-9
+    of zero are treated as exactly zero; anything more negative raises NotPSD.
+    A DensityOperator is PSD by construction.
     """
     spec = eig_hermitian(m)
     vals = spec.eigenvalues
-    lo = float(np.min(vals)) if vals.size else 0.0
-    if lo < -PSD_TOL:
+    lo = float(vals[-1])
+    if not isinstance(m, DensityOperator) and not PSD_TOL.admits(-lo):
         raise NotPSD(f"matrix_sqrt_psd: eigenvalue {lo:.3e} below PSD tolerance -{PSD_TOL}")
     root = np.sqrt(np.clip(vals, 0.0, None))
     v = spec.eigenvectors
@@ -304,10 +311,10 @@ def projector(basis_vectors: Sequence[PureState | np.ndarray]) -> np.ndarray:
         cols.append(a)
     v = np.column_stack(cols)
     gram = dagger(v) @ v
-    defect = float(np.max(np.abs(gram - np.eye(v.shape[1]))))
-    if defect > ORTHO_TOL:
+    defect = max_abs(gram - np.eye(v.shape[1]))
+    if not STRUCTURE_TOL.admits(defect):
         raise NotOrthonormal(
-            f"basis vectors not orthonormal: max |V^dag V - I| = {defect:.3e} > {ORTHO_TOL}"
+            f"basis vectors not orthonormal: max |V^dag V - I| = {defect:.3e} > {STRUCTURE_TOL}"
         )
     p = v @ dagger(v)
     return (p + dagger(p)) / 2.0

@@ -17,18 +17,9 @@ import numpy as np
 from .classical import CoinSource, xi_rate
 from .errors import DomainError, TauMismatch, ValidationError
 from .measures import Ensemble, entropy_of_spectrum, holevo, shannon_entropy, vn_entropy
-from .purify import _purification_spectrum, two_state_purification_rate
-from .qmat import (
-    DensityLike,
-    DensityOperator,
-    as_density,
-    commutator_norm,
-    eig_hermitian,
-    is_diagonal,
-)
-
-ORDER_TOL = 1e-8
-SHAPE_TOL = 1e-8
+from .purify import _purification_spectrum
+from .qmat import DensityLike, DensityOperator, as_density, commuting, eig_hermitian
+from .tolerance import STRUCTURE_TOL
 
 Kind = Literal["upper_bound", "lower_bound", "scheme_rate", "conjecture"]
 
@@ -56,7 +47,9 @@ class RateReport:
         lowers = [e for e in entries if e.kind == "lower_bound"]
         for lo in lowers:
             for e in entries:
-                if e.kind in ("scheme_rate", "upper_bound") and e.rate < lo.rate - ORDER_TOL:
+                if e.kind in ("scheme_rate", "upper_bound") and not STRUCTURE_TOL.admits(
+                    lo.rate - e.rate
+                ):
                     raise ValidationError(
                         f"rate report violates ordering: {e.kind} '{e.name}' = {e.rate:.12g} "
                         f"below lower bound '{lo.name}' = {lo.rate:.12g}"
@@ -148,7 +141,7 @@ def example11_rate(block: BlockDiagonalEnsemble) -> Example11Rate:
     tau0 = block.tau_states[0].matrix
     for i, t in enumerate(block.tau_states[1:], start=1):
         defect = float(np.max(np.abs(t.matrix - tau0)))
-        if defect > SHAPE_TOL:
+        if not STRUCTURE_TOL.admits(defect):
             raise TauMismatch(
                 f"tau blocks must coincide: state {i} deviates by {defect:.3e}"
             )
@@ -161,7 +154,7 @@ def example11_rate(block: BlockDiagonalEnsemble) -> Example11Rate:
     s_rho_bar = upper_bound_rate(block.as_ensemble())
 
     decomposition = h_split + eps * s_sigma + (1.0 - eps) * s_tau
-    if abs(s_rho_bar - decomposition) > SHAPE_TOL:
+    if not STRUCTURE_TOL.admits(abs(s_rho_bar - decomposition)):
         raise ValidationError(
             "block entropy decomposition failed: S(mean) = "
             f"{s_rho_bar:.12g} vs H(eps) + eps*S(sigma) + (1-eps)*S(tau) = {decomposition:.12g}"
@@ -173,31 +166,19 @@ def example11_rate(block: BlockDiagonalEnsemble) -> Example11Rate:
     )
 
 
-def _mutually_commuting(ensemble: Ensemble, tol: float = SHAPE_TOL) -> bool:
-    mats = [s.matrix for s in ensemble.states]
-    return all(
-        commutator_norm(mats[i], mats[j]) <= tol
-        for i in range(len(mats))
-        for j in range(i + 1, len(mats))
-    )
-
-
 def _detect_block_split(ensemble: Ensemble) -> BlockDiagonalEnsemble | None:
     """Find a block split with identical lower blocks, minimising the scheme rate."""
     d = ensemble.dim
     best: tuple[float, BlockDiagonalEnsemble] | None = None
     for m in range(1, d):
         mats = [s.matrix for s in ensemble.states]
-        if any(
-            np.max(np.abs(s[:m, m:])) > SHAPE_TOL or np.max(np.abs(s[m:, :m])) > SHAPE_TOL
-            for s in mats
-        ):
+        if not all(STRUCTURE_TOL.admits(np.abs(s[:m, m:])) for s in mats):
             continue
         eps_each = [float(np.real(np.trace(s[:m, :m]))) for s in mats]
         eps = eps_each[0]
-        if not (SHAPE_TOL < eps < 1.0 - SHAPE_TOL):
+        if not (STRUCTURE_TOL < eps < 1.0 - STRUCTURE_TOL):
             continue
-        if any(abs(e - eps) > SHAPE_TOL for e in eps_each):
+        if not STRUCTURE_TOL.admits(np.abs(np.subtract(eps_each, eps))):
             continue
         try:
             sigma = [s[:m, :m] / eps for s in mats]
@@ -215,27 +196,28 @@ def _detect_photographic_negative(ensemble: Ensemble) -> bool:
     d = ensemble.dim
     if len(ensemble) != d or d < 3:
         return False
-    if np.max(np.abs(ensemble.probs - 1.0 / d)) > SHAPE_TOL:
+    if not STRUCTURE_TOL.admits(np.abs(ensemble.probs - 1.0 / d)):
         return False
     seen = set()
     for s in ensemble.states:
-        if not is_diagonal(s.matrix, tol=SHAPE_TOL):
+        if not s.is_diagonal:
             return False
         diag = np.real(np.diagonal(s.matrix))
-        holes = np.flatnonzero(np.abs(diag) <= SHAPE_TOL)
+        holes = np.flatnonzero(np.abs(diag) <= STRUCTURE_TOL)
         if holes.size != 1:
             return False
         i = int(holes[0])
         expected = np.full(d, 1.0 / (d - 1))
         expected[i] = 0.0
-        if np.max(np.abs(diag - expected)) > SHAPE_TOL:
+        if not STRUCTURE_TOL.admits(np.abs(diag - expected)):
             return False
         seen.add(i)
     return len(seen) == d
 
 
 def _coin_source_from_qubit_pair(ensemble: Ensemble) -> CoinSource | None:
-    if ensemble.dim != 2 or len(ensemble) != 2 or not _mutually_commuting(ensemble):
+    """The coin source of a commuting pair of qubit states (the caller checks commuting)."""
+    if ensemble.dim != 2:
         return None
     r1, r2 = ensemble.states
     # The top eigenvector of rho1 - rho2 is a common eigenvector when rho1 != rho2;
@@ -264,16 +246,17 @@ def rate_report(ensemble: Ensemble, label: str = "ensemble") -> RateReport:
                   shannon_entropy(ensemble.probs), "scheme_rate"),
     ]
 
-    if len(ensemble) == 2 and _mutually_commuting(ensemble):
+    if len(ensemble) == 2 and commuting(ensemble.states):
         coin = _coin_source_from_qubit_pair(ensemble)
         if coin is not None:
             entries.append(
                 RateEntry("three-message protocol Xi", xi_rate(coin), "scheme_rate")
             )
+        # purify.two_state_purification_rate without its second commuting test.
         entries.append(
             RateEntry(
                 "canonical purification scheme",
-                two_state_purification_rate(ensemble),
+                entropy_of_spectrum(_purification_spectrum(ensemble)),
                 "scheme_rate",
             )
         )

@@ -59,6 +59,11 @@ class TestStochasticChannel:
         with pytest.raises(ValidationError, match="finite"):
             StochasticMatrix.from_matrix([[np.nan, 0.5], [1.0, 0.5]])
 
+    @pytest.mark.parametrize("shape", [(0, 2), (2, 0)])
+    def test_rejects_empty_matrix(self, shape):
+        with pytest.raises(ValidationError, match="non-empty"):
+            StochasticMatrix.from_matrix(np.zeros(shape))
+
 
 class TestMessageDistribution:
     def test_identical_coins(self):

@@ -182,6 +182,14 @@ class TestCliCommands:
         ]) == 2
         assert "DimensionOverflow" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("option", [["--format", "csv"], ["--workers", "2"], ["--dim-cap", "64"]])
+    def test_options_nothing_reads_are_refused(self, tmp_path, capsys, option):
+        path = write_state(tmp_path / "a.json", diag_state(0.5, 0.5))
+        with pytest.raises(SystemExit) as exc:
+            main(["fidelity", path, path, *option])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestSelftest:
     def test_selftest_passes(self, capsys):

@@ -214,6 +214,10 @@ class TestNonFiniteInput:
         with pytest.raises(InvalidPovm, match="finite"):
             Povm.from_elements([diag_state(np.nan, 0.0), diag_state(0.0, 1.0)])
 
+    def test_empty_povm_element_is_refused(self):
+        with pytest.raises(InvalidPovm, match="empty"):
+            Povm.from_elements([np.zeros((0, 0))])
+
 
 class TestAvgEnsembleFidelity:
     def test_identical(self, rng):

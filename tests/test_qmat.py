@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mixcomp import sampling
+from mixcomp import qmat, sampling
 from mixcomp.errors import (
     DimensionMismatch,
     DimensionOverflow,
@@ -12,6 +12,7 @@ from mixcomp.errors import (
     NotPSD,
     ValidationError,
 )
+from mixcomp.measures import fidelity, vn_entropy
 from mixcomp.qmat import (
     DensityOperator,
     PureState,
@@ -102,12 +103,36 @@ class TestDensityOperator:
             DensityOperator.from_matrix(diag_state(0.6, 0.6))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    # inf * 0 in the projector's Gram matrix is NaN, which numpy reports.
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in matmul")
     def test_rejects_non_finite_entries(self, bad):
         m = np.array([[bad, 0.0], [0.0, 1.0]], dtype=complex)
         with pytest.raises(ValidationError, match="finite"):
             DensityOperator.from_matrix(m)
         with pytest.raises(ValidationError, match="finite"):
             eig_hermitian(m)
+        with pytest.raises(ValidationError):
+            PureState.from_vector([bad, 1.0])
+        with pytest.raises(ValidationError):
+            projector([np.array([bad, 0.0])])
+
+    def test_rejects_empty_matrix(self):
+        with pytest.raises(ValidationError, match="non-empty"):
+            DensityOperator.from_matrix(np.zeros((0, 0)))
+
+    def test_validated_state_is_not_checked_again(self, rng, monkeypatch):
+        rho, sigma = sampling.random_density(3, rng), sampling.random_density(3, rng)
+        diagonal = DensityOperator.from_matrix(diag_state(0.5, 0.3, 0.2))
+        checks = []
+        for name in ("_as_square_complex", "_hermitian_part", "is_diagonal"):
+            original = getattr(qmat, name)
+            monkeypatch.setattr(qmat, name, lambda *a, f=original, n=name: checks.append(n) or f(*a))
+        fidelity(rho, sigma)
+        fidelity(diagonal, diagonal)
+        vn_entropy(rho)
+        matrix_sqrt_psd(sigma)
+        # Each state ran its checks, the diagonal test included, when it was built.
+        assert checks == []
 
     def test_eigenvalues_sum_to_one(self, rng):
         for _ in range(10):

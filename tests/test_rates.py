@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mixcomp import sampling
+from mixcomp import qmat, sampling
 from mixcomp.classical import CoinSource, xi_rate
 from mixcomp.errors import TauMismatch, ValidationError
 from mixcomp.measures import Ensemble, holevo, shannon_entropy, vn_entropy
@@ -184,6 +184,15 @@ class TestRateReport:
         assert abs(rates["canonical purification scheme"] - want) <= 1e-12
         xi = xi_rate(CoinSource(0.3, 0.7, 0.5, 0.8))
         assert abs(rates["three-message protocol Xi"] - xi) <= 1e-12
+
+    def test_two_state_report_computes_one_commutator(self, monkeypatch):
+        calls = []
+        original = qmat.commutator_norm
+        monkeypatch.setattr(qmat, "commutator_norm", lambda a, b: calls.append(1) or original(a, b))
+        ens = Ensemble.from_lists([0.4, 0.6], [diag_state(0.2, 0.8), diag_state(0.7, 0.3)])
+        names = [e.name for e in rate_report(ens).entries]
+        assert "three-message protocol Xi" in names and "canonical purification scheme" in names
+        assert len(calls) == 1
 
     def test_scheme_rates_respect_lower_bound(self, rng):
         for _ in range(30):
