@@ -49,7 +49,7 @@ print("== Why a unitary decoder cannot beat the mean-state entropy ==")
 # Below S(mean) the support ceiling (top-eigenvalue mass of the block mean
 # state) decays with N, capping every unitary-decoded scheme; above S(mean)
 # project-and-patch already achieves fidelity >= 1 - 2 * eta.
-rows = theorem7_demo(base, delta=0.15, n_list=[4, 8, 12])
+rows = theorem7_demo(base, delta=0.15, n_list=[4, 8, 12, 16, 20])
 print("   N   rate-   ceiling     rate+   achieved   1 - 2*eta")
 for r in rows:
     print(f"  {r.n_blocks:2d}   {r.rate_down:.2f}   {r.ceiling:.6f}"
@@ -57,6 +57,6 @@ for r in rows:
 
 print()
 print("== The ceiling keeps falling as blocks grow ==")
-for n in (4, 8, 12):
+for n in (4, 8, 12, 16, 20):
     ceiling, kept = lemma_a1_ceiling(BlockSource.build(base, n), rate=0.85)
-    print(f"  N = {n:2d}: keep {kept:4d} of {2**n:4d} dims -> best possible fidelity {ceiling:.4f}")
+    print(f"  N = {n:2d}: keep {kept:6d} of {2**n:7d} dims -> best possible fidelity {ceiling:.4f}")

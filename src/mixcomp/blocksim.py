@@ -30,7 +30,7 @@ import numpy as np
 from .errors import DimensionMismatch, DimensionOverflow, DomainError
 from .measures import Ensemble, classical_fidelity, fidelity, vn_entropy
 from .qmat import (
-    DEFAULT_DIM_CAP,
+    DIM_CAP,
     DensityLike,
     DensityOperator,
     as_density,
@@ -41,9 +41,11 @@ from .qmat import (
 from .sampling import block_generator
 from .tolerance import PARAM_EPS
 
+# Strings in a per-string exact sweep.
 EXACT_SWEEP_CAP = 1024
-# Elements in the largest array the vectorised diagonal scorer builds
-# (see _table_elements): 2^22 float64 values, 32 MiB.
+# Elements in the largest array the vectorised diagonal scorer builds (see
+# _table_elements) and in any Kronecker-power weight vector: 2^22 float64
+# values, 32 MiB.
 DIAGONAL_TABLE_BUDGET = 2**22
 DEFAULT_MC_SAMPLES = 2000
 MC_BLOCK = 256
@@ -73,13 +75,9 @@ class BlockSource:
     n_blocks: int
 
     @classmethod
-    def build(cls, base: Ensemble, n_blocks: int, dim_cap: int = DEFAULT_DIM_CAP) -> "BlockSource":
+    def build(cls, base: Ensemble, n_blocks: int) -> "BlockSource":
         if n_blocks < 1:
             raise DomainError(f"n_blocks must be >= 1, got {n_blocks}")
-        if base.dim**n_blocks > dim_cap:
-            raise DimensionOverflow(
-                f"block dimension {base.dim}^{n_blocks} exceeds cap {dim_cap}"
-            )
         return cls(base, int(n_blocks))
 
     @property
@@ -95,8 +93,13 @@ class BlockSource:
 
 
 def kron_power_vector(v: np.ndarray, n: int) -> np.ndarray:
-    """n-fold Kronecker power of a vector."""
-    return reduce(np.kron, [np.asarray(v, dtype=float)] * n)
+    """n-fold Kronecker power of a vector, refused past DIAGONAL_TABLE_BUDGET elements."""
+    v = np.asarray(v, dtype=float)
+    if v.size**n > DIAGONAL_TABLE_BUDGET:
+        raise DimensionOverflow(
+            f"{v.size}^{n} weights exceed DIAGONAL_TABLE_BUDGET {DIAGONAL_TABLE_BUDGET}"
+        )
+    return reduce(np.kron, [v] * n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,6 +125,8 @@ class TypicalSubspace:
 
     def projector(self) -> np.ndarray:
         """Orthogonal projector onto the subspace, in the computational basis."""
+        if self.full_dim > DIM_CAP:
+            raise DimensionOverflow(f"projector dimension {self.full_dim} exceeds DIM_CAP {DIM_CAP}")
         u = _frame_unitary(self)
         if u is None:
             u = np.eye(self.full_dim, dtype=complex)
@@ -217,18 +222,14 @@ def fidelity_subspace_upper_bound(rho: DensityLike, subspace_dim: int) -> float:
     return float(min(1.0, np.sum(vals[:subspace_dim])))
 
 
-def power_spectrum_top_sum(base_avg: DensityLike, n_blocks: int, retained: int,
-                           dim_cap: int = DEFAULT_DIM_CAP) -> float:
+def power_spectrum_top_sum(base_avg: DensityLike, n_blocks: int, retained: int) -> float:
     """Sum of the ``retained`` largest eigenvalues of the N-fold power of a state.
 
     The eigenvalues of the power are N-fold products of the base eigenvalues,
-    so no block-sized matrix is ever materialised.
+    so no block-sized matrix is ever materialised; their d^N vector is bounded
+    by DIAGONAL_TABLE_BUDGET, like the scheme's (see kron_power_vector).
     """
     rho = as_density(base_avg)
-    if rho.dim**n_blocks > dim_cap:
-        raise DimensionOverflow(
-            f"power dimension {rho.dim}^{n_blocks} exceeds cap {dim_cap}"
-        )
     w = kron_power_vector(eig_hermitian(rho).eigenvalues, n_blocks)
     if not (1 <= retained <= w.size):
         raise DomainError(f"retained count {retained} outside [1, {w.size}]")
@@ -531,22 +532,27 @@ def _mc_scores(source: BlockSource, scheme: Scheme, want_local: bool, n_samples:
 
 
 def _scores(source: BlockSource, scheme: Scheme, want_local: bool, mode: str,
-            n_samples: int, seed: int, workers: int,
-            exact_cap: int) -> tuple[FidelityScore, FidelityScore]:
+            n_samples: int, seed: int, workers: int) -> tuple[FidelityScore, FidelityScore]:
     if mode not in ("auto", "exact", "mc"):
         raise DomainError(f"mode must be auto|exact|mc, got {mode!r}")
     source = _in_frame(source, scheme)
     diagonal = _diagonal_path_available(source, scheme)
     tabled = diagonal and _table_elements(source) <= DIAGONAL_TABLE_BUDGET
-    exact_ok = tabled or source.n_strings <= exact_cap
-    if mode == "exact" and not exact_ok:
-        if diagonal:
-            reason = (f"and the diagonal tables need {_table_elements(source)} elements, "
-                      f"over the budget {DIAGONAL_TABLE_BUDGET}")
-        else:
-            reason = "and no diagonal fast path applies"
+    if diagonal:
+        reason = (f"the diagonal tables need {_table_elements(source)} elements, "
+                  f"over the budget {DIAGONAL_TABLE_BUDGET}")
+    else:
+        reason = "no diagonal fast path applies"
+    # Every per-string path builds each string's d^N state (or diagonal).
+    if not tabled and source.full_dim > DIM_CAP:
         raise DimensionOverflow(
-            f"exact sweep over {source.n_strings} strings exceeds cap {exact_cap} {reason}"
+            f"block dimension {source.full_dim} exceeds DIM_CAP {DIM_CAP} and {reason}"
+        )
+    exact_ok = tabled or source.n_strings <= EXACT_SWEEP_CAP
+    if mode == "exact" and not exact_ok:
+        raise DimensionOverflow(
+            f"exact sweep over {source.n_strings} strings exceeds cap {EXACT_SWEEP_CAP} "
+            f"and {reason}"
         )
     tables = _diagonal_tables(source, scheme, want_local) if tabled else None
     if mode == "exact" or (mode == "auto" and exact_ok):
@@ -556,24 +562,26 @@ def _scores(source: BlockSource, scheme: Scheme, want_local: bool, mode: str,
 
 def global_fidelity_score(source: BlockSource, scheme: Scheme, mode: str = "auto",
                           n_samples: int = DEFAULT_MC_SAMPLES, seed: int = 0,
-                          workers: int = 1, exact_cap: int = EXACT_SWEEP_CAP) -> FidelityScore:
+                          workers: int = 1) -> FidelityScore:
     """Probability-weighted whole-block fidelity of the scheme's output.
 
     Exact when the sweep is feasible: on the diagonal fast path while its
     score tables fit ``DIAGONAL_TABLE_BUDGET`` elements, otherwise while the
-    source has at most ``exact_cap`` strings.  Beyond both, ``mode="exact"``
-    raises ``DimensionOverflow`` and ``"auto"`` returns a seeded Monte Carlo
-    estimate with standard error.
+    source has at most ``EXACT_SWEEP_CAP`` strings.  Beyond both,
+    ``mode="exact"`` raises ``DimensionOverflow`` and ``"auto"`` returns a
+    seeded Monte Carlo estimate with standard error.  Off the fast path each
+    string's d^N state is built, so every mode refuses d^N > ``DIM_CAP``.
+    Each refusal comes before the first string is scored.
     """
-    g, _ = _scores(source, scheme, False, mode, n_samples, seed, workers, exact_cap)
+    g, _ = _scores(source, scheme, False, mode, n_samples, seed, workers)
     return g
 
 
 def local_fidelity_score(source: BlockSource, scheme: Scheme, mode: str = "auto",
                          n_samples: int = DEFAULT_MC_SAMPLES, seed: int = 0,
-                         workers: int = 1, exact_cap: int = EXACT_SWEEP_CAP) -> FidelityScore:
+                         workers: int = 1) -> FidelityScore:
     """Probability-weighted product of per-position marginal fidelities."""
-    _, loc = _scores(source, scheme, True, mode, n_samples, seed, workers, exact_cap)
+    _, loc = _scores(source, scheme, True, mode, n_samples, seed, workers)
     return loc
 
 
@@ -593,8 +601,7 @@ class Theorem7Row:
         return (1.0 - self.eta_plus) ** 2
 
 
-def theorem7_demo(base: Ensemble, delta: float, n_list, dim_cap: int = DEFAULT_DIM_CAP,
-                  seed: int = 0) -> list[Theorem7Row]:
+def theorem7_demo(base: Ensemble, delta: float, n_list, seed: int = 0) -> list[Theorem7Row]:
     """Both halves of the unitary-decoding rate argument at small block lengths.
 
     For each N the row reports the fidelity ceiling when the rate sits delta
@@ -607,7 +614,7 @@ def theorem7_demo(base: Ensemble, delta: float, n_list, dim_cap: int = DEFAULT_D
     s_bar = vn_entropy(base.average())
     rows = []
     for n in n_list:
-        source = BlockSource.build(base, int(n), dim_cap=dim_cap)
+        source = BlockSource.build(base, int(n))
         rate_down = max(0.0, s_bar - delta)
         ceiling, k_down = lemma_a1_ceiling(source, rate_down)
         rate_up = s_bar + delta

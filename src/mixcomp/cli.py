@@ -18,8 +18,7 @@ import numpy as np
 
 from . import blocksim, classical, purify, rates, wire
 from .errors import MixcompError
-from .measures import fidelity, holevo, shannon_entropy, vn_entropy
-from .qmat import DEFAULT_DIM_CAP
+from .measures import fidelity, holevo, vn_entropy
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -91,19 +90,15 @@ def cmd_purify_report(args) -> None:
 
 
 def _compare_row(label, src: classical.CoinSource) -> list:
-    ens = src.as_ensemble()
-    eps = classical.matches_symmetric_family(src)
-    upsilon = purify.upsilon_rate(eps) if eps is not None else float("nan")
-    # The conjectured rate, the mutual information, equals chi for a coin source.
-    chi = holevo(ens)
+    rate = {e.name: e.rate for e in classical.classical_rate_comparison(src).entries}
     return [
         label,
-        vn_entropy(ens.average()),
-        shannon_entropy([src.p1, src.p2]),
-        classical.xi_rate(src),
-        upsilon,
-        chi,
-        chi,
+        rate["S(mean state) = H(avg coin)"],
+        rate["H(coin priors)"],
+        rate["three-message protocol Xi"],
+        rate.get("purification scheme Upsilon", float("nan")),
+        rate["Holevo quantity"],
+        rate["conjectured optimal rate (mutual information)"],
     ]
 
 
@@ -143,7 +138,7 @@ def cmd_classical_simulate(args) -> None:
 
 def cmd_blocksim_run(args) -> None:
     ensemble = wire.load_ensemble(args.ensemble)
-    source = blocksim.BlockSource.build(ensemble, args.n_blocks, dim_cap=args.dim_cap)
+    source = blocksim.BlockSource.build(ensemble, args.n_blocks)
     scheme = blocksim.project_patch_scheme(source, args.rate)
     kwargs = dict(mode=args.mode, n_samples=args.samples, seed=args.seed,
                   workers=max(1, args.workers))
@@ -251,8 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=blocksim.DEFAULT_MC_SAMPLES)
     p.add_argument("--workers", type=int, default=1,
                    help="worker count for Monte Carlo sample blocks (default 1)")
-    p.add_argument("--dim-cap", type=int, default=DEFAULT_DIM_CAP,
-                   help=f"block dimension cap (default {DEFAULT_DIM_CAP})")
     _add_common(p)
     p.set_defaults(func=cmd_blocksim_run)
 

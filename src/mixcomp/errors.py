@@ -42,7 +42,7 @@ class ProbabilityMismatch(ValidationError):
 
 
 class DimensionOverflow(MixcompError):
-    """A constructed operator would exceed the configured dimension cap."""
+    """An array or sweep would exceed one of the package's fixed size bounds."""
 
 
 class DomainError(ValidationError):

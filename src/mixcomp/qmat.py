@@ -3,8 +3,8 @@
 Everything here is a pure function on immutable values: density operators and
 pure states are frozen dataclasses wrapping read-only numpy arrays, so all
 operations are safe to call concurrently.  Matrices are always dense; the
-dimensions this package targets are small by design and a configurable cap
-(default 4096) guards against accidentally materialising huge tensor products.
+dimensions this package targets are small by design, and no dense operator
+the package builds exceeds the fixed ``DIM_CAP``.
 """
 
 from __future__ import annotations
@@ -34,9 +34,9 @@ from .tolerance import (
     max_abs,
 )
 
-#: Default ceiling on any constructed operator dimension (tensor products,
-#: block simulators).  Callers may pass their own cap.
-DEFAULT_DIM_CAP = 4096
+#: Largest dimension of any dense operator the package builds: tensor
+#: products here, and the per-string block states in ``blocksim``.
+DIM_CAP = 4096
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -237,24 +237,22 @@ def matrix_sqrt_psd(m) -> np.ndarray:
     return (r + dagger(r)) / 2.0
 
 
-def tensor(a: DensityLike, b: DensityLike, dim_cap: int = DEFAULT_DIM_CAP) -> DensityOperator:
-    """Kronecker product of two density operators."""
+def tensor(a: DensityLike, b: DensityLike) -> DensityOperator:
+    """Kronecker product of two density operators, at most DIM_CAP dimensions."""
     da, db = as_density(a), as_density(b)
     out_dim = da.dim * db.dim
-    if out_dim > dim_cap:
-        raise DimensionOverflow(
-            f"tensor product dimension {out_dim} exceeds cap {dim_cap}"
-        )
+    if out_dim > DIM_CAP:
+        raise DimensionOverflow(f"tensor product dimension {out_dim} exceeds DIM_CAP {DIM_CAP}")
     return DensityOperator._wrap(np.kron(da.matrix, db.matrix))
 
 
-def tensor_many(states: Sequence[DensityLike], dim_cap: int = DEFAULT_DIM_CAP) -> DensityOperator:
+def tensor_many(states: Sequence[DensityLike]) -> DensityOperator:
     """Kronecker product of a sequence of density operators, left to right."""
     if not states:
         raise ValidationError("tensor_many: need at least one factor")
     out = as_density(states[0])
     for s in states[1:]:
-        out = tensor(out, s, dim_cap=dim_cap)
+        out = tensor(out, s)
     return out
 
 
@@ -310,6 +308,8 @@ def projector(basis_vectors: Sequence[PureState | np.ndarray]) -> np.ndarray:
         a = v.amplitudes if isinstance(v, PureState) else np.asarray(v, dtype=complex).reshape(-1)
         cols.append(a)
     v = np.column_stack(cols)
+    if not np.isfinite(v).all():
+        raise ValidationError("projector: basis vector entries must be finite")
     gram = dagger(v) @ v
     defect = max_abs(gram - np.eye(v.shape[1]))
     if not STRUCTURE_TOL.admits(defect):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -15,3 +17,19 @@ def diag_state(*entries) -> np.ndarray:
 def bell_state() -> np.ndarray:
     v = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
     return np.outer(v, v.conj())
+
+
+def top_product_sum_oracle(mu, n, retained) -> float:
+    """Independent ceiling oracle: class enumeration with binomial counts (d = 2)."""
+    p, q = mu
+    classes = sorted(
+        ((p**a) * (q ** (n - a)), math.comb(n, a)) for a in range(n + 1)
+    )[::-1]
+    total, left = 0.0, retained
+    for value, count in classes:
+        take = min(count, left)
+        total += take * value
+        left -= take
+        if left == 0:
+            break
+    return total

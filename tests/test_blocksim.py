@@ -30,29 +30,13 @@ from mixcomp.errors import DimensionMismatch, DimensionOverflow, DomainError
 from mixcomp.measures import Ensemble, fidelity, vn_entropy
 from mixcomp.qmat import eig_hermitian, maximally_mixed, partial_trace
 
-from conftest import diag_state
+from conftest import diag_state, top_product_sum_oracle
 
 
 def two_coin_base(a=0.9) -> Ensemble:
     return Ensemble.from_lists(
         [0.5, 0.5], [diag_state(a, 1 - a), diag_state(1 - a, a)]
     )
-
-
-def top_product_sum_oracle(mu, n, retained) -> float:
-    """Independent ceiling oracle: class enumeration with binomial counts (d = 2)."""
-    p, q = mu
-    classes = sorted(
-        ((p**a) * (q ** (n - a)), math.comb(n, a)) for a in range(n + 1)
-    )[::-1]
-    total, left = 0.0, retained
-    for value, count in classes:
-        take = min(count, left)
-        total += take * value
-        left -= take
-        if left == 0:
-            break
-    return total
 
 
 class TestRateQuantisation:
@@ -257,7 +241,7 @@ class TestScores:
         source = BlockSource.build(base, 8)
         scheme = project_patch_scheme(source, 1.2)
         with pytest.raises(DimensionOverflow):
-            global_fidelity_score(source, scheme, mode="exact", exact_cap=1000)
+            global_fidelity_score(source, scheme, mode="exact")
 
     def test_exact_mode_rejects_diagonal_sweep_over_budget(self):
         # 10^12 strings: the tables would need 2 * 10^12 elements, so the
@@ -425,7 +409,7 @@ class TestEigenframeSubspace:
 class TestTheorem7Demo:
     def test_ceiling_sequence_matches_binomial_oracle(self):
         base = two_coin_base(0.9)  # mean state diag(0.5, 0.5)
-        rows = theorem7_demo(base, 0.15, [4, 8, 12])
+        rows = theorem7_demo(base, 0.15, [4, 8, 12, 16, 20])
         for row in rows:
             oracle = top_product_sum_oracle(
                 (0.5, 0.5), row.n_blocks,
@@ -441,9 +425,9 @@ class TestTheorem7Demo:
             assert abs(row.ceiling - oracle) <= 1e-12
 
     def test_ceiling_strictly_decreasing(self):
-        rows = theorem7_demo(two_coin_base(0.9), 0.15, [4, 8, 12])
+        rows = theorem7_demo(two_coin_base(0.9), 0.15, [4, 8, 12, 16, 20])
         ceilings = [r.ceiling for r in rows]
-        assert ceilings[0] > ceilings[1] > ceilings[2]
+        assert all(a > b for a, b in zip(ceilings, ceilings[1:]))
         assert ceilings[2] < 0.8
 
     def test_achieved_fidelity_above_patch_bounds(self):
@@ -478,8 +462,37 @@ class TestTheorem7Demo:
             assert c_2n <= c_n + 1e-9
 
     def test_block_source_cap(self):
-        with pytest.raises(DimensionOverflow):
-            BlockSource.build(two_coin_base(), 13)
+        # 2^23 weights exceed DIAGONAL_TABLE_BUDGET: the scheme and the ceiling
+        # refuse together, before any d^N array is built.
+        source = BlockSource.build(two_coin_base(), 23)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DimensionOverflow, match="DIAGONAL_TABLE_BUDGET"):
+                project_patch_scheme(source, 0.8)
+            with pytest.raises(DimensionOverflow, match="DIAGONAL_TABLE_BUDGET"):
+                lemma_a1_ceiling(source, 0.8)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_projector_over_dim_cap_refused(self):
+        scheme = project_patch_scheme(BlockSource.build(two_coin_base(), 13), 0.8)
+        with pytest.raises(DimensionOverflow, match="DIM_CAP"):
+            scheme.subspace.projector()
+
+    @pytest.mark.parametrize("mode", ["exact", "mc", "auto"])
+    def test_dense_block_over_dim_cap_refused_before_scoring(self, rng, mode):
+        # D = 2^13 = 8192 > DIM_CAP: every dense path builds D x D string states.
+        base = Ensemble.from_lists([0.5, 0.5], [sampling.random_density(2, rng) for _ in range(2)])
+        source = BlockSource.build(base, 13)
+        scheme = project_patch_scheme(source, 0.8)
+        with mock.patch.object(blocksim, "_score_string") as score:
+            with pytest.raises(DimensionOverflow, match="DIM_CAP"):
+                global_fidelity_score(source, scheme, mode=mode, n_samples=10)
+            with pytest.raises(DimensionOverflow, match="DIM_CAP"):
+                local_fidelity_score(source, scheme, mode=mode, n_samples=10)
+        score.assert_not_called()
 
 
 @st.composite

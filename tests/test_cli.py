@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from mixcomp import sampling, wire
+from mixcomp.blocksim import ceiling_subspace_dim
 from mixcomp.cli import main
 from mixcomp.errors import ParseError, ValidationError
 from mixcomp.measures import Ensemble
 from mixcomp.purify import photographic_negative_ensemble
 
-from conftest import diag_state
+from conftest import diag_state, top_product_sum_oracle
 
 
 def write_state(path, matrix):
@@ -120,6 +121,23 @@ class TestCliCommands:
         assert payload["global_fid"] >= 1 - 2 * payload["eta"] - 1e-9
         assert 0.0 <= payload["ceiling"] <= 1.0
 
+    def test_blocksim_run_commuting_past_dim_cap(self, tmp_path, capsys):
+        # d^N = 65536 > DIM_CAP: the diagonal tables fit their budget, so the
+        # sweep is exact and no block-sized matrix is built.
+        ens = Ensemble.from_lists(
+            [0.3, 0.7], [diag_state(0.9, 0.1), diag_state(0.2, 0.8)]
+        )
+        path = write_ensemble(tmp_path / "e.json", ens)
+        assert main([
+            "blocksim", "run", "--ensemble", path, "--N", "16",
+            "--rate", "0.8", "--mode", "exact",
+        ]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["method"] == "exact-diagonal"
+        retained = ceiling_subspace_dim(0.8, 16, 2**16)
+        oracle = top_product_sum_oracle((0.41, 0.59), 16, retained)
+        assert abs(payload["ceiling"] - oracle) <= 1e-12
+
     def test_byte_identical_reruns(self, tmp_path):
         ens = Ensemble.from_lists(
             [0.5, 0.5], [diag_state(0.9, 0.1), diag_state(0.1, 0.9)]
@@ -171,16 +189,17 @@ class TestCliCommands:
         assert main(["holevo", "--ensemble", str(path)]) == 2
         assert "finite" in capsys.readouterr().err
 
-    def test_dim_cap_flag(self, tmp_path, capsys):
+    def test_dim_cap_flag(self, tmp_path, capsys, rng):
+        # A dense source at N = 13 (D = 8192) is over the fixed DIM_CAP.
         ens = Ensemble.from_lists(
-            [0.5, 0.5], [diag_state(0.9, 0.1), diag_state(0.1, 0.9)]
+            [0.5, 0.5], [sampling.random_density(2, rng) for _ in range(2)]
         )
         path = write_ensemble(tmp_path / "e.json", ens)
         assert main([
-            "blocksim", "run", "--ensemble", path, "--N", "8",
-            "--rate", "1.0", "--dim-cap", "64",
+            "blocksim", "run", "--ensemble", path, "--N", "13", "--rate", "0.8",
         ]) == 2
-        assert "DimensionOverflow" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "DimensionOverflow" in err and "DIM_CAP" in err
 
     @pytest.mark.parametrize("option", [["--format", "csv"], ["--workers", "2"], ["--dim-cap", "64"]])
     def test_options_nothing_reads_are_refused(self, tmp_path, capsys, option):

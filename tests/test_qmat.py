@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -103,8 +104,6 @@ class TestDensityOperator:
             DensityOperator.from_matrix(diag_state(0.6, 0.6))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
-    # inf * 0 in the projector's Gram matrix is NaN, which numpy reports.
-    @pytest.mark.filterwarnings("ignore:invalid value encountered in matmul")
     def test_rejects_non_finite_entries(self, bad):
         m = np.array([[bad, 0.0], [0.0, 1.0]], dtype=complex)
         with pytest.raises(ValidationError, match="finite"):
@@ -115,6 +114,13 @@ class TestDensityOperator:
             PureState.from_vector([bad, 1.0])
         with pytest.raises(ValidationError):
             projector([np.array([bad, 0.0])])
+
+    def test_projector_checks_finiteness_before_the_gram_matrix(self):
+        # inf * 0 in the Gram matrix would be NaN, with a numpy RuntimeWarning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="finite"):
+                projector([np.array([np.inf, 0.0])])
 
     def test_rejects_empty_matrix(self):
         with pytest.raises(ValidationError, match="non-empty"):
@@ -156,8 +162,9 @@ class TestTensor:
             assert abs(np.real(np.trace(tensor(a, b).matrix)) - 1.0) <= 1e-12
 
     def test_dimension_cap(self):
-        with pytest.raises(DimensionOverflow):
-            tensor(maximally_mixed(3), maximally_mixed(3), dim_cap=8)
+        # 65 * 64 = 4160 > DIM_CAP = 4096.
+        with pytest.raises(DimensionOverflow, match="DIM_CAP"):
+            tensor(maximally_mixed(65), maximally_mixed(64))
 
 
 class TestPartialTrace:

@@ -194,6 +194,28 @@ class TestRateReport:
         assert "three-message protocol Xi" in names and "canonical purification scheme" in names
         assert len(calls) == 1
 
+    def test_block_report_builds_each_block_once(self, rng, monkeypatch):
+        # 3 states, d = 4: only the 2 + 2 split is recognised.  Its six sigma and
+        # tau blocks are the only states validated, and example11_rate runs once.
+        eps, tau = 0.4, sampling.random_density(2, rng)
+        states = []
+        for _ in range(3):
+            full = np.zeros((4, 4), dtype=complex)
+            full[:2, :2] = eps * sampling.random_density(2, rng).matrix
+            full[2:, 2:] = (1 - eps) * tau.matrix
+            states.append(full)
+        ens = Ensemble.from_lists([0.2, 0.3, 0.5], states)
+        built, ranked = [], []
+        original_build = qmat.DensityOperator.from_matrix.__func__
+        monkeypatch.setattr(qmat.DensityOperator, "from_matrix", classmethod(
+            lambda cls, *a, **k: built.append(1) or original_build(cls, *a, **k)))
+        monkeypatch.setattr("mixcomp.rates.example11_rate",
+                            lambda block: ranked.append(1) or example11_rate(block))
+        names = [e.name for e in rate_report(ens).entries]
+        assert "block-diagonal scheme (shared tau)" in names
+        assert len(built) <= 6
+        assert len(ranked) == 1
+
     def test_scheme_rates_respect_lower_bound(self, rng):
         for _ in range(30):
             d = int(rng.integers(2, 7))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from mixcomp import tolerance
+from mixcomp.cli import main
 from mixcomp.tolerance import STRUCTURE_TOL, Tolerance, max_abs
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "mixcomp"
@@ -57,3 +58,23 @@ def test_every_tolerance_lives_in_the_policy_module():
             if isinstance(node, ast.keyword) and node.arg == "tol":
                 problems.append(f"{path.name}:{node.lineno} passes tol=")
     assert problems == []
+
+
+def test_no_size_bound_is_a_parameter():
+    # Guard: each size bound is a fixed module constant checked where its
+    # array is built; a ``*_cap`` parameter would make it a knob again.
+    problems = [
+        f"{path.name}:{node.lineno} has a {node.arg} parameter"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.arg) and node.arg.endswith("_cap")
+    ]
+    assert problems == []
+
+
+def test_dim_cap_option_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["blocksim", "run", "--ensemble", "e.json", "--N", "8", "--rate", "1.0",
+              "--dim-cap", "64"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --dim-cap" in capsys.readouterr().err
