@@ -24,11 +24,12 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import reduce
+from typing import Callable
 
 import numpy as np
 
 from .errors import DimensionMismatch, DimensionOverflow, DomainError
-from .measures import Ensemble, classical_fidelity, fidelity, vn_entropy
+from .measures import Ensemble, fidelity, vn_entropy
 from .qmat import (
     DIM_CAP,
     DensityLike,
@@ -51,18 +52,22 @@ DEFAULT_MC_SAMPLES = 2000
 MC_BLOCK = 256
 
 
+def _check_rate(rate: float) -> None:
+    # Written so that NaN fails, like every check.
+    if not 0.0 <= rate < math.inf:
+        raise DomainError(f"rate must be finite and nonnegative, got {rate}")
+
+
 def scheme_subspace_dim(rate: float, n_blocks: int, full_dim: int) -> int:
     """Channel dimension of a scheme using whole qubits: 2^ceil(rate*N), capped."""
-    if rate < 0:
-        raise DomainError(f"rate must be nonnegative, got {rate}")
+    _check_rate(rate)
     qubits = math.ceil(rate * n_blocks - PARAM_EPS)
     return int(min(2 ** max(qubits, 0), full_dim))
 
 
 def ceiling_subspace_dim(rate: float, n_blocks: int, full_dim: int) -> int:
     """Retained-eigenvalue count for the fidelity ceiling: ceil(2^(rate*N)), capped."""
-    if rate < 0:
-        raise DomainError(f"rate must be nonnegative, got {rate}")
+    _check_rate(rate)
     raw = 2.0 ** (rate * n_blocks)
     return int(min(max(1, math.ceil(raw * (1.0 - PARAM_EPS))), full_dim))
 
@@ -143,6 +148,14 @@ def _frame_unitary(subspace: TypicalSubspace) -> np.ndarray | None:
     return reduce(np.kron, [u] * n)
 
 
+def _weights_and_frame(rho: DensityOperator, states) -> tuple[np.ndarray, np.ndarray | None]:
+    """Clipped diagonal and no frame if all ``states`` are diagonal, else rho's eigenpairs."""
+    if all(s.is_diagonal for s in states):
+        return np.clip(np.real(np.diagonal(rho.matrix)), 0.0, None), None
+    spec = eig_hermitian(rho)
+    return spec.eigenvalues, spec.eigenvectors
+
+
 def typical_subspace(reference: DensityLike, subspace_dim: int) -> TypicalSubspace:
     """Subspace of the ``subspace_dim`` largest-eigenvalue eigenvectors of a state.
 
@@ -150,11 +163,7 @@ def typical_subspace(reference: DensityLike, subspace_dim: int) -> TypicalSubspa
     state is diagonal.
     """
     rho = as_density(reference)
-    if rho.is_diagonal:
-        w, frame = np.clip(np.real(np.diagonal(rho.matrix)), 0.0, None), None
-    else:
-        spec = eig_hermitian(rho)
-        w, frame = spec.eigenvalues, spec.eigenvectors
+    w, frame = _weights_and_frame(rho, [rho])
     return replace(typical_subspace_from_weights(w, subspace_dim), frame=frame)
 
 
@@ -215,11 +224,7 @@ def fidelity_subspace_upper_bound(rho: DensityLike, subspace_dim: int) -> float:
 
     Equals the sum of the state's ``subspace_dim`` largest eigenvalues.
     """
-    r = as_density(rho)
-    if not (1 <= subspace_dim <= r.dim):
-        raise DomainError(f"subspace_dim must lie in [1, {r.dim}], got {subspace_dim}")
-    vals = eig_hermitian(r).eigenvalues
-    return float(min(1.0, np.sum(vals[:subspace_dim])))
+    return power_spectrum_top_sum(rho, 1, subspace_dim)
 
 
 def power_spectrum_top_sum(base_avg: DensityLike, n_blocks: int, retained: int) -> float:
@@ -258,19 +263,6 @@ class Scheme:
         raise NotImplementedError
 
 
-class IdentityScheme(Scheme):
-    """Transmit the block untouched (channel as large as the source)."""
-
-    def __init__(self, full_dim: int):
-        self.channel_dim = int(full_dim)
-
-    def apply(self, sigma: DensityOperator) -> DensityOperator:
-        return sigma
-
-    def apply_diagonal(self, diag: np.ndarray) -> np.ndarray:
-        return diag
-
-
 class FixedOutputScheme(Scheme):
     """Decode every block to one fixed state (nothing need be sent)."""
 
@@ -295,8 +287,23 @@ class ProjectPatchScheme(Scheme):
     def apply(self, sigma: DensityOperator) -> DensityOperator:
         return project_and_patch(sigma, self._kept)
 
-    def apply_diagonal(self, diag: np.ndarray) -> np.ndarray:
-        return project_and_patch_diagonal(diag, self._kept)
+
+class IdentityScheme(ProjectPatchScheme):
+    """Transmit the block untouched: project-and-patch keeping every coordinate (eta = 0).
+
+    Its coordinate array is bounded like any scheme's weights (see
+    kron_power_vector).
+    """
+
+    def __init__(self, full_dim: int):
+        full_dim = int(full_dim)
+        if full_dim > DIAGONAL_TABLE_BUDGET:
+            raise DimensionOverflow(
+                f"{full_dim} coordinates exceed DIAGONAL_TABLE_BUDGET {DIAGONAL_TABLE_BUDGET}"
+            )
+        kept = np.arange(full_dim)
+        kept.setflags(write=False)
+        super().__init__(TypicalSubspace(full_dim=full_dim, eta=0.0, coordinates=kept))
 
 
 def project_patch_scheme(source: BlockSource, rate: float) -> ProjectPatchScheme:
@@ -308,12 +315,7 @@ def project_patch_scheme(source: BlockSource, rate: float) -> ProjectPatchScheme
     basis as its frame.  No block-sized matrix is built here.
     """
     k = scheme_subspace_dim(rate, source.n_blocks, source.full_dim)
-    mean = source.base.average()
-    if all(s.is_diagonal for s in source.base.states):
-        w, frame = np.clip(np.real(np.diagonal(mean.matrix)), 0.0, None), None
-    else:
-        spec = eig_hermitian(mean)
-        w, frame = spec.eigenvalues, spec.eigenvectors
+    w, frame = _weights_and_frame(source.base.average(), source.base.states)
     sub = typical_subspace_from_weights(kron_power_vector(w, source.n_blocks), k)
     return ProjectPatchScheme(replace(sub, frame=frame))
 
@@ -326,175 +328,162 @@ class FidelityScore:
     n_terms: int
 
 
-def _in_frame(source: BlockSource, scheme: Scheme) -> BlockSource:
-    """The source with each base state rotated once into the scheme's frame.
+def _in_frame(source: BlockSource, frame: np.ndarray | None) -> BlockSource:
+    """The source with each base state rotated once into a scheme's frame.
 
     Global and local fidelities are unchanged by a product unitary, so scores
     computed in the frame equal scores in the computational basis.
     """
-    u = scheme.frame
-    if u is None:
+    if frame is None:
         return source
-    rotated = [dagger(u) @ s.matrix @ u for s in source.base.states]
+    rotated = [dagger(frame) @ s.matrix @ frame for s in source.base.states]
     # Symmetrised: a DensityOperator's matrix is exactly Hermitian.
     states = tuple(DensityOperator._wrap((r + dagger(r)) / 2.0) for r in rotated)
     return BlockSource(Ensemble(states, source.base.probs), source.n_blocks)
 
 
-def _diagonal_path_available(source: BlockSource, scheme: Scheme) -> bool:
-    """Diagonal base states and a scheme that keeps coordinates, in the scheme's frame."""
-    if not all(s.is_diagonal for s in source.base.states):
-        return False
-    if isinstance(scheme, IdentityScheme):
-        return True
-    return (
-        isinstance(scheme, ProjectPatchScheme)
-        and scheme.subspace.full_dim == source.full_dim
-    )
+def _plan(source: BlockSource, keeps_coordinates: bool, mode: str) -> tuple[bool, bool, bool]:
+    """Scoring path of a source written in the scheme's frame: (diagonal, tabled, exact).
+
+    ``diagonal``: the diagonal engine applies, because every base state is
+    diagonal and the scheme keeps coordinates of this source
+    (``keeps_coordinates``).  ``tabled``: the engine's tables of all strings,
+    the largest max(m, d)^N * d elements, fit the budget.  ``exact``: the
+    sweep is exact, not Monte Carlo.  Every refusal of a scoring request is
+    made here, before any string is scored.
+    """
+    if mode not in ("auto", "exact", "mc"):
+        raise DomainError(f"mode must be auto|exact|mc, got {mode!r}")
+    elements = max(len(source.base), source.base.dim) ** source.n_blocks * source.base.dim
+    diagonal = keeps_coordinates and all(s.is_diagonal for s in source.base.states)
+    tabled = diagonal and elements <= DIAGONAL_TABLE_BUDGET
+    reason = (f"the diagonal tables need {elements} elements, over the budget "
+              f"{DIAGONAL_TABLE_BUDGET}" if diagonal else "no diagonal fast path applies")
+    # Every per-string path builds a d^N array (state or kept-set mask).
+    if not tabled and source.full_dim > DIM_CAP:
+        raise DimensionOverflow(
+            f"block dimension {source.full_dim} exceeds DIM_CAP {DIM_CAP} and {reason}"
+        )
+    exact_ok = tabled or source.n_strings <= EXACT_SWEEP_CAP
+    if mode == "exact" and not exact_ok:
+        raise DimensionOverflow(
+            f"exact sweep over {source.n_strings} strings exceeds cap {EXACT_SWEEP_CAP} "
+            f"and {reason}"
+        )
+    return diagonal, tabled, mode == "exact" or (mode == "auto" and exact_ok)
 
 
-def _table_elements(source: BlockSource) -> int:
-    """Size of the largest array _diagonal_tables builds: max(m, d)^N * d."""
-    return max(len(source.base), source.base.dim) ** source.n_blocks * source.base.dim
+def project_patch_plan(source: BlockSource, mode: str) -> tuple[bool, bool, bool]:
+    """How the project-and-patch scheme of this source would be scored in a mode.
+
+    It needs only the base states, so a request no path can score is refused
+    with ``DimensionOverflow`` before the scheme's d^N weights are built.
+    """
+    _, frame = _weights_and_frame(source.base.average(), source.base.states)
+    return _plan(_in_frame(source, frame), True, mode)
 
 
 # Global and local score of every string; local is None when not wanted.
 _Tables = tuple[np.ndarray, np.ndarray | None]
 
 
-def _diagonal_tables(source: BlockSource, scheme: Scheme, want_local: bool) -> _Tables:
-    """Global and local score of every string, as arrays indexed (s_1..s_N).
-
-    Contracting the kept-set mask with the m x d matrix of base diagonals one
-    position at a time gives every string's mass inside the subspace at once;
-    leaving position k uncontracted gives its output marginal there.  No
-    string's d^N vector is built.  Local scores are None unless wanted.
-    ``source`` is written in the scheme's frame, like every per-string helper.
-    """
-    n, d, m = source.n_blocks, source.base.dim, len(source.base)
+def _diagonal_inputs(source: BlockSource,
+                     scheme: ProjectPatchScheme) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """Base diagonals (m x d), kept-set mask (shape (d,)*N) and patch coordinate x0."""
+    d, n = source.base.dim, source.n_blocks
     P = np.clip(np.real([np.diagonal(s.matrix) for s in source.base.states]), 0.0, None)
-    identity = isinstance(scheme, IdentityScheme)
-    if identity:
-        mask = np.ones((d,) * n)
-        x0 = (0,) * n
-    else:
-        kept = scheme.subspace.coordinates
-        mask = np.zeros(source.full_dim)
-        mask[kept] = 1.0
-        mask = mask.reshape((d,) * n)
-        x0 = np.unravel_index(kept[0], (d,) * n)
+    kept = scheme.subspace.coordinates
+    mask = np.zeros(source.full_dim)
+    mask[kept] = 1.0
+    return P, mask.reshape((d,) * n), np.unravel_index(kept[0], (d,) * n)
 
-    def contract(keep: int | None = None) -> np.ndarray:
-        # Each step eats the leading x axis and appends s_j; at position ``keep``
-        # x_k stays open beside s_k, weighted by P[s_k, x_k].
-        t = mask
-        for j in range(n):
-            if j == keep:
-                t = np.moveaxis(t, 0, -1)[..., None, :] * P
-            else:
-                t = np.tensordot(t, P, axes=([0], [1]))
-        return t if keep is None else np.moveaxis(t, keep + 1, -1)
 
-    mass = contract()
-    sig0 = reduce(np.multiply.outer, [P[:, x] for x in x0])
-    tail = np.zeros_like(mass) if identity else np.maximum(0.0, 1.0 - mass)
+def _contract_step(t: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Eat the leading x axis of t against the rows of f and append their axis.
+
+    This is np.tensordot(t, f, axes=([0], [1])), step for step, without its
+    argument handling, which costs more than the product on one-row factors.
+    """
+    return np.dot(t.transpose((*range(1, t.ndim), 0)).reshape(-1, f.shape[1]),
+                  f.T).reshape(t.shape[1:] + (len(f),))
+
+
+def _diagonal_tables(factors: list[np.ndarray], mask: np.ndarray, x0: tuple,
+                     want_local: bool) -> _Tables:
+    """Global and local score of every string the factors index, as arrays (s_1..s_N).
+
+    ``factors[j]`` holds the diagonals a string may carry at position j, one
+    per row: every base diagonal for the tables of all strings, or the one
+    diagonal of a single string.  Contracting the kept-set mask with them one
+    position at a time gives each string's mass inside the subspace; leaving
+    x_j open at position j gives the output marginal there; the marginals
+    share the running prefix of contracted positions.  No string's d^N vector
+    is built.  Local scores are None unless wanted.
+    """
+    mass = reduce(_contract_step, factors, mask)
+    sig0 = reduce(np.multiply.outer, [f[:, x] for f, x in zip(factors, x0)])
+    tail = np.maximum(0.0, 1.0 - mass)
     # The output equals the string on the kept set, plus the tail at x0.
     g = np.minimum(1.0, (mass - sig0 + np.sqrt(sig0 * (sig0 + tail))) ** 2)
     if not want_local:
         return g, None
+    n = len(factors)
     local = np.ones_like(mass)
-    for k in range(n):
-        marg = contract(k)
-        marg[..., x0[k]] += tail
+    prefix = mask  # positions before j contracted
+    for j, f in enumerate(factors):
+        # x_j stays open beside s_j, weighted by f[s_j, x_j]; the loop rebinds
+        # marg so each step's input is freed, as in np.tensordot.
+        marg = np.moveaxis(prefix, 0, -1)[..., None, :] * f
+        for later in factors[j + 1:]:
+            marg = _contract_step(marg, later)
+        marg = np.moveaxis(marg, j + 1, -1)
+        marg[..., x0[j]] += tail
         marg /= marg.sum(axis=-1, keepdims=True)
-        base = P.reshape((1,) * k + (m,) + (1,) * (n - k - 1) + (d,))
+        base = f.reshape((1,) * j + (len(f),) + (1,) * (n - j - 1) + (f.shape[1],))
         local *= np.minimum(1.0, np.sum(np.sqrt(base * marg), axis=-1) ** 2)
+        prefix = _contract_step(prefix, f)
     return g, local
 
 
-def _string_diag(source: BlockSource, string: tuple[int, ...]) -> np.ndarray:
-    diags = [np.clip(np.real(np.diagonal(source.base.states[i].matrix)), 0.0, None) for i in string]
-    return reduce(np.kron, diags)
-
-
-def _string_dense(source: BlockSource, string: tuple[int, ...]) -> DensityOperator:
-    mats = [source.base.states[i].matrix for i in string]
-    return DensityOperator._wrap(reduce(np.kron, mats))
-
-
-def _local_product_diag(source: BlockSource, string, out_diag: np.ndarray) -> float:
-    d, n = source.base.dim, source.n_blocks
-    shaped = out_diag.reshape((d,) * n)
-    total = out_diag.sum()
-    prod = 1.0
-    for k, i in enumerate(string):
-        marginal = shaped.sum(axis=tuple(j for j in range(n) if j != k))
-        marginal = np.clip(marginal, 0.0, None)
-        s = marginal.sum()
-        marginal = marginal / s if s > 0 else marginal
-        base_diag = np.clip(np.real(np.diagonal(source.base.states[i].matrix)), 0.0, None)
-        prod *= classical_fidelity(base_diag, marginal)
-    return prod if total > 0 else 0.0
-
-
-def _local_product_dense(source: BlockSource, string, out: DensityOperator) -> float:
-    d, n = source.base.dim, source.n_blocks
-    prod = 1.0
-    for k, i in enumerate(string):
-        marginal = partial_trace(out, [d] * n, keep=k)
-        prod *= fidelity(source.base.states[i], marginal)
-    return prod
-
-
-def _score_string(source: BlockSource, scheme: Scheme, string, diagonal: bool,
+def _score_string(source: BlockSource, scheme: Scheme, string,
                   want_local: bool) -> tuple[float, float]:
-    if diagonal:
-        sig = _string_diag(source, string)
-        out = scheme.apply_diagonal(sig)
-        g = classical_fidelity(sig, out)
-        loc = _local_product_diag(source, string, out) if want_local else 0.0
-    else:
-        sig = _string_dense(source, string)
-        out = scheme.apply(sig)
-        g = fidelity(sig, out)
-        loc = _local_product_dense(source, string, out) if want_local else 0.0
-    return g, loc
+    """Global and local score of one string from dense d^N matrices (local 0.0 unless wanted)."""
+    d, n = source.base.dim, source.n_blocks
+    states = [source.base.states[i] for i in string]
+    sig = DensityOperator._wrap(reduce(np.kron, [s.matrix for s in states]))
+    out = scheme.apply(sig)
+    g = fidelity(sig, out)
+    if not want_local:
+        return g, 0.0
+    return g, math.prod(fidelity(s, partial_trace(out, [d] * n, keep=k))
+                        for k, s in enumerate(states))
 
 
-def _exact_scores(source: BlockSource, scheme: Scheme, want_local: bool, diagonal: bool,
-                  tables: _Tables | None) -> tuple[FidelityScore, FidelityScore]:
-    method = "exact-diagonal" if diagonal else "exact-dense"
-    clamp = lambda v: min(1.0, max(0.0, float(v)))
+def _exact_scores(source: BlockSource, method: str, tables: _Tables | None,
+                  score: Callable) -> tuple[FidelityScore, FidelityScore]:
     if tables is not None:
         g_table, l_table = tables
         weights = kron_power_vector(source.base.probs, source.n_blocks).reshape(g_table.shape)
         count = int(np.count_nonzero(weights))
+        total_g = np.sum(weights * g_table)
         total_l = np.sum(weights * l_table) if l_table is not None else 0.0
-        return (
-            FidelityScore(clamp(np.sum(weights * g_table)), None, method, count),
-            FidelityScore(clamp(total_l), None, method, count),
-        )
-    n_states = len(source.base)
-    total_g = 0.0
-    total_l = 0.0
-    count = 0
-    for string in itertools.product(range(n_states), repeat=source.n_blocks):
-        p = source.string_prob(string)
-        if p == 0.0:
-            continue
-        g, loc = _score_string(source, scheme, string, diagonal, want_local)
-        total_g += p * g
-        total_l += p * loc
-        count += 1
-    return (
-        FidelityScore(clamp(total_g), None, method, count),
-        FidelityScore(clamp(total_l), None, method, count),
-    )
+    else:
+        total_g = total_l = 0.0
+        count = 0
+        for string in itertools.product(range(len(source.base)), repeat=source.n_blocks):
+            p = source.string_prob(string)
+            if p == 0.0:
+                continue
+            g, loc = score(string)
+            total_g += p * g
+            total_l += p * loc
+            count += 1
+    clamped = lambda v: FidelityScore(min(1.0, max(0.0, float(v))), None, method, count)
+    return clamped(total_g), clamped(total_l)
 
 
-def _mc_scores(source: BlockSource, scheme: Scheme, want_local: bool, n_samples: int,
-               seed: int, workers: int, diagonal: bool,
-               tables: _Tables | None) -> tuple[FidelityScore, FidelityScore]:
+def _mc_scores(source: BlockSource, n_samples: int, seed: int, workers: int,
+               tables: _Tables | None, score: Callable) -> tuple[FidelityScore, FidelityScore]:
     n_states = len(source.base)
     probs = source.base.probs
 
@@ -509,8 +498,7 @@ def _mc_scores(source: BlockSource, scheme: Scheme, want_local: bool, n_samples:
         gs = np.empty(m)
         ls = np.empty(m)
         for row in range(m):
-            string = tuple(int(x) for x in picks[row])
-            gs[row], ls[row] = _score_string(source, scheme, string, diagonal, want_local)
+            gs[row], ls[row] = score(tuple(int(x) for x in picks[row]))
         return gs, ls
 
     n_blocks = math.ceil(n_samples / MC_BLOCK)
@@ -533,31 +521,30 @@ def _mc_scores(source: BlockSource, scheme: Scheme, want_local: bool, n_samples:
 
 def _scores(source: BlockSource, scheme: Scheme, want_local: bool, mode: str,
             n_samples: int, seed: int, workers: int) -> tuple[FidelityScore, FidelityScore]:
-    if mode not in ("auto", "exact", "mc"):
-        raise DomainError(f"mode must be auto|exact|mc, got {mode!r}")
-    source = _in_frame(source, scheme)
-    diagonal = _diagonal_path_available(source, scheme)
-    tabled = diagonal and _table_elements(source) <= DIAGONAL_TABLE_BUDGET
+    if not n_samples >= 1:
+        raise DomainError(f"n_samples must be >= 1, got {n_samples}")
+    source = _in_frame(source, scheme.frame)
+    keeps_coordinates = (isinstance(scheme, ProjectPatchScheme)
+                         and scheme.subspace.full_dim == source.full_dim)
+    diagonal, tabled, exact = _plan(source, keeps_coordinates, mode)
+    tables = None
     if diagonal:
-        reason = (f"the diagonal tables need {_table_elements(source)} elements, "
-                  f"over the budget {DIAGONAL_TABLE_BUDGET}")
+        P, mask, x0 = _diagonal_inputs(source, scheme)
+        if tabled:
+            tables = _diagonal_tables([P] * source.n_blocks, mask, x0, want_local)
+
+        def score(string):
+            g, loc = _diagonal_tables([P[s:s + 1] for s in string], mask, x0, want_local)
+            return g.item(), (0.0 if loc is None else loc.item())
     else:
-        reason = "no diagonal fast path applies"
-    # Every per-string path builds each string's d^N state (or diagonal).
-    if not tabled and source.full_dim > DIM_CAP:
-        raise DimensionOverflow(
-            f"block dimension {source.full_dim} exceeds DIM_CAP {DIM_CAP} and {reason}"
-        )
-    exact_ok = tabled or source.n_strings <= EXACT_SWEEP_CAP
-    if mode == "exact" and not exact_ok:
-        raise DimensionOverflow(
-            f"exact sweep over {source.n_strings} strings exceeds cap {EXACT_SWEEP_CAP} "
-            f"and {reason}"
-        )
-    tables = _diagonal_tables(source, scheme, want_local) if tabled else None
-    if mode == "exact" or (mode == "auto" and exact_ok):
-        return _exact_scores(source, scheme, want_local, diagonal, tables)
-    return _mc_scores(source, scheme, want_local, n_samples, seed, workers, diagonal, tables)
+
+        def score(string):
+            return _score_string(source, scheme, string, want_local)
+
+    if exact:
+        method = "exact-diagonal" if diagonal else "exact-dense"
+        return _exact_scores(source, method, tables, score)
+    return _mc_scores(source, n_samples, seed, workers, tables, score)
 
 
 def global_fidelity_score(source: BlockSource, scheme: Scheme, mode: str = "auto",
@@ -565,13 +552,16 @@ def global_fidelity_score(source: BlockSource, scheme: Scheme, mode: str = "auto
                           workers: int = 1) -> FidelityScore:
     """Probability-weighted whole-block fidelity of the scheme's output.
 
-    Exact when the sweep is feasible: on the diagonal fast path while its
-    score tables fit ``DIAGONAL_TABLE_BUDGET`` elements, otherwise while the
-    source has at most ``EXACT_SWEEP_CAP`` strings.  Beyond both,
-    ``mode="exact"`` raises ``DimensionOverflow`` and ``"auto"`` returns a
-    seeded Monte Carlo estimate with standard error.  Off the fast path each
-    string's d^N state is built, so every mode refuses d^N > ``DIM_CAP``.
-    Each refusal comes before the first string is scored.
+    A project-and-patch scheme on a source diagonal in its frame is scored by
+    one tensor contraction, the diagonal engine: for every string at once
+    while its tables fit ``DIAGONAL_TABLE_BUDGET`` elements, otherwise one
+    sampled or swept string at a time.  Other schemes and sources are scored
+    one string at a time from its dense d^N state.  Scoring one string at a
+    time needs d^N <= ``DIM_CAP`` in every mode, and its exact sweep at most
+    ``EXACT_SWEEP_CAP`` strings.  Where no exact sweep fits, ``mode="exact"``
+    raises ``DimensionOverflow`` and ``"auto"`` returns a seeded Monte Carlo
+    estimate of ``n_samples`` (at least 1) strings with standard error.  Each
+    refusal comes before the first string is scored.
     """
     g, _ = _scores(source, scheme, False, mode, n_samples, seed, workers)
     return g
@@ -609,8 +599,8 @@ def theorem7_demo(base: Ensemble, delta: float, n_list, seed: int = 0) -> list[T
     scheme can stay faithful) and the exact project-and-patch fidelity delta
     above it (it stays above both 1 - 2*eta and (1 - eta)^2).
     """
-    if delta <= 0:
-        raise DomainError(f"delta must be positive, got {delta}")
+    if not 0.0 < delta < math.inf:
+        raise DomainError(f"delta must be finite and positive, got {delta}")
     s_bar = vn_entropy(base.average())
     rows = []
     for n in n_list:

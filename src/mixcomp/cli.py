@@ -139,6 +139,8 @@ def cmd_classical_simulate(args) -> None:
 def cmd_blocksim_run(args) -> None:
     ensemble = wire.load_ensemble(args.ensemble)
     source = blocksim.BlockSource.build(ensemble, args.n_blocks)
+    # Refuse an unscorable request before the scheme's d^N weights are built.
+    blocksim.project_patch_plan(source, args.mode)
     scheme = blocksim.project_patch_scheme(source, args.rate)
     kwargs = dict(mode=args.mode, n_samples=args.samples, seed=args.seed,
                   workers=max(1, args.workers))

@@ -2,6 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# One Hypothesis profile for the whole suite: the same draws on every run, no
+# deadline (the dense oracles are slow by design) and no example database.
+# A property sets only its own max_examples.
+settings.register_profile("mixcomp", derandomize=True, deadline=None, database=None)
+settings.load_profile("mixcomp")
 
 
 @pytest.fixture

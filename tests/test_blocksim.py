@@ -39,6 +39,13 @@ def two_coin_base(a=0.9) -> Ensemble:
     )
 
 
+def over_budget_diagonal_source():
+    """Ten diagonal qubit states at N = 12: tables of 2 * 10^12 elements, over the budget."""
+    diags = [diag_state(a, 1 - a) for a in np.linspace(0.05, 0.95, 10)]
+    source = BlockSource.build(Ensemble.from_lists(np.full(10, 0.1), diags), 12)
+    return source, project_patch_scheme(source, 0.8)
+
+
 class TestRateQuantisation:
     def test_scheme_uses_whole_qubits(self):
         assert scheme_subspace_dim(0.85, 4, 16) == 16  # ceil(3.4) = 4 qubits
@@ -59,6 +66,12 @@ class TestRateQuantisation:
     def test_rate_zero(self):
         assert scheme_subspace_dim(0.0, 8, 256) == 1
         assert ceiling_subspace_dim(0.0, 8, 256) == 1
+
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf, -0.1])
+    def test_rejects_non_finite_and_negative_rates(self, rate):
+        for dim in (scheme_subspace_dim, ceiling_subspace_dim):
+            with pytest.raises(DomainError, match="finite and nonnegative"):
+                dim(rate, 8, 256)
 
 
 class TestTypicalSubspace:
@@ -162,6 +175,16 @@ class TestScores:
         assert abs(global_fidelity_score(source, IdentityScheme(source.full_dim)).value - 1.0) <= 1e-12
         assert abs(local_fidelity_score(source, IdentityScheme(source.full_dim)).value - 1.0) <= 1e-12
 
+    def test_identity_scheme_on_dense_source(self, rng):
+        base = Ensemble.from_lists([0.4, 0.6], [sampling.random_density(2, rng) for _ in range(2)])
+        source = BlockSource.build(base, 3)
+        scheme = IdentityScheme(source.full_dim)
+        assert scheme.subspace.eta == 0.0 and scheme.channel_dim == 8
+        for score in (global_fidelity_score, local_fidelity_score):
+            result = score(source, scheme, mode="exact")
+            assert result.method == "exact-dense"
+            assert abs(result.value - 1.0) <= 1e-12
+
     def test_entangled_decoding_of_uncorrelated_source(self, bell_state):
         # The maximally mixed pair decoded to an entangled pure state: perfect
         # marginals (local score 1) but whole-block fidelity only 1/4.
@@ -245,17 +268,42 @@ class TestScores:
 
     def test_exact_mode_rejects_diagonal_sweep_over_budget(self):
         # 10^12 strings: the tables would need 2 * 10^12 elements, so the
-        # request must fail before any sweep starts.
-        diags = [diag_state(a, 1 - a) for a in np.linspace(0.05, 0.95, 10)]
-        base = Ensemble.from_lists(np.full(10, 0.1), diags)
-        source = BlockSource.build(base, 12)
-        scheme = project_patch_scheme(source, 0.8)
+        # request must fail before any sweep starts, and Monte Carlo must call
+        # the engine with one row per position: no m^N table is built.
+        source, scheme = over_budget_diagonal_source()
         with pytest.raises(DimensionOverflow, match="budget"):
             global_fidelity_score(source, scheme, mode="exact")
-        with mock.patch.object(blocksim, "_diagonal_tables") as tables:
+        engine = blocksim._diagonal_tables
+        rows = []
+
+        def recording(factors, *args):
+            rows.append([len(f) for f in factors])
+            return engine(factors, *args)
+
+        with mock.patch.object(blocksim, "_diagonal_tables", recording):
             mc = global_fidelity_score(source, scheme, n_samples=200, seed=1)
-        tables.assert_not_called()
         assert mc.method == "monte-carlo" and mc.n_terms == 200
+        assert rows == [[1] * 12] * 200
+
+    def test_over_budget_monte_carlo_is_pinned(self):
+        # Values of the per-string classical-fidelity code the engine replaced.
+        source, scheme = over_budget_diagonal_source()
+        g = global_fidelity_score(source, scheme, n_samples=200, seed=1)
+        loc = local_fidelity_score(source, scheme, n_samples=200, seed=1)
+        for score, value, stderr in ((g, 0.12257822773655787, 0.012257135644293413),
+                                     (loc, 0.09163044002681824, 0.01223862252317034)):
+            assert score.method == "monte-carlo" and score.n_terms == 200
+            assert abs(score.value - value) <= 1e-12
+            assert abs(score.stderr - stderr) <= 1e-12
+
+    @pytest.mark.parametrize("mode", ["exact", "mc", "auto"])
+    @pytest.mark.parametrize("n_samples", [0, -3])
+    def test_rejects_non_positive_sample_counts(self, mode, n_samples):
+        source = BlockSource.build(two_coin_base(0.85), 4)
+        scheme = project_patch_scheme(source, 0.6)
+        for score in (global_fidelity_score, local_fidelity_score):
+            with pytest.raises(DomainError, match="n_samples"):
+                score(source, scheme, mode=mode, n_samples=n_samples)
 
     def test_four_state_diagonal_source_sweeps_exactly(self):
         diags = [diag_state(a, 1 - a) for a in (0.9, 0.6, 0.3, 0.05)]
@@ -337,13 +385,38 @@ def dense_basis_oracle(source: BlockSource, rate: float):
     return eta, scores
 
 
+def engine_scores(source: BlockSource, scheme, string=None):
+    """The diagonal engine's (global, local) tables, or one string's one-row call."""
+    P, mask, x0 = blocksim._diagonal_inputs(source, scheme)
+    factors = [P] * source.n_blocks if string is None else [P[s:s + 1] for s in string]
+    return blocksim._diagonal_tables(factors, mask, x0, True)
+
+
+def assert_engine_matches_dense(source: BlockSource, scheme):
+    """Engine tables and one-row calls against the dense per-string scorer, within 1e-12.
+
+    ``source`` is written in the scheme's frame.  The dense scorer is separate
+    code: Kronecker matrices, project_and_patch, partial_trace and fidelity.
+    """
+    g_table, l_table = engine_scores(source, scheme)
+    for string in itertools.product(range(len(source.base)), repeat=source.n_blocks):
+        g, loc = blocksim._score_string(source, scheme, string, True)
+        g_row, l_row = engine_scores(source, scheme, string)
+        for got_g, got_l in ((g_table[string], l_table[string]), (g_row.item(), l_row.item())):
+            assert abs(got_g - g) <= 1e-12
+            assert abs(got_l - loc) <= 1e-12
+    return g_table, l_table
+
+
 def _program_per_string(source: BlockSource, scheme):
-    framed = blocksim._in_frame(source, scheme)
-    diagonal = blocksim._diagonal_path_available(framed, scheme)
-    return diagonal, {
-        string: blocksim._score_string(framed, scheme, string, diagonal, True)
-        for string in itertools.product(range(len(source.base)), repeat=source.n_blocks)
-    }
+    """Whether the diagonal engine applies, and the program's per-string scores."""
+    framed = blocksim._in_frame(source, scheme.frame)
+    strings = list(itertools.product(range(len(source.base)), repeat=source.n_blocks))
+    diagonal, _, _ = blocksim.project_patch_plan(source, "exact")
+    if diagonal:
+        g_table, l_table = assert_engine_matches_dense(framed, scheme)
+        return True, {s: (g_table[s], l_table[s]) for s in strings}
+    return False, {s: blocksim._score_string(framed, scheme, s, True) for s in strings}
 
 
 class TestEigenframeSubspace:
@@ -436,6 +509,11 @@ class TestTheorem7Demo:
             assert row.achieved >= 1 - 2 * row.eta_plus - 1e-9
             assert row.achieved >= (1 - row.eta_plus) ** 2 - 1e-9
 
+    @pytest.mark.parametrize("delta", [math.nan, math.inf, 0.0, -0.1])
+    def test_rejects_non_finite_and_non_positive_delta(self, delta):
+        with pytest.raises(DomainError, match="delta"):
+            theorem7_demo(two_coin_base(0.9), delta, [4])
+
     def test_single_pure_state_ceiling_one(self):
         base = Ensemble.from_lists([1.0], [diag_state(1.0, 0.0)])
         rows = theorem7_demo(base, 0.25, [3, 6])
@@ -523,9 +601,9 @@ _TIED = ([0.5, 0.0, 0.5], [(0.75, 0.25), (1.0, 0.0), (0.25, 0.75)])
 
 
 class TestDiagonalTablesOracle:
-    """The vectorised diagonal tables against the per-string scorer they replace."""
+    """The diagonal engine against the dense per-string scorer."""
 
-    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @settings(max_examples=40, suppress_health_check=[HealthCheck.too_slow])
     @given(diagonal_sources(), st.booleans())
     @example(_pinned(*_TIED, 4, 0.0), False)
     @example(_pinned(*_TIED, 3, 1.0), False)
@@ -537,24 +615,20 @@ class TestDiagonalTablesOracle:
             scheme = IdentityScheme(source.full_dim)
         else:
             scheme = project_patch_scheme(source, rate)
-        assert blocksim._diagonal_path_available(source, scheme)
-        g_table, l_table = blocksim._diagonal_tables(source, scheme, want_local=True)
-        for string in itertools.product(range(len(source.base)), repeat=source.n_blocks):
-            g, loc = blocksim._score_string(source, scheme, string, True, True)
-            assert abs(g_table[string] - g) <= 1e-12
-            assert abs(l_table[string] - loc) <= 1e-12
+        assert_engine_matches_dense(source, scheme)
 
         kwargs = dict(n_samples=300, seed=5)
         fast = [score(source, scheme, mode=mode, **kwargs)
                 for score in (global_fidelity_score, local_fidelity_score)
                 for mode in ("exact", "mc")]
-        # A zero budget sends every call through the per-string loop.
+        # A zero budget sends every call through one engine call per string.
         with mock.patch.object(blocksim, "DIAGONAL_TABLE_BUDGET", 0):
             slow = [score(source, scheme, mode=mode, **kwargs)
                     for score in (global_fidelity_score, local_fidelity_score)
                     for mode in ("exact", "mc")]
         for a, b in zip(fast, slow):
             assert (a.method, a.n_terms) == (b.method, b.n_terms)
+            assert a.method in ("exact-diagonal", "monte-carlo")
             assert abs(a.value - b.value) <= 1e-12
             assert (a.stderr is None) == (b.stderr is None)
             if a.stderr is not None:
@@ -563,4 +637,5 @@ class TestDiagonalTablesOracle:
     def test_fixed_output_scheme_takes_dense_path(self, bell_state):
         base = Ensemble.from_lists([1.0], [maximally_mixed(2)])
         source = BlockSource.build(base, 2)
-        assert not blocksim._diagonal_path_available(source, FixedOutputScheme(bell_state))
+        score = global_fidelity_score(source, FixedOutputScheme(bell_state), mode="exact")
+        assert score.method == "exact-dense"

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -200,6 +201,43 @@ class TestCliCommands:
         ]) == 2
         err = capsys.readouterr().err
         assert "DimensionOverflow" in err and "DIM_CAP" in err
+
+    def test_unscorable_blocksim_run_refused_before_the_scheme(self, tmp_path, capsys):
+        # N = 22: tables of 2^23 elements exceed the budget and D = 2^22 exceeds
+        # DIM_CAP, so no path can score; the 2^22 weights are never built.
+        ens = Ensemble.from_lists(
+            [0.5, 0.5], [diag_state(0.9, 0.1), diag_state(0.1, 0.9)]
+        )
+        path = write_ensemble(tmp_path / "e.json", ens)
+        tracemalloc.start()
+        try:
+            code = main(["blocksim", "run", "--ensemble", path, "--N", "22",
+                         "--rate", "0.8", "--mode", "exact"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: DimensionOverflow: block dimension 4194304 exceeds DIM_CAP 4096 and "
+            "the diagonal tables need 8388608 elements, over the budget 4194304\n"
+        )
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("option, message", [
+        (["--rate", "nan"], "rate must be finite"),
+        (["--rate", "inf"], "rate must be finite"),
+        (["--rate", "0.8", "--mode", "mc", "--samples", "0"], "n_samples must be >= 1"),
+        (["--rate", "0.8", "--mode", "mc", "--samples", "-3"], "n_samples must be >= 1"),
+    ])
+    def test_blocksim_run_rejects_bad_rates_and_sample_counts(self, tmp_path, capsys,
+                                                              option, message):
+        ens = Ensemble.from_lists(
+            [0.5, 0.5], [diag_state(0.9, 0.1), diag_state(0.1, 0.9)]
+        )
+        path = write_ensemble(tmp_path / "e.json", ens)
+        assert main(["blocksim", "run", "--ensemble", path, "--N", "4", *option]) == 2
+        err = capsys.readouterr().err
+        assert "DomainError" in err and message in err
 
     @pytest.mark.parametrize("option", [["--format", "csv"], ["--workers", "2"], ["--dim-cap", "64"]])
     def test_options_nothing_reads_are_refused(self, tmp_path, capsys, option):

@@ -18,7 +18,7 @@ from mixcomp.qmat import DensityOperator, partial_trace
 from mixcomp.rates import rate_report
 from mixcomp.tolerance import DIAGONAL_TOL
 
-PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
+PROPERTY_SETTINGS = settings(max_examples=60)
 LEVELS = (0.0, 0.1, 0.25, 0.5, 1.0)
 
 
@@ -59,7 +59,7 @@ def state_pairs(dim: int):
 def test_strategy_reaches_both_sides_of_the_diagonal_threshold():
     seen = set()
 
-    @settings(max_examples=200, deadline=None, derandomize=True)
+    @settings(max_examples=200)
     @given(states(3))
     def collect(rho):
         off = float(np.max(np.abs(rho.matrix - np.diag(np.diagonal(rho.matrix)))))

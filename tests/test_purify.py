@@ -149,7 +149,7 @@ def commuting_pairs(draw):
 class TestGramPurificationRate:
     """Purification rates and overlaps from tr(sqrt(rho1) sqrt(rho2)) against closed forms."""
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80)
     @given(commuting_pairs())
     def test_matches_common_eigenbasis_closed_form(self, pair):
         w1, p, q, u = pair
