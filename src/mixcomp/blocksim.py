@@ -44,9 +44,8 @@ from .tolerance import PARAM_EPS
 
 # Strings in a per-string exact sweep.
 EXACT_SWEEP_CAP = 1024
-# Elements in the largest array the vectorised diagonal scorer builds (see
-# _table_elements) and in any Kronecker-power weight vector: 2^22 float64
-# values, 32 MiB.
+# Elements in the largest array the diagonal engine builds (see _plan) and in
+# any Kronecker-power weight vector: 2^22 float64 values, 32 MiB.
 DIAGONAL_TABLE_BUDGET = 2**22
 DEFAULT_MC_SAMPLES = 2000
 MC_BLOCK = 256
@@ -98,13 +97,20 @@ class BlockSource:
 
 
 def kron_power_vector(v: np.ndarray, n: int) -> np.ndarray:
-    """n-fold Kronecker power of a vector, refused past DIAGONAL_TABLE_BUDGET elements."""
+    """n-fold Kronecker power of a vector, refused past DIAGONAL_TABLE_BUDGET elements.
+
+    Multiplied left to right by outer products: bitwise equal to
+    reduce(np.kron, [v] * n), without np.kron's general-shape handling.
+    """
     v = np.asarray(v, dtype=float)
     if v.size**n > DIAGONAL_TABLE_BUDGET:
         raise DimensionOverflow(
             f"{v.size}^{n} weights exceed DIAGONAL_TABLE_BUDGET {DIAGONAL_TABLE_BUDGET}"
         )
-    return reduce(np.kron, [v] * n)
+    out = v
+    for _ in range(n - 1):
+        out = np.multiply.outer(out, v).ravel()
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -359,8 +365,14 @@ def _plan(source: BlockSource, keeps_coordinates: bool, mode: str) -> tuple[bool
     tabled = diagonal and elements <= DIAGONAL_TABLE_BUDGET
     reason = (f"the diagonal tables need {elements} elements, over the budget "
               f"{DIAGONAL_TABLE_BUDGET}" if diagonal else "no diagonal fast path applies")
-    # Every per-string path builds a d^N array (state or kept-set mask).
-    if not tabled and source.full_dim > DIM_CAP:
+    # The engine builds a d^N kept-set mask (smaller than its tables); the
+    # dense per-string path builds d^N x d^N string states.
+    if diagonal and source.full_dim > DIAGONAL_TABLE_BUDGET:
+        raise DimensionOverflow(
+            f"kept-set mask of {source.full_dim} elements exceeds DIAGONAL_TABLE_BUDGET "
+            f"{DIAGONAL_TABLE_BUDGET} and {reason}"
+        )
+    if not diagonal and source.full_dim > DIM_CAP:
         raise DimensionOverflow(
             f"block dimension {source.full_dim} exceeds DIM_CAP {DIM_CAP} and {reason}"
         )
@@ -415,32 +427,46 @@ def _diagonal_tables(factors: list[np.ndarray], mask: np.ndarray, x0: tuple,
     ``factors[j]`` holds the diagonals a string may carry at position j, one
     per row: every base diagonal for the tables of all strings, or the one
     diagonal of a single string.  Contracting the kept-set mask with them one
-    position at a time gives each string's mass inside the subspace; leaving
-    x_j open at position j gives the output marginal there; the marginals
-    share the running prefix of contracted positions.  No string's d^N vector
-    is built.  Local scores are None unless wanted.
+    position at a time gives each string's mass inside the subspace.  No
+    string's d^N vector is built.  Local scores are None unless wanted.
+
+    Local scores: contracting every position but j, with x_j left open,
+    gives T_j(s_-j, x_j) = sum over x_-j of mask(x) prod_{i != j} f_i[s_i, x_i],
+    before s_j is opened; the earlier positions come from a running prefix.
+    The output marginal at j is f_j[s_j, x_j] T_j(s_-j, x_j) plus the tail at
+    x0_j, of total mass + tail.  Off x0_j, sqrt(f_j T_j f_j) = f_j sqrt(T_j),
+    so its Bhattacharyya sum with f_j[s_j] is
+
+        S = sqrt(T_j) f_j^T - f_j[s_j, x0_j] sqrt(T_j(., x0_j))
+            + sqrt(f_j[s_j, x0_j] (f_j[s_j, x0_j] T_j(., x0_j) + tail)),
+
+    and the factor is min(1, S^2 / (mass + tail)).  The square root runs on
+    T_j, whose s_j axis is not yet opened.
     """
     mass = reduce(_contract_step, factors, mask)
     sig0 = reduce(np.multiply.outer, [f[:, x] for f, x in zip(factors, x0)])
     tail = np.maximum(0.0, 1.0 - mass)
     # The output equals the string on the kept set, plus the tail at x0.
     g = np.minimum(1.0, (mass - sig0 + np.sqrt(sig0 * (sig0 + tail))) ** 2)
+    del sig0
     if not want_local:
         return g, None
     n = len(factors)
+    total = mass + tail
     local = np.ones_like(mass)
     prefix = mask  # positions before j contracted
     for j, f in enumerate(factors):
-        # x_j stays open beside s_j, weighted by f[s_j, x_j]; the loop rebinds
-        # marg so each step's input is freed, as in np.tensordot.
-        marg = np.moveaxis(prefix, 0, -1)[..., None, :] * f
-        for later in factors[j + 1:]:
-            marg = _contract_step(marg, later)
-        marg = np.moveaxis(marg, j + 1, -1)
-        marg[..., x0[j]] += tail
-        marg /= marg.sum(axis=-1, keepdims=True)
-        base = f.reshape((1,) * j + (len(f),) + (1,) * (n - j - 1) + (f.shape[1],))
-        local *= np.minimum(1.0, np.sum(np.sqrt(base * marg), axis=-1) ** 2)
+        # x_j moves last and stays open while the later positions are
+        # contracted: t has axes (s_1..s_{j-1}, x_j, s_{j+1}..s_N).
+        t = reduce(_contract_step, factors[j + 1:], np.moveaxis(prefix, 0, -1))
+        root = np.sqrt(t)
+        at_x0 = (slice(None),) * j + (slice(x0[j], x0[j] + 1),)
+        t0, r0 = t[at_x0], root[at_x0]
+        p0 = f[:, x0[j]].reshape((1,) * j + (len(f),) + (1,) * (n - j - 1))
+        s = np.moveaxis(_contract_step(np.moveaxis(root, j, 0), f), -1, j)
+        s -= p0 * r0
+        s += np.sqrt(p0 * (p0 * t0 + tail))
+        local *= np.minimum(1.0, s**2 / total)
         prefix = _contract_step(prefix, f)
     return g, local
 
@@ -555,13 +581,14 @@ def global_fidelity_score(source: BlockSource, scheme: Scheme, mode: str = "auto
     A project-and-patch scheme on a source diagonal in its frame is scored by
     one tensor contraction, the diagonal engine: for every string at once
     while its tables fit ``DIAGONAL_TABLE_BUDGET`` elements, otherwise one
-    sampled or swept string at a time.  Other schemes and sources are scored
-    one string at a time from its dense d^N state.  Scoring one string at a
-    time needs d^N <= ``DIM_CAP`` in every mode, and its exact sweep at most
-    ``EXACT_SWEEP_CAP`` strings.  Where no exact sweep fits, ``mode="exact"``
-    raises ``DimensionOverflow`` and ``"auto"`` returns a seeded Monte Carlo
-    estimate of ``n_samples`` (at least 1) strings with standard error.  Each
-    refusal comes before the first string is scored.
+    sampled or swept string at a time, which needs its d^N kept-set mask to
+    fit the budget.  Other schemes and sources are scored one string at a
+    time from its dense d^N state, which needs d^N <= ``DIM_CAP``.  An exact
+    sweep one string at a time covers at most ``EXACT_SWEEP_CAP`` strings.
+    Where no exact sweep fits, ``mode="exact"`` raises ``DimensionOverflow``
+    and ``"auto"`` returns a seeded Monte Carlo estimate of ``n_samples`` (at
+    least 1) strings with standard error.  Each refusal comes before the
+    first string is scored.
     """
     g, _ = _scores(source, scheme, False, mode, n_samples, seed, workers)
     return g

@@ -621,8 +621,9 @@ class TestDiagonalTablesOracle:
         fast = [score(source, scheme, mode=mode, **kwargs)
                 for score in (global_fidelity_score, local_fidelity_score)
                 for mode in ("exact", "mc")]
-        # A zero budget sends every call through one engine call per string.
-        with mock.patch.object(blocksim, "DIAGONAL_TABLE_BUDGET", 0):
+        # A budget of d^N fits the kept-set mask but no table (at least d^(N+1)
+        # elements), so every call goes through one engine call per string.
+        with mock.patch.object(blocksim, "DIAGONAL_TABLE_BUDGET", source.full_dim):
             slow = [score(source, scheme, mode=mode, **kwargs)
                     for score in (global_fidelity_score, local_fidelity_score)
                     for mode in ("exact", "mc")]
@@ -639,3 +640,121 @@ class TestDiagonalTablesOracle:
         source = BlockSource.build(base, 2)
         score = global_fidelity_score(source, FixedOutputScheme(bell_state), mode="exact")
         assert score.method == "exact-dense"
+
+
+def classical_string_oracle(source: BlockSource, scheme, string):
+    """Global and local score of one string of a diagonal source, from its d^N diagonal.
+
+    The output is the string's diagonal on the kept coordinates plus the tail
+    at the patch coordinate; the global score is the classical fidelity of the
+    two diagonals, the local one the product of the Bhattacharyya overlaps of
+    each base diagonal with the output's normalised marginal there.
+    """
+    d, n = source.base.dim, source.n_blocks
+    diags = [np.real(np.diagonal(source.base.states[i].matrix)) for i in string]
+    sigma = reduce(np.kron, diags)
+    kept = scheme.subspace.coordinates
+    out = np.zeros_like(sigma)
+    out[kept] = sigma[kept]
+    out[kept[0]] += max(0.0, 1.0 - out.sum())
+    g = min(1.0, np.sum(np.sqrt(sigma * out)) ** 2)
+    cube = out.reshape((d,) * n)
+    loc = 1.0
+    for j, p in enumerate(diags):
+        marg = cube.sum(axis=tuple(i for i in range(n) if i != j))
+        loc *= min(1.0, np.sum(np.sqrt(p * marg / marg.sum())) ** 2)
+    return g, loc
+
+
+class TestOneStringDiagonalBound:
+    """Diagonal sources scored one string at a time are bounded by their d^N mask."""
+
+    def test_ten_state_source_past_dim_cap_scores_by_monte_carlo(self):
+        # d^N = 8192 > DIM_CAP, but the engine's one-row calls build only the
+        # 8192-element kept-set mask, inside DIAGONAL_TABLE_BUDGET.
+        diags = [diag_state(a, 1 - a) for a in np.linspace(0.05, 0.95, 10)]
+        source = BlockSource.build(Ensemble.from_lists(np.full(10, 0.1), diags), 13)
+        scheme = project_patch_scheme(source, 0.8)
+        n_samples, seed = 20, 3
+        g = global_fidelity_score(source, scheme, mode="mc", n_samples=n_samples, seed=seed)
+        loc = local_fidelity_score(source, scheme, mode="mc", n_samples=n_samples, seed=seed)
+        picks = sampling.block_generator(seed, 0).choice(10, size=(n_samples, 13),
+                                                         p=source.base.probs)
+        want = np.array([classical_string_oracle(source, scheme, row) for row in picks])
+        for score, column in ((g, want[:, 0]), (loc, want[:, 1])):
+            assert score.method == "monte-carlo" and score.n_terms == n_samples
+            assert abs(score.value - column.mean()) <= 1e-12
+            assert abs(score.stderr - column.std(ddof=1) / math.sqrt(n_samples)) <= 1e-12
+
+    def test_mask_over_budget_refused(self):
+        # 2^23 mask elements exceed the budget: refused in every mode.
+        source = BlockSource.build(two_coin_base(), 23)
+        for mode in ("exact", "mc", "auto"):
+            with pytest.raises(DimensionOverflow, match="kept-set mask"):
+                blocksim.project_patch_plan(source, mode)
+
+
+def kron_scheme_coordinates(source: BlockSource, rate: float) -> np.ndarray:
+    """Kept coordinates as the scheme built them with reduce(np.kron, ...) weights."""
+    rho = source.base.average()
+    if all(s.is_diagonal for s in source.base.states):
+        w = np.clip(np.real(np.diagonal(rho.matrix)), 0.0, None)
+    else:
+        w = eig_hermitian(rho).eigenvalues
+    w = reduce(np.kron, [w] * source.n_blocks)
+    k = scheme_subspace_dim(rate, source.n_blocks, source.full_dim)
+    return np.argsort(-w, kind="stable")[:k]
+
+
+class TestKronPowerVector:
+    """The outer-product Kronecker power against reduce(np.kron, ...), bit for bit.
+
+    The kept set's tie order depends on these exact bits, so equal values are
+    not enough.
+    """
+
+    @settings(max_examples=200)
+    @given(st.lists(st.one_of(st.sampled_from([0.0, 0.1, 0.25, 1 / 3, 0.5]),
+                              st.floats(0.0, 1.0)), min_size=1, max_size=5),
+           st.integers(1, 8))
+    def test_bitwise_equal_to_reduce_kron(self, entries, n):
+        v = np.array(entries)
+        got = blocksim.kron_power_vector(v, n)
+        want = reduce(np.kron, [v] * n)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @settings(max_examples=40, suppress_health_check=[HealthCheck.too_slow])
+    @given(diagonal_sources())
+    def test_scheme_coordinates_unchanged(self, source_rate):
+        source, rate = source_rate
+        np.testing.assert_array_equal(project_patch_scheme(source, rate).subspace.coordinates,
+                                      kron_scheme_coordinates(source, rate))
+
+    def test_dense_scheme_coordinates_unchanged(self, rng):
+        for d, n in ((2, 8), (3, 5), (4, 4)):
+            base = Ensemble.from_lists([0.4, 0.6], [sampling.random_density(d, rng)
+                                                    for _ in range(2)])
+            source = BlockSource.build(base, n)
+            for rate in (0.3, 0.8, 1.2):
+                np.testing.assert_array_equal(
+                    project_patch_scheme(source, rate).subspace.coordinates,
+                    kron_scheme_coordinates(source, rate))
+
+
+class TestLargeBlockScores:
+    """Exact diagonal scores at large N, pinned to the values of the engine that
+    opened s_j before contracting the later positions."""
+
+    @pytest.mark.parametrize("n, global_fid, local_fid", [
+        (16, 0.1730186581988517, 0.152325790139048),
+        (18, 0.18795115792690695, 0.15309109702131316),
+    ])
+    def test_qubit_pair_at_rate_0_8(self, n, global_fid, local_fid):
+        base = Ensemble.from_lists([0.3, 0.7], [diag_state(0.9, 0.1), diag_state(0.2, 0.8)])
+        source = BlockSource.build(base, n)
+        scheme = project_patch_scheme(source, 0.8)
+        g = global_fidelity_score(source, scheme, mode="exact")
+        loc = local_fidelity_score(source, scheme, mode="exact")
+        assert g.method == loc.method == "exact-diagonal"
+        assert abs(g.value - global_fid) <= 1e-12
+        assert abs(loc.value - local_fid) <= 1e-12

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mixcomp import sampling, wire
+from mixcomp import cli, sampling, wire
 from mixcomp.blocksim import ceiling_subspace_dim
 from mixcomp.cli import main
 from mixcomp.errors import ParseError, ValidationError
@@ -203,8 +203,9 @@ class TestCliCommands:
         assert "DimensionOverflow" in err and "DIM_CAP" in err
 
     def test_unscorable_blocksim_run_refused_before_the_scheme(self, tmp_path, capsys):
-        # N = 22: tables of 2^23 elements exceed the budget and D = 2^22 exceeds
-        # DIM_CAP, so no path can score; the 2^22 weights are never built.
+        # N = 22: tables of 2^23 elements exceed the budget, and an exact sweep
+        # one string at a time would cover 2^22 strings, so no exact path can
+        # score; the 2^22 weights are never built.
         ens = Ensemble.from_lists(
             [0.5, 0.5], [diag_state(0.9, 0.1), diag_state(0.1, 0.9)]
         )
@@ -218,8 +219,8 @@ class TestCliCommands:
             tracemalloc.stop()
         assert code == 2
         assert capsys.readouterr().err == (
-            "error: DimensionOverflow: block dimension 4194304 exceeds DIM_CAP 4096 and "
-            "the diagonal tables need 8388608 elements, over the budget 4194304\n"
+            "error: DimensionOverflow: exact sweep over 4194304 strings exceeds cap 1024 "
+            "and the diagonal tables need 8388608 elements, over the budget 4194304\n"
         )
         assert peak < 2**20
 
@@ -246,6 +247,74 @@ class TestCliCommands:
             main(["fidelity", path, path, *option])
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+class TestParserReuse:
+    """main parses with one parser per process, built on first use."""
+
+    @pytest.fixture
+    def inputs(self, tmp_path):
+        ens = Ensemble.from_lists([0.5, 0.5], [diag_state(0.9, 0.1), diag_state(0.1, 0.9)])
+        return write_ensemble(tmp_path / "e.json", ens), write_state(
+            tmp_path / "a.json", diag_state(0.7, 0.3))
+
+    @staticmethod
+    def sequence(ensemble, state, out_dir):
+        return [
+            ["blocksim", "run", "--ensemble", ensemble, "--N", "6", "--rate", "0.8",
+             "--mode", "mc", "--samples", "300", "--seed", "2",
+             "--out", str(out_dir / "blocksim.json")],
+            ["fidelity", state, state, "--out", str(out_dir / "fidelity.json")],
+            ["rates", "report", "--ensemble", ensemble, "--csv",
+             "--out", str(out_dir / "rates.csv")],
+        ]
+
+    def test_build_parser_runs_once(self, monkeypatch, inputs, tmp_path):
+        calls = []
+        real = cli.build_parser
+
+        def counting():
+            calls.append(1)
+            return real()
+
+        monkeypatch.setattr(cli, "build_parser", counting)
+        cli._parser.cache_clear()
+        try:
+            for argv in self.sequence(*inputs, tmp_path):
+                assert main(argv) == 0
+        finally:
+            cli._parser.cache_clear()
+        assert len(calls) == 1
+
+    def test_reused_parser_gives_fresh_parser_artifacts(self, inputs, tmp_path):
+        reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+        reused.mkdir()
+        fresh.mkdir()
+        for argv in self.sequence(*inputs, reused):
+            assert main(argv) == 0
+        for argv in self.sequence(*inputs, fresh):
+            args = cli.build_parser().parse_args(argv)
+            assert args.func(args) is None
+        for name in ("blocksim.json", "fidelity.json", "rates.csv"):
+            assert (reused / name).read_bytes() == (fresh / name).read_bytes()
+
+    @pytest.mark.parametrize("bad", [
+        ["blocksim", "run", "--N", "6"],
+        ["blocksim", "run", "--ensemble", "e.json", "--N", "6", "--rate", "0.8",
+         "--mode", "fast"],
+        ["fidelity"],
+    ])
+    def test_argparse_errors_exit_2_after_a_successful_call(self, inputs, tmp_path, capsys,
+                                                            bad):
+        argv = self.sequence(*inputs, tmp_path)[1]
+        assert main(argv) == 0
+        first = (tmp_path / "fidelity.json").read_bytes()
+        with pytest.raises(SystemExit) as exc:
+            main(bad)
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
+        assert main(argv) == 0
+        assert (tmp_path / "fidelity.json").read_bytes() == first
 
 
 class TestSelftest:
