@@ -29,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionMismatch, DimensionOverflow, DomainError
-from .measures import Ensemble, fidelity, vn_entropy
+from .measures import Ensemble, fidelity, sqrt_fidelity_from_roots, vn_entropy
 from .qmat import (
     DIM_CAP,
     DensityLike,
@@ -37,15 +37,16 @@ from .qmat import (
     as_density,
     dagger,
     eig_hermitian,
-    partial_trace,
+    psd_roots,
 )
 from .sampling import block_generator
 from .tolerance import PARAM_EPS
 
 # Strings in a per-string exact sweep.
 EXACT_SWEEP_CAP = 1024
-# Elements in the largest array the diagonal engine builds (see _plan) and in
-# any Kronecker-power weight vector: 2^22 float64 values, 32 MiB.
+# Elements in the largest array the diagonal engine builds (see _plan), in any
+# Kronecker-power weight vector and in the Monte Carlo draws (n_samples x N
+# picks, also checked in _plan): 2^22 values of 8 bytes, 32 MiB.
 DIAGONAL_TABLE_BUDGET = 2**22
 DEFAULT_MC_SAMPLES = 2000
 MC_BLOCK = 256
@@ -348,15 +349,17 @@ def _in_frame(source: BlockSource, frame: np.ndarray | None) -> BlockSource:
     return BlockSource(Ensemble(states, source.base.probs), source.n_blocks)
 
 
-def _plan(source: BlockSource, keeps_coordinates: bool, mode: str) -> tuple[bool, bool, bool]:
+def _plan(source: BlockSource, keeps_coordinates: bool, mode: str,
+          n_samples: int) -> tuple[bool, bool, bool]:
     """Scoring path of a source written in the scheme's frame: (diagonal, tabled, exact).
 
     ``diagonal``: the diagonal engine applies, because every base state is
     diagonal and the scheme keeps coordinates of this source
     (``keeps_coordinates``).  ``tabled``: the engine's tables of all strings,
     the largest max(m, d)^N * d elements, fit the budget.  ``exact``: the
-    sweep is exact, not Monte Carlo.  Every refusal of a scoring request is
-    made here, before any string is scored.
+    sweep is exact, not Monte Carlo, which draws all its n_samples x N picks
+    first.  Every refusal of a scoring request is made here, before any
+    string is drawn or scored.
     """
     if mode not in ("auto", "exact", "mc"):
         raise DomainError(f"mode must be auto|exact|mc, got {mode!r}")
@@ -382,17 +385,25 @@ def _plan(source: BlockSource, keeps_coordinates: bool, mode: str) -> tuple[bool
             f"exact sweep over {source.n_strings} strings exceeds cap {EXACT_SWEEP_CAP} "
             f"and {reason}"
         )
-    return diagonal, tabled, mode == "exact" or (mode == "auto" and exact_ok)
+    exact = mode == "exact" or (mode == "auto" and exact_ok)
+    draws = n_samples * source.n_blocks
+    if not exact and draws > DIAGONAL_TABLE_BUDGET:
+        raise DimensionOverflow(
+            f"Monte Carlo draws of {n_samples} samples x {source.n_blocks} picks exceed "
+            f"DIAGONAL_TABLE_BUDGET {DIAGONAL_TABLE_BUDGET}"
+        )
+    return diagonal, tabled, exact
 
 
-def project_patch_plan(source: BlockSource, mode: str) -> tuple[bool, bool, bool]:
+def project_patch_plan(source: BlockSource, mode: str,
+                       n_samples: int = DEFAULT_MC_SAMPLES) -> tuple[bool, bool, bool]:
     """How the project-and-patch scheme of this source would be scored in a mode.
 
     It needs only the base states, so a request no path can score is refused
     with ``DimensionOverflow`` before the scheme's d^N weights are built.
     """
     _, frame = _weights_and_frame(source.base.average(), source.base.states)
-    return _plan(_in_frame(source, frame), True, mode)
+    return _plan(_in_frame(source, frame), True, mode, n_samples)
 
 
 # Global and local score of every string; local is None when not wanted.
@@ -471,18 +482,69 @@ def _diagonal_tables(factors: list[np.ndarray], mask: np.ndarray, x0: tuple,
     return g, local
 
 
-def _score_string(source: BlockSource, scheme: Scheme, string,
-                  want_local: bool) -> tuple[float, float]:
-    """Global and local score of one string from dense d^N matrices (local 0.0 unless wanted)."""
+# Base states as an (m, d, d) stack, their square roots and their diagonal tests.
+_Base = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _base_roots(source: BlockSource) -> _Base:
+    """The base states' stack, square roots (one eigh call) and diagonal tests."""
+    mats = np.stack([s.matrix for s in source.base.states])
+    return (mats, *psd_roots(mats))
+
+
+def _string_state(mats: list[np.ndarray]) -> np.ndarray:
+    """Kronecker product of the matrices, left to right, by outer products.
+
+    Bitwise equal to reduce(np.kron, mats): each entry is the same product,
+    taken in the same order.
+    """
+    n, dim = len(mats), mats[0].shape[0] ** len(mats)
+    # Axes (r_1, c_1, ..., r_N, c_N) to (r_1..r_N, c_1..c_N).
+    return (reduce(np.multiply.outer, mats)
+            .transpose((*range(0, 2 * n, 2), *range(1, 2 * n, 2))).reshape(dim, dim))
+
+
+def _marginals(out: np.ndarray, d: int, n: int) -> np.ndarray:
+    """The n single-position marginals of a d^n x d^n matrix, as an (n, d, d) stack.
+
+    Positions are traced out last first, as partial_trace does, so each
+    marginal equals partial_trace's bit for bit; marginals share the traces
+    of the later positions.
+    """
+    t = out.reshape((d,) * (2 * n))
+    margs = []
+    for j in reversed(range(n)):
+        # t keeps positions 0..j; trace out those before j, last first.
+        m = t
+        for i in reversed(range(j)):
+            m = np.trace(m, axis1=i, axis2=m.ndim // 2 + i)
+        margs.append(m)
+        t = np.trace(t, axis1=j, axis2=t.ndim // 2 + j)
+    return np.stack(margs[::-1])
+
+
+def _score_string(source: BlockSource, scheme: Scheme, string, want_local: bool,
+                  base: _Base | None = None) -> tuple[float, float]:
+    """Global and local score of one string from dense d^N matrices (local 0.0 unless wanted).
+
+    The local score takes the N marginals of the output in one pass and
+    scores them against their base states as one (N, d, d) stack.  ``base``
+    is ``_base_roots(source)``, which a scoring call computes once; it is
+    computed here when not given.
+    """
     d, n = source.base.dim, source.n_blocks
-    states = [source.base.states[i] for i in string]
-    sig = DensityOperator._wrap(reduce(np.kron, [s.matrix for s in states]))
+    sig = DensityOperator._wrap(_string_state([source.base.states[i].matrix for i in string]))
     out = scheme.apply(sig)
     g = fidelity(sig, out)
     if not want_local:
         return g, 0.0
-    return g, math.prod(fidelity(s, partial_trace(out, [d] * n, keep=k))
-                        for k, s in enumerate(states))
+    mats, roots, diagonal = _base_roots(source) if base is None else base
+    idx = list(string)
+    marg = _marginals(out.matrix, d, n)
+    marg_roots, marg_diagonal = psd_roots(marg)
+    g_marg = sqrt_fidelity_from_roots(mats[idx], roots[idx], marg, marg_roots,
+                                      diagonal[idx] & marg_diagonal)
+    return g, math.prod((g_marg**2).tolist())
 
 
 def _exact_scores(source: BlockSource, method: str, tables: _Tables | None,
@@ -510,32 +572,36 @@ def _exact_scores(source: BlockSource, method: str, tables: _Tables | None,
 
 def _mc_scores(source: BlockSource, n_samples: int, seed: int, workers: int,
                tables: _Tables | None, score: Callable) -> tuple[FidelityScore, FidelityScore]:
-    n_states = len(source.base)
-    probs = source.base.probs
+    """Seeded Monte Carlo over n_samples strings, drawn in blocks of MC_BLOCK.
 
-    def run_block(block: int) -> tuple[np.ndarray, np.ndarray]:
-        rng = block_generator(seed, block)
-        m = min(MC_BLOCK, n_samples - block * MC_BLOCK)
-        picks = rng.choice(n_states, size=(m, source.n_blocks), p=probs)
-        if tables is not None:
-            g_table, l_table = tables
-            idx = tuple(picks.T)
-            return g_table[idx], (l_table[idx] if l_table is not None else np.zeros(m))
-        gs = np.empty(m)
-        ls = np.empty(m)
-        for row in range(m):
-            gs[row], ls[row] = score(tuple(int(x) for x in picks[row]))
-        return gs, ls
-
+    Every block's picks come first, each block from its own stream.  The
+    tables are indexed by them; otherwise each distinct string is scored once,
+    split over at most min(workers, cores, blocks) threads, and its scores
+    are scattered back in sample order, so the estimate equals scoring every
+    sample.
+    """
     n_blocks = math.ceil(n_samples / MC_BLOCK)
-    workers = min(workers, os.cpu_count() or 1, n_blocks)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run_block, range(n_blocks)))
+    picks = np.concatenate([
+        block_generator(seed, b).choice(len(source.base), p=source.base.probs,
+                                        size=(min(MC_BLOCK, n_samples - b * MC_BLOCK),
+                                              source.n_blocks))
+        for b in range(n_blocks)
+    ])
+    if tables is not None:
+        g_table, l_table = tables
+        idx = tuple(picks.T)
+        gs = g_table[idx]
+        ls = l_table[idx] if l_table is not None else np.zeros(n_samples)
     else:
-        parts = [run_block(b) for b in range(n_blocks)]
-    gs = np.concatenate([p[0] for p in parts])
-    ls = np.concatenate([p[1] for p in parts])
+        distinct, inverse = np.unique(picks, axis=0, return_inverse=True)
+        strings = [tuple(int(x) for x in row) for row in distinct]
+        workers = min(workers, os.cpu_count() or 1, n_blocks)
+        if workers > 1:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                scored = list(pool.map(score, strings))
+        else:
+            scored = [score(s) for s in strings]
+        gs, ls = np.ascontiguousarray(np.array(scored)[inverse.reshape(-1)].T)
 
     def summarise(xs: np.ndarray) -> FidelityScore:
         mean = float(xs.mean())
@@ -552,7 +618,7 @@ def _scores(source: BlockSource, scheme: Scheme, want_local: bool, mode: str,
     source = _in_frame(source, scheme.frame)
     keeps_coordinates = (isinstance(scheme, ProjectPatchScheme)
                          and scheme.subspace.full_dim == source.full_dim)
-    diagonal, tabled, exact = _plan(source, keeps_coordinates, mode)
+    diagonal, tabled, exact = _plan(source, keeps_coordinates, mode, n_samples)
     tables = None
     if diagonal:
         P, mask, x0 = _diagonal_inputs(source, scheme)
@@ -563,9 +629,10 @@ def _scores(source: BlockSource, scheme: Scheme, want_local: bool, mode: str,
             g, loc = _diagonal_tables([P[s:s + 1] for s in string], mask, x0, want_local)
             return g.item(), (0.0 if loc is None else loc.item())
     else:
+        base = _base_roots(source) if want_local else None
 
         def score(string):
-            return _score_string(source, scheme, string, want_local)
+            return _score_string(source, scheme, string, want_local, base)
 
     if exact:
         method = "exact-diagonal" if diagonal else "exact-dense"
@@ -587,8 +654,11 @@ def global_fidelity_score(source: BlockSource, scheme: Scheme, mode: str = "auto
     sweep one string at a time covers at most ``EXACT_SWEEP_CAP`` strings.
     Where no exact sweep fits, ``mode="exact"`` raises ``DimensionOverflow``
     and ``"auto"`` returns a seeded Monte Carlo estimate of ``n_samples`` (at
-    least 1) strings with standard error.  Each refusal comes before the
-    first string is scored.
+    least 1) strings with standard error.  Monte Carlo draws all its strings
+    first, at most ``DIAGONAL_TABLE_BUDGET`` picks in all; a path that scores
+    one string at a time scores each distinct drawn string once, split over
+    ``workers`` threads, and the estimate equals scoring every sample.  Each
+    refusal comes before the first string is drawn or scored.
     """
     g, _ = _scores(source, scheme, False, mode, n_samples, seed, workers)
     return g

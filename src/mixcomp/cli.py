@@ -141,7 +141,7 @@ def cmd_blocksim_run(args) -> None:
     ensemble = wire.load_ensemble(args.ensemble)
     source = blocksim.BlockSource.build(ensemble, args.n_blocks)
     # Refuse an unscorable request before the scheme's d^N weights are built.
-    blocksim.project_patch_plan(source, args.mode)
+    blocksim.project_patch_plan(source, args.mode, args.samples)
     scheme = blocksim.project_patch_scheme(source, args.rate)
     kwargs = dict(mode=args.mode, n_samples=args.samples, seed=args.seed,
                   workers=max(1, args.workers))
@@ -248,7 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("auto", "exact", "mc"), default="auto")
     p.add_argument("--samples", type=int, default=blocksim.DEFAULT_MC_SAMPLES)
     p.add_argument("--workers", type=int, default=1,
-                   help="worker count for Monte Carlo sample blocks (default 1)")
+                   help="threads that split the distinct strings a Monte Carlo run "
+                        "scores one at a time (default 1)")
     _add_common(p)
     p.set_defaults(func=cmd_blocksim_run)
 

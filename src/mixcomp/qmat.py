@@ -46,8 +46,8 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return m.conj().T
+    """Conjugate transpose of a matrix, or of each matrix in a stack (..., d, d)."""
+    return m.conj().swapaxes(-1, -2)
 
 
 def _as_square_complex(m, name: str = "matrix") -> np.ndarray:
@@ -227,14 +227,34 @@ def matrix_sqrt_psd(m) -> np.ndarray:
     A DensityOperator is PSD by construction.
     """
     spec = eig_hermitian(m)
-    vals = spec.eigenvalues
-    lo = float(vals[-1])
+    lo = float(spec.eigenvalues[-1])
     if not isinstance(m, DensityOperator) and not PSD_TOL.admits(-lo):
         raise NotPSD(f"matrix_sqrt_psd: eigenvalue {lo:.3e} below PSD tolerance -{PSD_TOL}")
-    root = np.sqrt(np.clip(vals, 0.0, None))
-    v = spec.eigenvectors
-    r = (v * root) @ dagger(v)
+    return _spectrum_root(spec.eigenvalues, spec.eigenvectors)
+
+
+def _spectrum_root(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """V sqrt(max(vals, 0)) V^dag, symmetrised, of one spectrum or a stack of them."""
+    r = (vecs * np.sqrt(np.clip(vals, 0.0, None))[..., None, :]) @ dagger(vecs)
     return (r + dagger(r)) / 2.0
+
+
+def psd_roots(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """matrix_sqrt_psd of each density matrix in a stack (k, d, d), from one eigh call.
+
+    Each root is bit for bit the one matrix_sqrt_psd gives that matrix as a
+    DensityOperator: the same diagonal test and shortcut, the same eigenvalue
+    order, the same formula.  Returns the roots and the diagonal tests.
+    """
+    flags = np.array([is_diagonal(m) for m in stack], dtype=bool)
+    vals, vecs = np.linalg.eigh(stack)
+    if flags.any():
+        vals[flags] = np.real(np.diagonal(stack[flags], axis1=-2, axis2=-1))
+        vecs[flags] = np.eye(stack.shape[-1])
+    order = np.argsort(-vals, axis=-1, kind="stable")
+    vals = np.take_along_axis(vals, order, axis=-1)
+    vecs = np.take_along_axis(vecs, order[..., None, :], axis=-1)
+    return _spectrum_root(vals, vecs), flags
 
 
 def tensor(a: DensityLike, b: DensityLike) -> DensityOperator:

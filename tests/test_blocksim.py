@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from functools import reduce
 from unittest import mock
 
@@ -28,7 +29,7 @@ from mixcomp.blocksim import (
 )
 from mixcomp.errors import DimensionMismatch, DimensionOverflow, DomainError
 from mixcomp.measures import Ensemble, fidelity, vn_entropy
-from mixcomp.qmat import eig_hermitian, maximally_mixed, partial_trace
+from mixcomp.qmat import DensityOperator, eig_hermitian, maximally_mixed, partial_trace
 
 from conftest import diag_state, top_product_sum_oracle
 
@@ -320,8 +321,10 @@ class TestScores:
         "workers, cpus, n_samples, expected",
         [(10_000, 3, 1500, 3), (1000, 64, 300, 2), (8, None, 1500, None), (4, 8, 256, None)],
     )
-    def test_monte_carlo_worker_clamp(self, monkeypatch, workers, cpus, n_samples, expected):
+    def test_monte_carlo_worker_clamp(self, monkeypatch, rng, workers, cpus, n_samples,
+                                      expected):
         # Pool size is min(workers, cores, sample blocks); no pool below two.
+        # The pool splits the strings scored one at a time, so the source is dense.
         created = []
 
         class RecordingPool:
@@ -339,7 +342,7 @@ class TestScores:
 
         monkeypatch.setattr(blocksim, "ThreadPoolExecutor", RecordingPool)
         monkeypatch.setattr(blocksim.os, "cpu_count", lambda: cpus)
-        source = BlockSource.build(two_coin_base(0.85), 6)
+        source = dense_pair(rng, n=3)
         scheme = project_patch_scheme(source, 0.6)
         score = global_fidelity_score(source, scheme, mode="mc", n_samples=n_samples,
                                       seed=7, workers=workers)
@@ -596,6 +599,17 @@ def _pinned(priors, diags, n: int, rate: float):
     return BlockSource.build(base, n), rate
 
 
+def untabled_plan():
+    """Patch _plan so that nothing is tabled: the diagonal engine scores one string per call."""
+    plan = blocksim._plan
+
+    def untabled(*args):
+        diagonal, _, exact = plan(*args)
+        return diagonal, False, exact
+
+    return mock.patch.object(blocksim, "_plan", untabled)
+
+
 # Mirrored coins tie the mean diagonal; the middle state has a zero prior.
 _TIED = ([0.5, 0.0, 0.5], [(0.75, 0.25), (1.0, 0.0), (0.25, 0.75)])
 
@@ -621,9 +635,7 @@ class TestDiagonalTablesOracle:
         fast = [score(source, scheme, mode=mode, **kwargs)
                 for score in (global_fidelity_score, local_fidelity_score)
                 for mode in ("exact", "mc")]
-        # A budget of d^N fits the kept-set mask but no table (at least d^(N+1)
-        # elements), so every call goes through one engine call per string.
-        with mock.patch.object(blocksim, "DIAGONAL_TABLE_BUDGET", source.full_dim):
+        with untabled_plan():
             slow = [score(source, scheme, mode=mode, **kwargs)
                     for score in (global_fidelity_score, local_fidelity_score)
                     for mode in ("exact", "mc")]
@@ -758,3 +770,185 @@ class TestLargeBlockScores:
         assert g.method == loc.method == "exact-diagonal"
         assert abs(g.value - global_fid) <= 1e-12
         assert abs(loc.value - local_fid) <= 1e-12
+
+
+def dense_pair(rng, d: int = 2, n: int = 4) -> BlockSource:
+    base = Ensemble.from_lists([0.35, 0.65], [sampling.random_density(d, rng) for _ in range(2)])
+    return BlockSource.build(base, n)
+
+
+def drawn_strings(source: BlockSource, n_samples: int, seed: int) -> list[tuple[int, ...]]:
+    """The Monte Carlo strings in sample order: block b of MC_BLOCK from stream (seed, b)."""
+    rows = []
+    for b in range(math.ceil(n_samples / blocksim.MC_BLOCK)):
+        m = min(blocksim.MC_BLOCK, n_samples - b * blocksim.MC_BLOCK)
+        rows += sampling.block_generator(seed, b).choice(
+            len(source.base), size=(m, source.n_blocks), p=source.base.probs).tolist()
+    return [tuple(r) for r in rows]
+
+
+def per_sample_oracle(source: BlockSource, n_samples: int, seed: int, score):
+    """(value, stderr) of the global and the local score, scoring every sample in order.
+
+    This is the per-sample loop that scoring each distinct string once replaced.
+    """
+    scores = np.empty((n_samples, 2))
+    for r, string in enumerate(drawn_strings(source, n_samples, seed)):
+        scores[r] = score(string)
+    return [(float(x.mean()), float(x.std(ddof=1) / np.sqrt(x.size))) for x in scores.T]
+
+
+def recording(target: str, calls: list):
+    """Patch a blocksim function so every call records its arguments and goes through."""
+    original = getattr(blocksim, target)
+
+    def record(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    return mock.patch.object(blocksim, target, record)
+
+
+class TestMonteCarloDistinctStrings:
+    """Monte Carlo scores each distinct drawn string once, and equals the per-sample loop."""
+
+    N_SAMPLES, SEED = 700, 5
+
+    def _check(self, source, scheme, target, string_of, oracle_score):
+        want = per_sample_oracle(source, self.N_SAMPLES, self.SEED, oracle_score)
+        distinct = set(drawn_strings(source, self.N_SAMPLES, self.SEED))
+        assert len(distinct) < self.N_SAMPLES
+        for score, (value, stderr) in zip((global_fidelity_score, local_fidelity_score), want):
+            calls = []
+            with recording(target, calls):
+                got = score(source, scheme, mode="mc", n_samples=self.N_SAMPLES, seed=self.SEED)
+            scored = [string_of(args) for args in calls]
+            assert len(scored) == len(distinct) and set(scored) == distinct
+            assert (got.method, got.n_terms) == ("monte-carlo", self.N_SAMPLES)
+            assert got.value == value and got.stderr == stderr
+
+    def test_dense_path(self, rng):
+        source = dense_pair(rng)
+        scheme = project_patch_scheme(source, 0.6)
+        framed = blocksim._in_frame(source, scheme.frame)
+        self._check(source, scheme, "_score_string", lambda args: tuple(args[2]),
+                    lambda s: blocksim._score_string(framed, scheme, s, True))
+
+    def test_one_row_diagonal_path(self):
+        source = BlockSource.build(two_coin_base(0.8), 5)
+        scheme = project_patch_scheme(source, 0.6)
+        P, _, _ = blocksim._diagonal_inputs(source, scheme)
+
+        def string_of(args):
+            rows = args[0]
+            assert [len(f) for f in rows] == [1] * source.n_blocks
+            return tuple(int(np.flatnonzero((P == f).all(axis=1))[0]) for f in rows)
+
+        with untabled_plan():
+            self._check(source, scheme, "_diagonal_tables", string_of,
+                        lambda s: tuple(t.item() for t in engine_scores(source, scheme, s)))
+
+    def test_non_commuting_source_is_worker_invariant(self, rng, monkeypatch):
+        # Four sample blocks and four cores: workers=3 makes a pool of three.
+        created = []
+
+        class RecordingPool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                created.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(blocksim, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(blocksim.os, "cpu_count", lambda: 4)
+        source = dense_pair(rng, n=3)
+        scheme = project_patch_scheme(source, 0.6)
+        kwargs = dict(mode="mc", n_samples=4 * blocksim.MC_BLOCK, seed=9)
+        for score in (global_fidelity_score, local_fidelity_score):
+            serial = score(source, scheme, workers=1, **kwargs)
+            threaded = score(source, scheme, workers=3, **kwargs)
+            assert (serial.value, serial.stderr) == (threaded.value, threaded.stderr)
+        assert created == [3, 3]
+
+
+class TestMonteCarloDrawBound:
+    """The n_samples x N picks are bounded by DIAGONAL_TABLE_BUDGET before any draw."""
+
+    @pytest.mark.parametrize("dense", [True, False])
+    def test_refused_over_the_budget_in_monte_carlo_only(self, rng, dense):
+        n = 4
+        source = dense_pair(rng, n=n) if dense else BlockSource.build(two_coin_base(), n)
+        most = blocksim.DIAGONAL_TABLE_BUDGET // n
+        assert blocksim.project_patch_plan(source, "mc", most)[2] is False
+        with pytest.raises(DimensionOverflow, match="Monte Carlo draws"):
+            blocksim.project_patch_plan(source, "mc", most + 1)
+        # An exact sweep draws nothing: the sample count is not bounded there.
+        for mode in ("exact", "auto"):
+            assert blocksim.project_patch_plan(source, mode, most + 1)[2] is True
+
+    def test_score_functions_refuse_before_drawing(self, rng):
+        source = dense_pair(rng, n=3)
+        scheme = project_patch_scheme(source, 0.6)
+        with mock.patch.object(blocksim, "block_generator") as draw, \
+                mock.patch.object(blocksim, "_score_string") as score_string:
+            for score in (global_fidelity_score, local_fidelity_score):
+                with pytest.raises(DimensionOverflow, match="Monte Carlo draws"):
+                    score(source, scheme, mode="mc",
+                          n_samples=blocksim.DIAGONAL_TABLE_BUDGET // 3 + 1)
+        draw.assert_not_called()
+        score_string.assert_not_called()
+
+
+def per_marginal_local(framed: BlockSource, scheme, string) -> float:
+    """Local score of one string from partial_trace and fidelity, one marginal at a time."""
+    d, n = framed.base.dim, framed.n_blocks
+    states = [framed.base.states[i] for i in string]
+    out = scheme.apply(DensityOperator._wrap(reduce(np.kron, [s.matrix for s in states])))
+    return math.prod(fidelity(s, partial_trace(out, [d] * n, keep=j))
+                     for j, s in enumerate(states))
+
+
+class TestStackedLocalStep:
+    """The (N, d, d) stacked local step against the per-marginal oracle."""
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("pure", [False, True])
+    def test_matches_per_marginal_oracle(self, rng, d, n, pure):
+        for rate in (0.0, 0.5, 1.0):
+            if pure:
+                states = [sampling.random_pure_state(d, rng).projector() for _ in range(2)]
+            else:
+                states = [sampling.random_density(d, rng) for _ in range(2)]
+            source = BlockSource.build(Ensemble.from_lists([0.4, 0.6], states), n)
+            scheme = project_patch_scheme(source, rate)
+            framed = blocksim._in_frame(source, scheme.frame)
+            base = blocksim._base_roots(framed)
+            for string in itertools.product(range(2), repeat=n):
+                _, loc = blocksim._score_string(framed, scheme, string, True, base)
+                assert abs(loc - per_marginal_local(framed, scheme, string)) <= 1e-12
+
+    def test_bell_output(self, rng, bell_state):
+        scheme = FixedOutputScheme(bell_state)
+        for states in ([maximally_mixed(2)],
+                       [sampling.random_density(2, rng) for _ in range(2)]):
+            base = Ensemble.from_lists(np.full(len(states), 1 / len(states)), states)
+            source = BlockSource.build(base, 2)
+            for string in itertools.product(range(len(states)), repeat=2):
+                _, loc = blocksim._score_string(source, scheme, string, True)
+                assert abs(loc - per_marginal_local(source, scheme, string)) <= 1e-12
+        # Demo 04: perfect marginals from an entangled output.
+        source = BlockSource.build(Ensemble.from_lists([1.0], [maximally_mixed(2)]), 2)
+        assert abs(local_fidelity_score(source, scheme, mode="exact").value - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("d, n", [(1, 3), (2, 1), (2, 5), (3, 4)])
+    def test_string_state_bitwise_equal_to_reduce_kron(self, rng, d, n):
+        mats = [sampling.random_density(d, rng).matrix for _ in range(n)]
+        got = blocksim._string_state(mats)
+        want = reduce(np.kron, mats)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("d, n", [(2, 1), (2, 4), (3, 3)])
+    def test_marginals_bitwise_equal_to_partial_trace(self, rng, d, n):
+        out = sampling.random_density(d**n, rng)
+        got = blocksim._marginals(out.matrix, d, n)
+        for j in range(n):
+            assert got[j].tobytes() == partial_trace(out, [d] * n, keep=j).matrix.tobytes()

@@ -1,10 +1,12 @@
+import contextlib
 import json
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from mixcomp import cli, sampling, wire
+from mixcomp import blocksim, cli, sampling, wire
 from mixcomp.blocksim import ceiling_subspace_dim
 from mixcomp.cli import main
 from mixcomp.errors import ParseError, ValidationError
@@ -223,6 +225,32 @@ class TestCliCommands:
             "and the diagonal tables need 8388608 elements, over the budget 4194304\n"
         )
         assert peak < 2**20
+
+    @pytest.mark.parametrize("dense, n, mode", [(True, 3, "mc"), (True, 11, "auto"),
+                                                (False, 6, "mc")])
+    def test_monte_carlo_draws_over_budget_refused_before_scoring(self, tmp_path, capsys, rng,
+                                                                  dense, n, mode):
+        # Drawing every pick first needs n_samples x N integers: one more
+        # sample than the budget admits exits 2 before the scheme is built,
+        # a pick is drawn or a string is scored.
+        if dense:
+            states = [sampling.random_density(2, rng) for _ in range(2)]
+        else:
+            states = [diag_state(0.9, 0.1), diag_state(0.1, 0.9)]
+        path = write_ensemble(tmp_path / "e.json", Ensemble.from_lists([0.5, 0.5], states))
+        samples = blocksim.DIAGONAL_TABLE_BUDGET // n + 1
+        with contextlib.ExitStack() as stack:
+            mocks = [stack.enter_context(mock.patch.object(blocksim, name)) for name in (
+                "project_patch_scheme", "block_generator", "_score_string", "_diagonal_tables")]
+            code = main(["blocksim", "run", "--ensemble", path, "--N", str(n), "--rate", "0.6",
+                         "--mode", mode, "--samples", str(samples)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: DimensionOverflow: Monte Carlo draws of {samples} samples x {n} picks "
+            f"exceed DIAGONAL_TABLE_BUDGET {blocksim.DIAGONAL_TABLE_BUDGET}\n"
+        )
+        for m in mocks:
+            m.assert_not_called()
 
     @pytest.mark.parametrize("option, message", [
         (["--rate", "nan"], "rate must be finite"),

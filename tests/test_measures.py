@@ -26,9 +26,10 @@ from mixcomp.measures import (
     measured_classical_fidelity,
     shannon_entropy,
     sqrt_fidelity,
+    sqrt_fidelity_from_roots,
     vn_entropy,
 )
-from mixcomp.qmat import maximally_mixed
+from mixcomp.qmat import as_density, matrix_sqrt_psd, maximally_mixed, psd_roots
 
 from conftest import diag_state
 
@@ -129,6 +130,27 @@ class TestSqrtFidelity:
                     lam * r2.matrix + (1 - lam) * s2.matrix,
                 )
                 assert mixed >= lam * g_r + (1 - lam) * g_s - 1e-8
+
+
+    def test_stacked_formula_equals_pairwise(self, rng):
+        # One formula: a stack of pairs scores each pair as sqrt_fidelity does,
+        # the classical sum where both are diagonal included.
+        # About a third of diagonal pairs differ in the last bit between the
+        # classical sum and the matrix formula.
+        diagonal = [as_density(np.diag(sampling.random_prob_vector(3, rng)).astype(complex))
+                    for _ in range(40)]
+        a = [sampling.random_density(3, rng), sampling.random_pure_state(3, rng).projector(),
+             maximally_mixed(3), *diagonal[:20]]
+        b = [sampling.random_density(3, rng), sampling.random_density(3, rng),
+             sampling.random_density(3, rng), *diagonal[20:]]
+        a_mats, b_mats = (np.stack([s.matrix for s in x]) for x in (a, b))
+        (a_roots, a_diag), (b_roots, b_diag) = psd_roots(a_mats), psd_roots(b_mats)
+        got = sqrt_fidelity_from_roots(a_mats, a_roots, b_mats, b_roots, a_diag & b_diag)
+        assert (a_diag & b_diag).tolist() == [False] * 3 + [True] * 20
+        assert got.tolist() == [sqrt_fidelity(x, y) for x, y in zip(a, b)]
+        single = sqrt_fidelity_from_roots(a_mats[0], matrix_sqrt_psd(a[0]),
+                                          b_mats[0], matrix_sqrt_psd(b[0]))
+        assert float(single) == sqrt_fidelity(a[0], b[0])
 
 
 class TestClassicalFidelity:

@@ -23,6 +23,7 @@ from mixcomp.qmat import (
     maximally_mixed,
     partial_trace,
     projector,
+    psd_roots,
     tensor,
     tensor_many,
     trace_out,
@@ -86,6 +87,18 @@ class TestMatrixSqrt:
     def test_rejects_negative(self):
         with pytest.raises(NotPSD):
             matrix_sqrt_psd(diag_state(1.0, -0.5))
+
+    def test_stacked_roots_bitwise_equal_matrix_sqrt_psd(self, rng):
+        # Mixed, pure (rank 1), diagonal and tied-spectrum states in one stack.
+        for d in (2, 3, 4):
+            states = [sampling.random_density(d, rng),
+                      sampling.random_pure_state(d, rng).projector(),
+                      DensityOperator.from_matrix(np.diag(sampling.random_prob_vector(d, rng))),
+                      maximally_mixed(d)]
+            roots, flags = psd_roots(np.stack([s.matrix for s in states]))
+            assert flags.tolist() == [s.is_diagonal for s in states] == [False, False, True, True]
+            for root, s in zip(roots, states):
+                assert root.tobytes() == matrix_sqrt_psd(s).tobytes()
 
 
 class TestDensityOperator:
