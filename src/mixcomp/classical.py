@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DegenerateProtocol, DimensionMismatch, DomainError, ValidationError
-from .measures import Ensemble, as_prob_vector, holevo, shannon_entropy, vn_entropy
+from .measures import Ensemble, _entropy_bracket, as_prob_vector, shannon_entropy
 from .sampling import block_generator
 from .tolerance import PARAM_EPS, UNIT_TOL
 
@@ -257,8 +257,9 @@ def classical_rate_comparison(src: CoinSource):
     s, swapped = orient_coins(src)
     ensemble = src.as_ensemble()
     abar = src.average_heads()
+    s_bar, chi = _entropy_bracket(ensemble)
     entries = [
-        RateEntry("S(mean state) = H(avg coin)", vn_entropy(ensemble.average()), "upper_bound"),
+        RateEntry("S(mean state) = H(avg coin)", s_bar, "upper_bound"),
         RateEntry("H(coin priors)", shannon_entropy([src.p1, src.p2]), "upper_bound"),
         RateEntry("three-message protocol Xi", xi_rate(src), "scheme_rate"),
     ]
@@ -267,7 +268,6 @@ def classical_rate_comparison(src: CoinSource):
         entries.append(RateEntry("purification scheme Upsilon", upsilon_rate(eps), "scheme_rate"))
     # The mutual information H(avg coin) - sum_i p_i H(coin i) equals chi for
     # this commuting source.
-    chi = holevo(ensemble)
     entries.append(RateEntry("Holevo quantity", chi, "lower_bound"))
     entries.append(RateEntry("conjectured optimal rate (mutual information)", chi, "conjecture"))
     label = (

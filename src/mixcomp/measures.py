@@ -2,7 +2,8 @@
 
 All logarithms are base 2, so entropies and rates come out in bits (qubits per
 signal).  The convention 0*log(0) = 0 is implemented by zeroing eigenvalues
-below 1e-15 before taking logs.
+below 1e-15 before taking logs.  Ensemble-level measures solve all of an
+ensemble's states as one (m, d, d) stack.
 """
 
 from __future__ import annotations
@@ -22,10 +23,12 @@ from .errors import (
 from .qmat import (
     DensityLike,
     DensityOperator,
+    _eigenvalues,
+    _stack,
     as_density,
     dagger,
-    eig_hermitian,
     matrix_sqrt_psd,
+    psd_roots,
 )
 from .tolerance import LOG_FLOOR, STRUCTURE_TOL, UNIT_TOL, max_abs
 
@@ -146,16 +149,25 @@ def shannon_entropy(p) -> float:
     return entropy_of_spectrum(as_prob_vector(p, "shannon_entropy argument"))
 
 
+def _entropies(vals: np.ndarray) -> np.ndarray:
+    """Entropy in bits of each spectrum along the last axis, clamped at 0.
+
+    Entries at or below LOG_FLOOR (NaN too) count as 0 log 0 = 0.  Rounding
+    can push -sum v log2 v of a pure spectrum such as [1 + 2e-16] below zero;
+    the clamp keeps every entropy nonnegative, and ``+ 0.0`` turns -0.0 into 0.0.
+    """
+    v = np.where(vals > LOG_FLOOR, vals, 1.0)
+    return np.maximum(-np.sum(v * np.log2(v), axis=-1), 0.0) + 0.0
+
+
 def entropy_of_spectrum(vals: np.ndarray) -> float:
-    """Entropy in bits of a nonnegative spectrum (not necessarily validated)."""
-    v = np.asarray(vals, dtype=float)
-    v = v[v > LOG_FLOOR]
-    return float(-np.sum(v * np.log2(v))) + 0.0 if v.size else 0.0
+    """Entropy in bits of a nonnegative spectrum (not necessarily validated), at least 0."""
+    return float(_entropies(np.asarray(vals, dtype=float)))
 
 
 def vn_entropy(rho: DensityLike) -> float:
     """Von Neumann entropy -tr(rho log2 rho) in bits."""
-    return entropy_of_spectrum(eig_hermitian(as_density(rho)).eigenvalues)
+    return float(_entropies(_eigenvalues([as_density(rho)]))[0])
 
 
 def _bhattacharyya(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -217,11 +229,24 @@ def classical_fidelity(p, q) -> float:
     return min(1.0, float(np.sum(np.sqrt(a * b)) ** 2))
 
 
+def _entropy_bracket(ensemble: Ensemble) -> tuple[float, float]:
+    """(S(mean state), chi): the two ends of the rate bracket, from one solve.
+
+    The mean state and every member are solved as one stack (see
+    ``qmat._eigenvalues``), so the mean state is solved once for both.
+    Every entropy is at least 0, so 0 <= chi <= S.
+    """
+    s = _entropies(_eigenvalues((ensemble.average(), *ensemble.states)))
+    return float(s[0]), max(0.0, float(s[0] - ensemble.probs @ s[1:]))
+
+
 def holevo(ensemble: Ensemble) -> float:
-    """Holevo quantity chi = S(mean state) - sum_i p_i S(rho_i), in bits."""
-    avg = vn_entropy(ensemble.average())
-    cond = sum(p * vn_entropy(rho) for p, rho in zip(ensemble.probs, ensemble.states))
-    return max(0.0, float(avg - cond))
+    """Holevo quantity chi = S(mean state) - sum_i p_i S(rho_i), in bits.
+
+    The mean state and all m states are solved in one stacked call, none at
+    all when every one of them is diagonal.
+    """
+    return _entropy_bracket(ensemble)[1]
 
 
 def _check_same_shape(a: Ensemble, b: Ensemble) -> None:
@@ -237,11 +262,17 @@ def _check_same_shape(a: Ensemble, b: Ensemble) -> None:
 
 
 def avg_ensemble_fidelity(a: Ensemble, b: Ensemble) -> float:
-    """Average fidelity sum_i p_i F(rho_i, sigma_i) between same-shape ensembles."""
+    """Average fidelity sum_i p_i F(rho_i, sigma_i) between same-shape ensembles.
+
+    Every pair is scored at once: one ``psd_roots`` call per ensemble and one
+    ``sqrt_fidelity_from_roots`` call on the two stacks, so the cost is two
+    eigh and two eigvalsh calls whatever m is.  Each term is the pairwise
+    ``fidelity`` up to rounding.
+    """
     _check_same_shape(a, b)
-    return float(
-        sum(p * fidelity(r, s) for p, r, s in zip(a.probs, a.states, b.states))
-    )
+    (sa, da), (sb, db) = _stack(a.states), _stack(b.states)
+    g = sqrt_fidelity_from_roots(sa, psd_roots(sa, da)[0], sb, psd_roots(sb, db)[0], da & db)
+    return float(a.probs @ (g * g))
 
 
 @dataclass(frozen=True)

@@ -25,10 +25,11 @@ from .qmat import (
     DensityLike,
     DensityOperator,
     PureState,
+    _stack,
     as_density,
     commuting,
     eig_hermitian,
-    matrix_sqrt_psd,
+    psd_roots,
 )
 from .tolerance import PHASE_FLOOR, STRUCTURE_TOL, max_abs
 
@@ -82,12 +83,14 @@ def _root_overlaps(states) -> np.ndarray:
     For commuting states these are the overlaps of the purifications
     sum_k sqrt(p_k) |k> x |k> written in any common eigenbasis {|k>}: the sum
     sum_k sqrt(p_k q_k) does not depend on which common eigenbasis is used.
+    All m roots come from one ``psd_roots`` call on the stacked states, each bit
+    for bit the root ``matrix_sqrt_psd`` gives.
     """
     if all(s.is_diagonal for s in states):
         # Diagonal roots: the trace is sum_k sqrt(p_ik p_jk), with no d x d products.
         roots = np.sqrt(np.clip(np.real([np.diagonal(s.matrix) for s in states]), 0.0, None))
         return roots @ roots.T
-    roots = np.stack([matrix_sqrt_psd(s) for s in states])
+    roots, _ = psd_roots(*_stack(states))
     return np.real(np.einsum("iab,jba->ij", roots, roots))
 
 

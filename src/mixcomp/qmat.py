@@ -10,6 +10,7 @@ the package builds exceeds the fixed ``DIM_CAP``.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence, Union
@@ -68,8 +69,18 @@ def _hermitian_part(a: np.ndarray, name: str) -> np.ndarray:
 
 
 def is_diagonal(m: np.ndarray) -> bool:
-    """The package's one diagonal test: every off-diagonal |entry| within DIAGONAL_TOL."""
-    return DIAGONAL_TOL.admits(max_abs(m - np.diag(np.diagonal(m))))
+    """The package's one diagonal test: every off-diagonal |entry| within DIAGONAL_TOL.
+
+    The off-diagonal entries are read through a strided view of |m|: row r of
+    the flat entries after the first, cut into rows of d + 1, holds d
+    off-diagonal entries and then a diagonal one.  A NaN or inf anywhere, the
+    diagonal included, fails the test, as it fails m - diag(m).
+    """
+    d = m.shape[-1]
+    a = np.abs(m).reshape(-1)
+    off = a[1:].reshape(d - 1, d + 1)[:, :d]
+    return DIAGONAL_TOL.admits(float(off.max(initial=0.0))) and math.isfinite(
+        a[:: d + 1].max(initial=0.0))
 
 
 def commutator_norm(a: np.ndarray, b: np.ndarray) -> float:
@@ -239,14 +250,18 @@ def _spectrum_root(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     return (r + dagger(r)) / 2.0
 
 
-def psd_roots(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def psd_roots(stack: np.ndarray, diagonal: np.ndarray | None = None
+              ) -> tuple[np.ndarray, np.ndarray]:
     """matrix_sqrt_psd of each density matrix in a stack (k, d, d), from one eigh call.
 
     Each root is bit for bit the one matrix_sqrt_psd gives that matrix as a
     DensityOperator: the same diagonal test and shortcut, the same eigenvalue
-    order, the same formula.  Returns the roots and the diagonal tests.
+    order, the same formula.  ``diagonal`` gives the diagonal tests when the
+    caller holds them (a DensityOperator caches its own); otherwise they are
+    run here.  Returns the roots and the diagonal tests.
     """
-    flags = np.array([is_diagonal(m) for m in stack], dtype=bool)
+    flags = (np.array([is_diagonal(m) for m in stack], dtype=bool) if diagonal is None
+             else diagonal)
     vals, vecs = np.linalg.eigh(stack)
     if flags.any():
         vals[flags] = np.real(np.diagonal(stack[flags], axis1=-2, axis2=-1))
@@ -255,6 +270,25 @@ def psd_roots(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     vals = np.take_along_axis(vals, order, axis=-1)
     vecs = np.take_along_axis(vecs, order[..., None, :], axis=-1)
     return _spectrum_root(vals, vecs), flags
+
+
+def _stack(states: Sequence[DensityOperator]) -> tuple[np.ndarray, np.ndarray]:
+    """The states' matrices as one (k, d, d) stack, and their cached diagonal tests."""
+    return (np.stack([s.matrix for s in states]),
+            np.array([s.is_diagonal for s in states], dtype=bool))
+
+
+def _eigenvalues(states: Sequence[DensityOperator]) -> np.ndarray:
+    """Eigenvalues of each state, descending, as one (k, d) array.
+
+    The one spectrum helper for stacks: diagonal states read their diagonal,
+    as eig_hermitian does, and the others share one eigvalsh call.
+    """
+    mats, flags = _stack(states)
+    vals = np.real(np.diagonal(mats, axis1=-2, axis2=-1)).copy()
+    if not flags.all():
+        vals[~flags] = np.linalg.eigvalsh(mats[~flags])
+    return np.sort(vals, axis=-1)[..., ::-1]
 
 
 def tensor(a: DensityLike, b: DensityLike) -> DensityOperator:

@@ -16,7 +16,14 @@ import numpy as np
 
 from .classical import CoinSource, xi_rate
 from .errors import DomainError, TauMismatch, ValidationError
-from .measures import Ensemble, entropy_of_spectrum, holevo, shannon_entropy, vn_entropy
+from .measures import (
+    Ensemble,
+    _entropy_bracket,
+    entropy_of_spectrum,
+    holevo,
+    shannon_entropy,
+    vn_entropy,
+)
 from .purify import _purification_spectrum
 from .qmat import DensityLike, DensityOperator, as_density, commuting, eig_hermitian
 from .tolerance import STRUCTURE_TOL
@@ -170,19 +177,20 @@ def _detect_block_split(ensemble: Ensemble) -> tuple[BlockDiagonalEnsemble, Exam
     """Find a block split with identical lower blocks, minimising the scheme rate."""
     d = ensemble.dim
     best: tuple[BlockDiagonalEnsemble, Example11Rate] | None = None
+    mats = np.stack([s.matrix for s in ensemble.states])
     for m in range(1, d):
-        mats = [s.matrix for s in ensemble.states]
-        if not all(STRUCTURE_TOL.admits(np.abs(s[:m, m:])) for s in mats):
+        # One gate over the whole stack per split index.
+        if not STRUCTURE_TOL.admits(np.abs(mats[:, :m, m:])):
             continue
-        eps_each = [float(np.real(np.trace(s[:m, :m]))) for s in mats]
-        eps = eps_each[0]
+        eps_each = np.real(np.trace(mats[:, :m, :m], axis1=-2, axis2=-1))
+        eps = float(eps_each[0])
         if not (STRUCTURE_TOL < eps < 1.0 - STRUCTURE_TOL):
             continue
-        if not STRUCTURE_TOL.admits(np.abs(np.subtract(eps_each, eps))):
+        if not STRUCTURE_TOL.admits(np.abs(eps_each - eps)):
             continue
         try:
-            sigma = [s[:m, :m] / eps for s in mats]
-            tau = [s[m:, m:] / (1.0 - eps) for s in mats]
+            sigma = mats[:, :m, :m] / eps
+            tau = mats[:, m:, m:] / (1.0 - eps)
             block = BlockDiagonalEnsemble.build(eps, ensemble.probs.copy(), sigma, tau)
             rate = example11_rate(block)
         except (TauMismatch, ValidationError, DomainError):
@@ -238,9 +246,10 @@ def rate_report(ensemble: Ensemble, label: str = "ensemble") -> RateReport:
     Recognition is structural with tolerance 1e-8; anything unrecognised
     degrades gracefully to a bounds-only report.
     """
+    s_bar, chi = _entropy_bracket(ensemble)
     entries = [
-        RateEntry("mean-state entropy S", upper_bound_rate(ensemble), "upper_bound"),
-        RateEntry("Holevo quantity chi", lower_bound_rate(ensemble), "lower_bound"),
+        RateEntry("mean-state entropy S", s_bar, "upper_bound"),
+        RateEntry("Holevo quantity chi", chi, "lower_bound"),
         # Visible coding can always just name the state at the prior's entropy.
         RateEntry("visible state-identity coding H(p)",
                   shannon_entropy(ensemble.probs), "scheme_rate"),

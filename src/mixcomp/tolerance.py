@@ -4,8 +4,9 @@ A check measures a *defect*, a magnitude that is zero when the property holds
 exactly (max |A - A^dag|, |trace - 1|, minus the lowest eigenvalue, ...), and
 asks its role's tolerance whether it ``admits`` that defect.  ``admits`` is
 written ``defect <= tolerance``, which NaN fails; the form ``defect > tolerance``
-would let NaN through.  No function takes a tolerance argument: a check picks
-its role here.
+would let NaN through.  A float defect is compared directly and an array
+elementwise, so the common scalar gate costs no array round trip.  No
+function takes a tolerance argument: a check picks its role here.
 """
 
 from __future__ import annotations
@@ -17,7 +18,13 @@ class Tolerance(float):
     """A threshold on a defect; formats and compares as the plain float."""
 
     def admits(self, defect) -> bool:
-        """True when every defect is at most this tolerance; NaN is never admitted."""
+        """True when every defect is at most this tolerance; NaN is never admitted.
+
+        A float (Python or numpy) is compared directly; anything else is taken
+        as an array and compared elementwise, and an empty array is admitted.
+        """
+        if isinstance(defect, float):
+            return bool(defect <= self)
         return bool(np.all(np.asarray(defect) <= self))
 
 

@@ -104,3 +104,26 @@ def test_holevo_bracket_orders(ensemble):
 def test_every_rate_report_builds_with_an_ordered_bracket(ensemble):
     lower, upper = rate_report(ensemble).bracket()
     assert lower <= upper + 1e-8
+
+
+@st.composite
+def pure_ensembles(draw) -> Ensemble:
+    # Pure members in random bases: their spectra come out as [1 + 2e-16, ~0, ...]
+    # often enough that an unclamped entropy goes below zero.
+    dim = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 3))
+    rng = sampling.generator(draw(st.integers(0, 2**32 - 1)))
+    weights = np.array(draw(st.lists(st.sampled_from(LEVELS[1:]), min_size=n, max_size=n)))
+    return Ensemble.from_lists(weights / weights.sum(),
+                               [sampling.random_pure_state(dim, rng).projector() for _ in range(n)])
+
+
+@settings(max_examples=150)
+@given(st.one_of(ensembles(), pure_ensembles()))
+def test_entropies_and_rate_entries_are_never_negative(ensemble):
+    assert all(vn_entropy(s) >= 0.0 for s in ensemble.states)
+    assert vn_entropy(ensemble.average()) >= 0.0
+    report = rate_report(ensemble)
+    assert all(e.rate >= 0.0 for e in report.entries), report.entries
+    rates = {e.name: e.rate for e in report.entries}
+    assert rates["Holevo quantity chi"] <= rates["mean-state entropy S"]
