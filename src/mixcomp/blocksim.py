@@ -431,6 +431,28 @@ def _contract_step(t: np.ndarray, f: np.ndarray) -> np.ndarray:
                   f.T).reshape(t.shape[1:] + (len(f),))
 
 
+def _leave_one_out(factors: list[np.ndarray], t: np.ndarray, lo: int, hi: int):
+    """Yield (j, T_j) for each position j in lo..hi-1, the positions open in t.
+
+    t has axes (x_lo..x_{hi-1}, s_hi..s_{N-1}, s_0..s_{lo-1}), 0-based.
+    Contracting the lower half of the open positions leaves the tensor open
+    at the upper half, and the other way round, both in the same layout;
+    each is split again down to one open position.  That is N ceil(log2 N)
+    contraction steps at most, and one tensor held per level.
+    """
+    n = len(factors)
+    while hi - lo > 1:
+        mid, k = (lo + hi) // 2, hi - lo
+        yield from _leave_one_out(factors, reduce(_contract_step, factors[lo:mid], t), mid, hi)
+        # Contract mid..hi-1, then move their s axes ahead of the others.
+        o = mid - lo
+        t = reduce(_contract_step, factors[mid:hi],
+                   t.transpose((*range(o, k), *range(o), *range(k, n))))
+        t = t.transpose((*range(o), *range(n - k + o, n), *range(o, n - k + o)))
+        hi = mid
+    yield lo, t
+
+
 def _diagonal_tables(factors: list[np.ndarray], mask: np.ndarray, x0: tuple,
                      want_local: bool) -> _Tables:
     """Global and local score of every string the factors index, as arrays (s_1..s_N).
@@ -442,17 +464,22 @@ def _diagonal_tables(factors: list[np.ndarray], mask: np.ndarray, x0: tuple,
     string's d^N vector is built.  Local scores are None unless wanted.
 
     Local scores: contracting every position but j, with x_j left open,
-    gives T_j(s_-j, x_j) = sum over x_-j of mask(x) prod_{i != j} f_i[s_i, x_i],
-    before s_j is opened; the earlier positions come from a running prefix.
+    gives T_j(s_-j, x_j) = sum over x_-j of mask(x) prod_{i != j} f_i[s_i, x_i].
+    They come from ``_leave_one_out``, a balanced split in at most
+    N ceil(log2 N) contraction steps, with x_j leading and the s axes rotated
+    to (s_{j+1}..s_N, s_1..s_{j-1}): each is scored in that layout and turned
+    back to (s_1..s_N) by one transpose.
+
     The output marginal at j is f_j[s_j, x_j] T_j(s_-j, x_j) plus the tail at
-    x0_j, of total mass + tail.  Off x0_j, sqrt(f_j T_j f_j) = f_j sqrt(T_j),
-    so its Bhattacharyya sum with f_j[s_j] is
+    x0_j, of total mass + tail = max(mass, 1).  Off x0_j, sqrt(f_j T_j f_j) =
+    f_j sqrt(T_j), so with p0 = f_j[s_j, x0_j] its Bhattacharyya sum with
+    f_j[s_j] is
 
-        S = sqrt(T_j) f_j^T - f_j[s_j, x0_j] sqrt(T_j(., x0_j))
-            + sqrt(f_j[s_j, x0_j] (f_j[s_j, x0_j] T_j(., x0_j) + tail)),
+        S = sum over x != x0_j of f_j[s_j, x] sqrt(T_j(., x))
+            + sqrt(p0 (p0 T_j(., x0_j) + tail)),
 
-    and the factor is min(1, S^2 / (mass + tail)).  The square root runs on
-    T_j, whose s_j axis is not yet opened.
+    one matrix product and a correction, and the factor is
+    min(1, S^2 / max(mass, 1)).
     """
     mass = reduce(_contract_step, factors, mask)
     sig0 = reduce(np.multiply.outer, [f[:, x] for f, x in zip(factors, x0)])
@@ -462,23 +489,27 @@ def _diagonal_tables(factors: list[np.ndarray], mask: np.ndarray, x0: tuple,
     del sig0
     if not want_local:
         return g, None
-    n = len(factors)
-    total = mass + tail
+    total = np.maximum(mass, 1.0)
     local = np.ones_like(mass)
-    prefix = mask  # positions before j contracted
-    for j, f in enumerate(factors):
-        # x_j moves last and stays open while the later positions are
-        # contracted: t has axes (s_1..s_{j-1}, x_j, s_{j+1}..s_N).
-        t = reduce(_contract_step, factors[j + 1:], np.moveaxis(prefix, 0, -1))
-        root = np.sqrt(t)
-        at_x0 = (slice(None),) * j + (slice(x0[j], x0[j] + 1),)
-        t0, r0 = t[at_x0], root[at_x0]
-        p0 = f[:, x0[j]].reshape((1,) * j + (len(f),) + (1,) * (n - j - 1))
-        s = np.moveaxis(_contract_step(np.moveaxis(root, j, 0), f), -1, j)
-        s -= p0 * r0
-        s += np.sqrt(p0 * (p0 * t0 + tail))
-        local *= np.minimum(1.0, s**2 / total)
-        prefix = _contract_step(prefix, f)
+    for j, t in _leave_one_out(factors, mask, 0, len(factors)):
+        # a counts the strings of the positions before j, whose s axes come last.
+        f, x, a = factors[j], x0[j], math.prod(mass.shape[:j])
+        off = f.copy()
+        off[:, x] = 0.0
+        s = np.dot(off, np.sqrt(t, order="C").reshape(len(t), -1))
+        p0 = f[:, x:x + 1]
+        # tail in the leaf's layout, copied: at j = 0 the reshape is a view.
+        at_x0 = tail.reshape(a, -1).T.copy().reshape(s.shape)
+        at_x0 += p0 * t[x].reshape(1, -1)
+        at_x0 *= p0
+        # Leaf-sized arrays go as soon as they are used: 8 MB each at N = 20.
+        del t
+        s += np.sqrt(at_x0, out=at_x0)
+        del at_x0
+        s *= s
+        s = np.ascontiguousarray(s.reshape(-1, a).T).reshape(mass.shape)
+        s /= total
+        local *= np.minimum(s, 1.0, out=s)
     return g, local
 
 

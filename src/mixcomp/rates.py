@@ -188,9 +188,12 @@ def _detect_block_split(ensemble: Ensemble) -> tuple[BlockDiagonalEnsemble, Exam
             continue
         if not STRUCTURE_TOL.admits(np.abs(eps_each - eps)):
             continue
+        # Each block over its own trace: a principal block of a validated
+        # state, so exactly Hermitian, PSD by Cauchy interlacing, trace one.
+        w = eps_each[:, None, None]
+        sigma = [DensityOperator._wrap(b) for b in mats[:, :m, :m] / w]
+        tau = [DensityOperator._wrap(b) for b in mats[:, m:, m:] / (1.0 - w)]
         try:
-            sigma = mats[:, :m, :m] / eps
-            tau = mats[:, m:, m:] / (1.0 - eps)
             block = BlockDiagonalEnsemble.build(eps, ensemble.probs.copy(), sigma, tau)
             rate = example11_rate(block)
         except (TauMismatch, ValidationError, DomainError):

@@ -772,6 +772,99 @@ class TestLargeBlockScores:
         assert abs(loc.value - local_fid) <= 1e-12
 
 
+def per_position_tables(factors, mask, x0):
+    """Global and local tables of the per-position loop the balanced split replaced.
+
+    For each j it contracts the later positions onto a running prefix with
+    x_j left open, then scores position j on strided views.
+    """
+    step = blocksim._contract_step
+    mass = reduce(step, factors, mask)
+    sig0 = reduce(np.multiply.outer, [f[:, x] for f, x in zip(factors, x0)])
+    tail = np.maximum(0.0, 1.0 - mass)
+    g = np.minimum(1.0, (mass - sig0 + np.sqrt(sig0 * (sig0 + tail))) ** 2)
+    n = len(factors)
+    total = mass + tail
+    local = np.ones_like(mass)
+    prefix = mask
+    for j, f in enumerate(factors):
+        t = reduce(step, factors[j + 1:], np.moveaxis(prefix, 0, -1))
+        root = np.sqrt(t)
+        at_x0 = (slice(None),) * j + (slice(x0[j], x0[j] + 1),)
+        t0, r0 = t[at_x0], root[at_x0]
+        p0 = f[:, x0[j]].reshape((1,) * j + (len(f),) + (1,) * (n - j - 1))
+        s = np.moveaxis(step(np.moveaxis(root, j, 0), f), -1, j)
+        s -= p0 * r0
+        s += np.sqrt(p0 * (p0 * t0 + tail))
+        local *= np.minimum(1.0, s**2 / total)
+        prefix = step(prefix, f)
+    return g, local
+
+
+@st.composite
+def engine_inputs(draw):
+    """Factors, kept-set mask and patch coordinate, for tables of at most 2^16 elements.
+
+    Base diagonals come from small integer weights, so zero entries, f[s, x0]
+    = 0 among them, are common; x0 is any coordinate, kept by the mask.
+    """
+    d = draw(st.sampled_from([2, 3]))
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(1, max(k for k in range(1, 11) if m**k * d <= 2**16)))
+    rows = []
+    for _ in range(m):
+        w = np.array(draw(st.lists(st.integers(0, 3), min_size=d, max_size=d)), dtype=float)
+        w[draw(st.integers(0, d - 1))] += w.sum() == 0
+        rows.append(w / w.sum())
+    P = np.array(rows)
+    x0 = tuple(draw(st.lists(st.integers(0, d - 1), min_size=n, max_size=n)))
+    kept = draw(st.sampled_from([0.0, 0.3, 0.7, 1.0]))
+    mask = (np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random((d,) * n)
+            < kept).astype(float)
+    mask[x0] = 1.0
+    if draw(st.booleans()):
+        factors = [P] * n
+    else:
+        factors = [P[s:s + 1] for s in draw(st.lists(st.integers(0, m - 1),
+                                                      min_size=n, max_size=n))]
+    return factors, mask, x0
+
+
+# f[s, x0] = 0 in the first row, at every position.
+_ZERO_AT_X0 = ([np.array([[0.0, 1.0], [0.5, 0.5]])] * 3,
+               (np.arange(8).reshape(2, 2, 2) % 3 == 0).astype(float), (0, 0, 0))
+
+
+class TestBalancedLeaveOneOut:
+    """The diagonal engine's leave-one-out split against the per-position loop."""
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(engine_inputs())
+    @example(_ZERO_AT_X0)
+    def test_tables_match_per_position_loop(self, inputs):
+        factors, mask, x0 = inputs
+        g, loc = blocksim._diagonal_tables(factors, mask, x0, True)
+        want_g, want_loc = per_position_tables(factors, mask, x0)
+        assert g.tobytes() == want_g.tobytes()
+        assert loc.shape == want_loc.shape
+        assert np.max(np.abs(loc - want_loc)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [7, 12, 16])
+    def test_contraction_steps_are_n_log_n(self, n):
+        # N for the mass, at most N ceil(log2 N) for the split.
+        P = np.array([[0.9, 0.1], [0.2, 0.8]])
+        mask = np.zeros((2,) * n)
+        mask.reshape(-1)[:2 ** (n - 2)] = 1.0
+        calls = []
+        with recording("_contract_step", calls):
+            blocksim._diagonal_tables([P] * n, mask, (0,) * n, True)
+        assert len(calls) <= n + n * math.ceil(math.log2(n))
+        calls.clear()
+        with recording("_contract_step", calls):
+            blocksim._diagonal_tables([P] * n, mask, (0,) * n, False)
+        assert len(calls) == n
+
+
 def dense_pair(rng, d: int = 2, n: int = 4) -> BlockSource:
     base = Ensemble.from_lists([0.35, 0.65], [sampling.random_density(d, rng) for _ in range(2)])
     return BlockSource.build(base, n)

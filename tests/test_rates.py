@@ -23,6 +23,17 @@ from conftest import diag_state
 from test_measures import orthogonally_supported_ensemble
 
 
+def block_states(epsilons, sigmas, tau) -> list[np.ndarray]:
+    """The 4x4 states diag(eps_i sigma_i, (1 - eps_i) tau) of 2x2 blocks."""
+    states = []
+    for eps, sigma in zip(epsilons, sigmas):
+        full = np.zeros((4, 4), dtype=complex)
+        full[:2, :2] = eps * sigma.matrix
+        full[2:, 2:] = (1 - eps) * tau.matrix
+        states.append(full)
+    return states
+
+
 class TestBounds:
     def test_single_maximally_mixed(self):
         ens = Ensemble.from_lists([1.0], [maximally_mixed(2)])
@@ -215,6 +226,38 @@ class TestRateReport:
         assert "block-diagonal scheme (shared tau)" in names
         assert len(built) <= 6
         assert len(ranked) == 1
+
+    def test_block_report_validates_no_block(self, rng, monkeypatch):
+        # The ensemble of the test above: its blocks are cut from validated
+        # states, so rate_report validates none of them again.
+        eps, tau = 0.4, sampling.random_density(2, rng)
+        ens = Ensemble.from_lists([0.2, 0.3, 0.5], block_states(
+            [eps] * 3, [sampling.random_density(2, rng) for _ in range(3)], tau))
+        built = []
+        original_build = qmat.DensityOperator.from_matrix.__func__
+        monkeypatch.setattr(qmat.DensityOperator, "from_matrix", classmethod(
+            lambda cls, *a, **k: built.append(1) or original_build(cls, *a, **k)))
+        names = [e.name for e in rate_report(ens).entries]
+        assert "block-diagonal scheme (shared tau)" in names
+        assert built == []
+
+    def test_block_split_admits_trace_spread_within_structure_tol(self, rng):
+        # Upper-block traces 0.4 and 0.4 + delta: each block is normalised by
+        # its own trace, so the split stays while delta is within STRUCTURE_TOL.
+        tau = sampling.random_density(2, rng)
+        sigmas = [sampling.random_density(2, rng) for _ in range(2)]
+        name = "block-diagonal scheme (shared tau)"
+
+        def block_rate(delta):
+            ens = Ensemble.from_lists([0.3, 0.7], block_states([0.4, 0.4 + delta], sigmas, tau))
+            return {e.name: e.rate for e in rate_report(ens).entries}.get(name)
+
+        want = block_rate(0.0)
+        assert want is not None
+        for delta in (5e-11, 5e-10, 5e-9):
+            got = block_rate(delta)
+            assert got is not None and abs(got - want) <= 1e-8
+        assert block_rate(2e-8) is None
 
     def test_scheme_rates_respect_lower_bound(self, rng):
         for _ in range(30):
