@@ -18,7 +18,6 @@ Rate conventions for a target of q qubits/signal at block length N:
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -34,9 +33,12 @@ from .qmat import (
     DIM_CAP,
     DensityLike,
     DensityOperator,
+    _marginals,
+    _stack,
     as_density,
     dagger,
     eig_hermitian,
+    kron,
     psd_roots,
 )
 from .sampling import block_generator
@@ -98,20 +100,13 @@ class BlockSource:
 
 
 def kron_power_vector(v: np.ndarray, n: int) -> np.ndarray:
-    """n-fold Kronecker power of a vector, refused past DIAGONAL_TABLE_BUDGET elements.
-
-    Multiplied left to right by outer products: bitwise equal to
-    reduce(np.kron, [v] * n), without np.kron's general-shape handling.
-    """
+    """n-fold Kronecker power of a vector (qmat.kron), at most DIAGONAL_TABLE_BUDGET elements."""
     v = np.asarray(v, dtype=float)
     if v.size**n > DIAGONAL_TABLE_BUDGET:
         raise DimensionOverflow(
             f"{v.size}^{n} weights exceed DIAGONAL_TABLE_BUDGET {DIAGONAL_TABLE_BUDGET}"
         )
-    out = v
-    for _ in range(n - 1):
-        out = np.multiply.outer(out, v).ravel()
-    return out
+    return kron([v] * n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,7 +147,7 @@ def _frame_unitary(subspace: TypicalSubspace) -> np.ndarray | None:
     if u is None:
         return None
     n = round(math.log(subspace.full_dim) / math.log(u.shape[0]))
-    return reduce(np.kron, [u] * n)
+    return kron([u] * n)
 
 
 def _weights_and_frame(rho: DensityOperator, states) -> tuple[np.ndarray, np.ndarray | None]:
@@ -519,39 +514,8 @@ _Base = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 def _base_roots(source: BlockSource) -> _Base:
     """The base states' stack, square roots (one eigh call) and diagonal tests."""
-    mats = np.stack([s.matrix for s in source.base.states])
-    return (mats, *psd_roots(mats))
-
-
-def _string_state(mats: list[np.ndarray]) -> np.ndarray:
-    """Kronecker product of the matrices, left to right, by outer products.
-
-    Bitwise equal to reduce(np.kron, mats): each entry is the same product,
-    taken in the same order.
-    """
-    n, dim = len(mats), mats[0].shape[0] ** len(mats)
-    # Axes (r_1, c_1, ..., r_N, c_N) to (r_1..r_N, c_1..c_N).
-    return (reduce(np.multiply.outer, mats)
-            .transpose((*range(0, 2 * n, 2), *range(1, 2 * n, 2))).reshape(dim, dim))
-
-
-def _marginals(out: np.ndarray, d: int, n: int) -> np.ndarray:
-    """The n single-position marginals of a d^n x d^n matrix, as an (n, d, d) stack.
-
-    Positions are traced out last first, as partial_trace does, so each
-    marginal equals partial_trace's bit for bit; marginals share the traces
-    of the later positions.
-    """
-    t = out.reshape((d,) * (2 * n))
-    margs = []
-    for j in reversed(range(n)):
-        # t keeps positions 0..j; trace out those before j, last first.
-        m = t
-        for i in reversed(range(j)):
-            m = np.trace(m, axis1=i, axis2=m.ndim // 2 + i)
-        margs.append(m)
-        t = np.trace(t, axis1=j, axis2=t.ndim // 2 + j)
-    return np.stack(margs[::-1])
+    mats, diagonal = _stack(source.base.states)
+    return (mats, *psd_roots(mats, diagonal))
 
 
 def _score_string(source: BlockSource, scheme: Scheme, string, want_local: bool,
@@ -563,40 +527,56 @@ def _score_string(source: BlockSource, scheme: Scheme, string, want_local: bool,
     is ``_base_roots(source)``, which a scoring call computes once; it is
     computed here when not given.
     """
-    d, n = source.base.dim, source.n_blocks
-    sig = DensityOperator._wrap(_string_state([source.base.states[i].matrix for i in string]))
+    sig = DensityOperator._wrap(kron([source.base.states[i].matrix for i in string]))
     out = scheme.apply(sig)
     g = fidelity(sig, out)
     if not want_local:
         return g, 0.0
     mats, roots, diagonal = _base_roots(source) if base is None else base
     idx = list(string)
-    marg = _marginals(out.matrix, d, n)
+    marg = np.stack(_marginals(out.matrix, (source.base.dim,) * source.n_blocks))
     marg_roots, marg_diagonal = psd_roots(marg)
     g_marg = sqrt_fidelity_from_roots(mats[idx], roots[idx], marg, marg_roots,
                                       diagonal[idx] & marg_diagonal)
     return g, math.prod((g_marg**2).tolist())
 
 
-def _exact_scores(source: BlockSource, method: str, tables: _Tables | None,
+def _score_distinct(rows: np.ndarray, score: Callable, workers: int) -> np.ndarray:
+    """Global and local score of each row's string, as a (2, rows) array.
+
+    Each distinct string is scored once, split over at most
+    min(workers, cores, distinct strings) threads, and its scores are
+    scattered back in row order.
+    """
+    distinct, inverse = np.unique(rows, axis=0, return_inverse=True)
+    strings = [tuple(int(x) for x in row) for row in distinct]
+    workers = min(workers, os.cpu_count() or 1, len(strings))
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            scored = list(pool.map(score, strings))
+    else:
+        scored = [score(s) for s in strings]
+    return np.ascontiguousarray(np.array(scored)[inverse.reshape(-1)].T)
+
+
+def _exact_scores(source: BlockSource, method: str, workers: int, tables: _Tables | None,
                   score: Callable) -> tuple[FidelityScore, FidelityScore]:
+    """Probability-weighted sums over every string of nonzero probability.
+
+    Without tables, the strings are scored by _score_distinct and p * score is
+    summed in string order by a running sum, the rounding of a per-string loop.
+    """
+    weights = kron_power_vector(source.base.probs, source.n_blocks)
+    count = int(np.count_nonzero(weights))
     if tables is not None:
         g_table, l_table = tables
-        weights = kron_power_vector(source.base.probs, source.n_blocks).reshape(g_table.shape)
-        count = int(np.count_nonzero(weights))
+        weights = weights.reshape(g_table.shape)
         total_g = np.sum(weights * g_table)
         total_l = np.sum(weights * l_table) if l_table is not None else 0.0
     else:
-        total_g = total_l = 0.0
-        count = 0
-        for string in itertools.product(range(len(source.base)), repeat=source.n_blocks):
-            p = source.string_prob(string)
-            if p == 0.0:
-                continue
-            g, loc = score(string)
-            total_g += p * g
-            total_l += p * loc
-            count += 1
+        rows = np.argwhere(weights.reshape((len(source.base),) * source.n_blocks))
+        scores = weights[weights != 0.0] * _score_distinct(rows, score, workers)
+        total_g, total_l = np.cumsum(scores, axis=1)[:, -1]
     clamped = lambda v: FidelityScore(min(1.0, max(0.0, float(v))), None, method, count)
     return clamped(total_g), clamped(total_l)
 
@@ -606,17 +586,14 @@ def _mc_scores(source: BlockSource, n_samples: int, seed: int, workers: int,
     """Seeded Monte Carlo over n_samples strings, drawn in blocks of MC_BLOCK.
 
     Every block's picks come first, each block from its own stream.  The
-    tables are indexed by them; otherwise each distinct string is scored once,
-    split over at most min(workers, cores, blocks) threads, and its scores
-    are scattered back in sample order, so the estimate equals scoring every
-    sample.
+    tables are indexed by them; otherwise they are scored by _score_distinct,
+    so the estimate equals scoring every sample.
     """
-    n_blocks = math.ceil(n_samples / MC_BLOCK)
     picks = np.concatenate([
         block_generator(seed, b).choice(len(source.base), p=source.base.probs,
                                         size=(min(MC_BLOCK, n_samples - b * MC_BLOCK),
                                               source.n_blocks))
-        for b in range(n_blocks)
+        for b in range(math.ceil(n_samples / MC_BLOCK))
     ])
     if tables is not None:
         g_table, l_table = tables
@@ -624,15 +601,7 @@ def _mc_scores(source: BlockSource, n_samples: int, seed: int, workers: int,
         gs = g_table[idx]
         ls = l_table[idx] if l_table is not None else np.zeros(n_samples)
     else:
-        distinct, inverse = np.unique(picks, axis=0, return_inverse=True)
-        strings = [tuple(int(x) for x in row) for row in distinct]
-        workers = min(workers, os.cpu_count() or 1, n_blocks)
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                scored = list(pool.map(score, strings))
-        else:
-            scored = [score(s) for s in strings]
-        gs, ls = np.ascontiguousarray(np.array(scored)[inverse.reshape(-1)].T)
+        gs, ls = _score_distinct(picks, score, workers)
 
     def summarise(xs: np.ndarray) -> FidelityScore:
         mean = float(xs.mean())
@@ -667,7 +636,7 @@ def _scores(source: BlockSource, scheme: Scheme, want_local: bool, mode: str,
 
     if exact:
         method = "exact-diagonal" if diagonal else "exact-dense"
-        return _exact_scores(source, method, tables, score)
+        return _exact_scores(source, method, workers, tables, score)
     return _mc_scores(source, n_samples, seed, workers, tables, score)
 
 
@@ -686,10 +655,11 @@ def global_fidelity_score(source: BlockSource, scheme: Scheme, mode: str = "auto
     Where no exact sweep fits, ``mode="exact"`` raises ``DimensionOverflow``
     and ``"auto"`` returns a seeded Monte Carlo estimate of ``n_samples`` (at
     least 1) strings with standard error.  Monte Carlo draws all its strings
-    first, at most ``DIAGONAL_TABLE_BUDGET`` picks in all; a path that scores
-    one string at a time scores each distinct drawn string once, split over
-    ``workers`` threads, and the estimate equals scoring every sample.  Each
-    refusal comes before the first string is drawn or scored.
+    first, at most ``DIAGONAL_TABLE_BUDGET`` picks in all.  A path that scores
+    one string at a time, exact or Monte Carlo, scores each distinct string
+    once, split over ``workers`` threads, with the value of scoring every
+    string in order.  Each refusal comes before the first string is drawn or
+    scored.
     """
     g, _ = _scores(source, scheme, False, mode, n_samples, seed, workers)
     return g

@@ -5,7 +5,7 @@ inputs, rate reports, purification reports, the classical coin protocol
 (exact comparison grid and seeded simulation), the block-coding simulator,
 and a selftest that runs every module's invariant suite.
 
-Identical invocations (including the seed, which defaults to 0) produce
+Identical invocations (including any seed, which defaults to 0) produce
 byte-identical output artifacts.
 """
 
@@ -22,10 +22,12 @@ from .errors import MixcompError
 from .measures import fidelity, holevo, vn_entropy
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, seed: bool = False) -> None:
+    """--out, and --seed on the subcommands that read or echo it."""
     parser.add_argument("--out", help="write the artifact here instead of stdout")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for any stochastic step (default 0)")
+    if seed:
+        parser.add_argument("--seed", type=int, default=0,
+                            help="seed for any stochastic step (default 0)")
 
 
 def _emit(text: str, args: argparse.Namespace) -> None:
@@ -209,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = rates_sub.add_parser("report", help="bracket the optimal rate for an ensemble")
     p.add_argument("--ensemble", required=True)
     p.add_argument("--csv", action="store_true", help="emit CSV instead of JSON")
-    _add_common(p)
+    _add_common(p, seed=True)
     p.set_defaults(func=cmd_rates_report)
 
     p_pur = sub.add_parser("purify", help="purification-based compression reports")
@@ -236,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p1", type=float, default=0.5)
     p.add_argument("--alpha1", type=float, default=0.25)
     p.add_argument("--alpha2", type=float, default=0.75)
-    _add_common(p)
+    _add_common(p, seed=True)
     p.set_defaults(func=cmd_classical_simulate)
 
     p_bs = sub.add_parser("blocksim", help="block coding simulator")
@@ -248,13 +250,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("auto", "exact", "mc"), default="auto")
     p.add_argument("--samples", type=int, default=blocksim.DEFAULT_MC_SAMPLES)
     p.add_argument("--workers", type=int, default=1,
-                   help="threads that split the distinct strings a Monte Carlo run "
-                        "scores one at a time (default 1)")
-    _add_common(p)
+                   help="threads that split the distinct strings an exact sweep or a "
+                        "Monte Carlo run scores one at a time (default 1)")
+    _add_common(p, seed=True)
     p.set_defaults(func=cmd_blocksim_run)
 
     p = sub.add_parser("selftest", help="run every module invariant suite")
-    _add_common(p)
+    _add_common(p, seed=True)
     p.set_defaults(func=cmd_selftest)
 
     return parser

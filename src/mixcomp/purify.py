@@ -29,6 +29,7 @@ from .qmat import (
     as_density,
     commuting,
     eig_hermitian,
+    kron,
     psd_roots,
 )
 from .tolerance import PHASE_FLOOR, STRUCTURE_TOL, max_abs
@@ -72,7 +73,7 @@ def canonical_purification(rho: DensityLike) -> Purification:
     psi = np.zeros(d * d, dtype=complex)
     for lam, col in zip(spec.eigenvalues, vecs.T):
         if lam > 0.0:
-            psi += np.sqrt(lam) * np.kron(col, col)
+            psi += np.sqrt(lam) * kron([col, col])
     nrm = np.linalg.norm(psi)
     return Purification(PureState.from_vector(psi / nrm), r, d)
 

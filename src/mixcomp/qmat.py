@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Sequence, Union
 
 import numpy as np
@@ -291,23 +291,34 @@ def _eigenvalues(states: Sequence[DensityOperator]) -> np.ndarray:
     return np.sort(vals, axis=-1)[..., ::-1]
 
 
+def kron(factors: Sequence[np.ndarray]) -> np.ndarray:
+    """Kronecker product of vectors, or of square matrices, left to right, by outer products.
+
+    Bitwise equal to numpy's kron folded left to right: each entry is the same
+    product, taken in the same order.
+    """
+    out = reduce(np.multiply.outer, factors)
+    if factors[0].ndim == 1:
+        return out.reshape(-1)
+    n, dim = len(factors), math.prod(f.shape[0] for f in factors)
+    # Axes (r_1, c_1, ..., r_N, c_N) to (r_1..r_N, c_1..c_N).
+    return out.transpose((*range(0, 2 * n, 2), *range(1, 2 * n, 2))).reshape(dim, dim)
+
+
 def tensor(a: DensityLike, b: DensityLike) -> DensityOperator:
     """Kronecker product of two density operators, at most DIM_CAP dimensions."""
-    da, db = as_density(a), as_density(b)
-    out_dim = da.dim * db.dim
-    if out_dim > DIM_CAP:
-        raise DimensionOverflow(f"tensor product dimension {out_dim} exceeds DIM_CAP {DIM_CAP}")
-    return DensityOperator._wrap(np.kron(da.matrix, db.matrix))
+    return tensor_many([a, b])
 
 
 def tensor_many(states: Sequence[DensityLike]) -> DensityOperator:
-    """Kronecker product of a sequence of density operators, left to right."""
+    """Kronecker product of a sequence of density operators, left to right, at most DIM_CAP."""
     if not states:
         raise ValidationError("tensor_many: need at least one factor")
-    out = as_density(states[0])
-    for s in states[1:]:
-        out = tensor(out, s)
-    return out
+    mats = [as_density(s).matrix for s in states]
+    out_dim = math.prod(m.shape[0] for m in mats)
+    if out_dim > DIM_CAP:
+        raise DimensionOverflow(f"tensor product dimension {out_dim} exceeds DIM_CAP {DIM_CAP}")
+    return DensityOperator._wrap(kron(mats))
 
 
 def _check_dims(total_dim: int, dims: Sequence[int]) -> tuple[int, ...]:
@@ -321,6 +332,25 @@ def _check_dims(total_dim: int, dims: Sequence[int]) -> tuple[int, ...]:
     return dims
 
 
+def _marginals(m: np.ndarray, dims: tuple[int, ...]) -> list[np.ndarray]:
+    """The single-factor marginals of a matrix on factors of dimensions ``dims``, in order.
+
+    Each marginal traces out the other factors last first, one np.trace at a
+    time; marginals share the traces of the later factors.
+    """
+    n = len(dims)
+    t = m.reshape(dims + dims)
+    margs = []
+    for j in reversed(range(n)):
+        # t keeps factors 0..j; trace out those before j, last first.
+        r = t
+        for i in reversed(range(j)):
+            r = np.trace(r, axis1=i, axis2=r.ndim // 2 + i)
+        margs.append(r)
+        t = np.trace(t, axis1=j, axis2=t.ndim // 2 + j)
+    return margs[::-1]
+
+
 def partial_trace(s: DensityLike, dims: Sequence[int], keep: int) -> DensityOperator:
     """Reduce a multipartite state to the ``keep``-th factor (zero-based).
 
@@ -328,14 +358,9 @@ def partial_trace(s: DensityLike, dims: Sequence[int], keep: int) -> DensityOper
     """
     rho = as_density(s)
     dims = _check_dims(rho.dim, dims)
-    n = len(dims)
-    if not (0 <= keep < n):
-        raise DimensionMismatch(f"keep index {keep} outside [0, {n - 1}]")
-    t = rho.matrix.reshape(dims + dims)
-    # Contract every factor except `keep`: trace out pairs (axis i, axis n+i).
-    for i in reversed([j for j in range(n) if j != keep]):
-        t = np.trace(t, axis1=i, axis2=t.ndim // 2 + i)
-    return DensityOperator._wrap(np.ascontiguousarray(t))
+    if not (0 <= keep < len(dims)):
+        raise DimensionMismatch(f"keep index {keep} outside [0, {len(dims) - 1}]")
+    return DensityOperator._wrap(_marginals(rho.matrix, dims)[keep])
 
 
 def trace_out(s: DensityLike, dims: Sequence[int], drop: int) -> DensityOperator:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from mixcomp import blocksim, sampling
+from mixcomp import blocksim, qmat, sampling
 from mixcomp.blocksim import (
     BlockSource,
     FixedOutputScheme,
@@ -319,12 +319,14 @@ class TestScores:
 
     @pytest.mark.parametrize(
         "workers, cpus, n_samples, expected",
-        [(10_000, 3, 1500, 3), (1000, 64, 300, 2), (8, None, 1500, None), (4, 8, 256, None)],
+        [(10_000, 3, 1500, 3), (1000, 64, 300, 8), (8, None, 1500, None), (4, 8, 256, 4),
+         (4, 8, 1, None)],
     )
     def test_monte_carlo_worker_clamp(self, monkeypatch, rng, workers, cpus, n_samples,
                                       expected):
-        # Pool size is min(workers, cores, sample blocks); no pool below two.
-        # The pool splits the strings scored one at a time, so the source is dense.
+        # Pool size is min(workers, cores, distinct strings); no pool below two.
+        # The pool splits the strings scored one at a time, so the source is dense:
+        # 2^3 strings, all drawn in 256 samples.
         created = []
 
         class RecordingPool:
@@ -1034,14 +1036,102 @@ class TestStackedLocalStep:
 
     @pytest.mark.parametrize("d, n", [(1, 3), (2, 1), (2, 5), (3, 4)])
     def test_string_state_bitwise_equal_to_reduce_kron(self, rng, d, n):
+        # A string state is qmat.kron of its matrices; vectors and unequal factors too.
         mats = [sampling.random_density(d, rng).matrix for _ in range(n)]
-        got = blocksim._string_state(mats)
-        want = reduce(np.kron, mats)
-        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        vecs = [rng.standard_normal(d + j) + 1j * rng.standard_normal(d + j) for j in range(n)]
+        uneven = [sampling.random_density(d + j, rng).matrix for j in range(n)]
+        for factors in (mats, vecs, uneven):
+            got, want = qmat.kron(factors), reduce(np.kron, factors)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("d, n", [(2, 1), (2, 4), (3, 3)])
     def test_marginals_bitwise_equal_to_partial_trace(self, rng, d, n):
-        out = sampling.random_density(d**n, rng)
-        got = blocksim._marginals(out.matrix, d, n)
-        for j in range(n):
-            assert got[j].tobytes() == partial_trace(out, [d] * n, keep=j).matrix.tobytes()
+        # Equal and unequal factors; partial_trace is one of the marginals.
+        for dims in ((d,) * n, tuple(range(d, d + n))):
+            out = sampling.random_density(math.prod(dims), rng)
+            got = qmat._marginals(out.matrix, dims)
+            assert len(got) == n
+            for j, marginal in enumerate(got):
+                want = trace_all_but(out.matrix, dims, j)
+                assert marginal.shape == want.shape and marginal.tobytes() == want.tobytes()
+                assert partial_trace(out, dims, keep=j).matrix.tobytes() == want.tobytes()
+
+
+def trace_all_but(m: np.ndarray, dims: tuple[int, ...], keep: int) -> np.ndarray:
+    """One marginal: trace out every other factor, last first, one np.trace at a time."""
+    n = len(dims)
+    t = m.reshape(dims + dims)
+    for i in reversed([j for j in range(n) if j != keep]):
+        t = np.trace(t, axis1=i, axis2=t.ndim // 2 + i)
+    return t
+
+
+def per_string_sweep(source: BlockSource, scheme, score) -> tuple[float, float, int]:
+    """(global, local, strings) of an exact sweep, summed one string at a time in order.
+
+    This is the per-string loop that the shared distinct-string scorer replaced.
+    """
+    total_g = total_l = 0.0
+    count = 0
+    for string in itertools.product(range(len(source.base)), repeat=source.n_blocks):
+        p = source.string_prob(string)
+        if p == 0.0:
+            continue
+        g, loc = score(string)
+        total_g += p * g
+        total_l += p * loc
+        count += 1
+    return total_g, total_l, count
+
+
+class TestExactSweep:
+    """Exact sweeps one string at a time share the Monte Carlo distinct-string scorer, bit for bit."""
+
+    def _sources(self, rng):
+        # A zero prior: its strings are skipped, as the loop skips them.
+        dense = BlockSource.build(Ensemble.from_lists(
+            [0.35, 0.0, 0.65], [sampling.random_density(2, rng) for _ in range(3)]), 4)
+        probs, diags = _TIED
+        diags = [diag_state(*x) for x in diags]
+        diagonal = BlockSource.build(Ensemble.from_lists(probs, diags), 5)
+        return [(dense, "exact-dense"), (diagonal, "exact-diagonal")]
+
+    @staticmethod
+    def _score(source, scheme, method):
+        """One string's (global, local) from the per-string code of the path."""
+        if method == "exact-diagonal":
+            return lambda s: tuple(t.item() for t in engine_scores(source, scheme, s))
+        framed = blocksim._in_frame(source, scheme.frame)
+        base = blocksim._base_roots(framed)
+        return lambda s: blocksim._score_string(framed, scheme, s, True, base)
+
+    def test_equals_per_string_loop(self, rng):
+        for source, method in self._sources(rng):
+            for rate in (0.3, 0.6):
+                scheme = project_patch_scheme(source, rate)
+                oracle = self._score(source, scheme, method)
+                g, loc, count = per_string_sweep(source, scheme, oracle)
+                with untabled_plan():
+                    got = [score(source, scheme, mode="exact")
+                           for score in (global_fidelity_score, local_fidelity_score)]
+                for result, want in zip(got, (g, loc)):
+                    assert (result.method, result.n_terms) == (method, count)
+                    assert result.value == min(1.0, max(0.0, want))
+
+    def test_workers_give_equal_scores_and_a_pool(self, rng, monkeypatch):
+        created = []
+
+        class RecordingPool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                created.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(blocksim, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(blocksim.os, "cpu_count", lambda: 2)
+        source, _ = self._sources(rng)[0]
+        scheme = project_patch_scheme(source, 0.6)
+        for score in (global_fidelity_score, local_fidelity_score):
+            serial = score(source, scheme, mode="exact", workers=1)
+            threaded = score(source, scheme, mode="exact", workers=2)
+            assert serial == threaded and serial.method == "exact-dense"
+        assert created == [2, 2]

@@ -268,13 +268,20 @@ class TestCliCommands:
         err = capsys.readouterr().err
         assert "DomainError" in err and message in err
 
-    @pytest.mark.parametrize("option", [["--format", "csv"], ["--workers", "2"], ["--dim-cap", "64"]])
+    @pytest.mark.parametrize("option", [["--format", "csv"], ["--workers", "2"],
+                                        ["--dim-cap", "64"], ["--seed", "1"], ["--seed=0"]])
     def test_options_nothing_reads_are_refused(self, tmp_path, capsys, option):
+        # --seed is refused where no stochastic step reads it and no payload echoes it.
         path = write_state(tmp_path / "a.json", diag_state(0.5, 0.5))
-        with pytest.raises(SystemExit) as exc:
-            main(["fidelity", path, path, *option])
-        assert exc.value.code == 2
-        assert "unrecognized arguments" in capsys.readouterr().err
+        ens = write_ensemble(tmp_path / "e.json", Ensemble.from_lists(
+            [0.5, 0.5], [diag_state(0.9, 0.1), diag_state(0.1, 0.9)]))
+        for command in (["fidelity", path, path], ["entropy", path],
+                        ["holevo", "--ensemble", ens], ["purify", "report", "--dim", "3"],
+                        ["classical", "compare"]):
+            with pytest.raises(SystemExit) as exc:
+                main([*command, *option])
+            assert exc.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestParserReuse:
