@@ -358,6 +358,8 @@ def _plan(source: BlockSource, keeps_coordinates: bool, mode: str,
     """
     if mode not in ("auto", "exact", "mc"):
         raise DomainError(f"mode must be auto|exact|mc, got {mode!r}")
+    if not n_samples >= 1:
+        raise DomainError(f"n_samples must be >= 1, got {n_samples}")
     elements = max(len(source.base), source.base.dim) ** source.n_blocks * source.base.dim
     diagonal = keeps_coordinates and all(s.is_diagonal for s in source.base.states)
     tabled = diagonal and elements <= DIAGONAL_TABLE_BUDGET
@@ -394,8 +396,8 @@ def project_patch_plan(source: BlockSource, mode: str,
                        n_samples: int = DEFAULT_MC_SAMPLES) -> tuple[bool, bool, bool]:
     """How the project-and-patch scheme of this source would be scored in a mode.
 
-    It needs only the base states, so a request no path can score is refused
-    with ``DimensionOverflow`` before the scheme's d^N weights are built.
+    It needs only the base states, so a request no path can score, or one with
+    a sample count below 1, is refused before the scheme's d^N weights are built.
     """
     _, frame = _weights_and_frame(source.base.average(), source.base.states)
     return _plan(_in_frame(source, frame), True, mode, n_samples)
@@ -613,8 +615,6 @@ def _mc_scores(source: BlockSource, n_samples: int, seed: int, workers: int,
 
 def _scores(source: BlockSource, scheme: Scheme, want_local: bool, mode: str,
             n_samples: int, seed: int, workers: int) -> tuple[FidelityScore, FidelityScore]:
-    if not n_samples >= 1:
-        raise DomainError(f"n_samples must be >= 1, got {n_samples}")
     source = _in_frame(source, scheme.frame)
     keeps_coordinates = (isinstance(scheme, ProjectPatchScheme)
                          and scheme.subspace.full_dim == source.full_dim)

@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import blocksim, classical, purify, rates, wire
-from .errors import MixcompError
+from .errors import DomainError, MixcompError
 from .measures import fidelity, holevo, vn_entropy
 
 
@@ -107,6 +107,8 @@ def _compare_row(label, src: classical.CoinSource) -> list:
 
 def cmd_classical_compare(args) -> None:
     header = ["epsilon_or_params", "S_rho_bar", "H_p", "Xi", "Upsilon", "chi", "conjectured_MI"]
+    if not 0.0 < args.grid_step < np.inf:
+        raise DomainError(f"--grid-step must be finite and positive, got {args.grid_step}")
     rows = []
     if args.grid:
         for eps in np.arange(0.0, 0.5 + 1e-12, args.grid_step):

@@ -25,7 +25,7 @@ from .measures import (
     vn_entropy,
 )
 from .purify import _purification_spectrum
-from .qmat import DensityLike, DensityOperator, as_density, commuting, eig_hermitian
+from .qmat import DensityLike, DensityOperator, _stack, as_density, commuting, eig_hermitian
 from .tolerance import STRUCTURE_TOL
 
 Kind = Literal["upper_bound", "lower_bound", "scheme_rate", "conjecture"]
@@ -153,77 +153,70 @@ def example11_rate(block: BlockDiagonalEnsemble) -> Example11Rate:
     eps = block.epsilon
     sigma_bar = Ensemble.from_lists(block.probs.copy(), block.sigma_states).average()
     tau_bar = Ensemble.from_lists(block.probs.copy(), block.tau_states).average()
-    h_split = shannon_entropy([eps, 1.0 - eps])
-    s_sigma = vn_entropy(sigma_bar)
+    scheme_rate = _example11_scheme_rate(eps, sigma_bar)
     s_tau = vn_entropy(tau_bar)
     # The mean of the full states, built from the block means: exactly
     # Hermitian and PSD by construction, so it needs no revalidation.
     s_rho_bar = vn_entropy(DensityOperator._wrap(block._full(sigma_bar, tau_bar)))
 
-    decomposition = h_split + eps * s_sigma + (1.0 - eps) * s_tau
+    decomposition = scheme_rate + (1.0 - eps) * s_tau
     if not STRUCTURE_TOL.admits(abs(s_rho_bar - decomposition)):
         raise ValidationError(
             "block entropy decomposition failed: S(mean) = "
             f"{s_rho_bar:.12g} vs H(eps) + eps*S(sigma) + (1-eps)*S(tau) = {decomposition:.12g}"
         )
     return Example11Rate(
-        scheme_rate=h_split + eps * s_sigma,
+        scheme_rate=scheme_rate,
         s_rho_bar=s_rho_bar,
         saving=(1.0 - eps) * s_tau,
     )
 
 
-def _detect_block_split(ensemble: Ensemble) -> tuple[BlockDiagonalEnsemble, Example11Rate] | None:
-    """Find a block split with identical lower blocks, minimising the scheme rate."""
-    d = ensemble.dim
-    best: tuple[BlockDiagonalEnsemble, Example11Rate] | None = None
-    mats = np.stack([s.matrix for s in ensemble.states])
-    for m in range(1, d):
-        # One gate over the whole stack per split index.
+def _example11_scheme_rate(eps: float, sigma_bar: DensityOperator) -> float:
+    """H(eps, 1 - eps) + eps * S(sigma_bar): name the block, then compress its sigma part."""
+    return shannon_entropy([eps, 1.0 - eps]) + eps * vn_entropy(sigma_bar)
+
+
+def _detect_block_split(ensemble: Ensemble) -> float | None:
+    """The lowest Example 11 rate over the split indices that pass the gates on the stack.
+
+    A split that passes has Example 11's shape, whose entropy decomposition is an identity.
+    """
+    mats, _ = _stack(ensemble.states)
+    best: float | None = None
+    for m in range(1, ensemble.dim):
         if not STRUCTURE_TOL.admits(np.abs(mats[:, :m, m:])):
             continue
         eps_each = np.real(np.trace(mats[:, :m, :m], axis1=-2, axis2=-1))
         eps = float(eps_each[0])
-        if not (STRUCTURE_TOL < eps < 1.0 - STRUCTURE_TOL):
-            continue
-        if not STRUCTURE_TOL.admits(np.abs(eps_each - eps)):
+        if not (STRUCTURE_TOL < eps < 1.0 - STRUCTURE_TOL
+                and STRUCTURE_TOL.admits(np.abs(eps_each - eps))):
             continue
         # Each block over its own trace: a principal block of a validated
         # state, so exactly Hermitian, PSD by Cauchy interlacing, trace one.
         w = eps_each[:, None, None]
-        sigma = [DensityOperator._wrap(b) for b in mats[:, :m, :m] / w]
-        tau = [DensityOperator._wrap(b) for b in mats[:, m:, m:] / (1.0 - w)]
-        try:
-            block = BlockDiagonalEnsemble.build(eps, ensemble.probs.copy(), sigma, tau)
-            rate = example11_rate(block)
-        except (TauMismatch, ValidationError, DomainError):
+        tau = mats[:, m:, m:] / (1.0 - w)
+        if not STRUCTURE_TOL.admits(np.abs(tau[1:] - tau[0])):
             continue
-        if best is None or rate.scheme_rate < best[1].scheme_rate:
-            best = (block, rate)
+        sigma = tuple(DensityOperator._wrap(b) for b in mats[:, :m, :m] / w)
+        rate = _example11_scheme_rate(eps, Ensemble(sigma, ensemble.probs).average())
+        if best is None or rate < best:
+            best = rate
     return best
 
 
 def _detect_photographic_negative(ensemble: Ensemble) -> bool:
+    """Whether the states are the hole pattern in any order: one hole each, at its argmin."""
     d = ensemble.dim
-    if len(ensemble) != d or d < 3:
+    if len(ensemble) != d or d < 3 or not all(s.is_diagonal for s in ensemble.states):
         return False
-    if not STRUCTURE_TOL.admits(np.abs(ensemble.probs - 1.0 / d)):
-        return False
-    seen = set()
-    for s in ensemble.states:
-        if not s.is_diagonal:
-            return False
-        diag = np.real(np.diagonal(s.matrix))
-        holes = np.flatnonzero(np.abs(diag) <= STRUCTURE_TOL)
-        if holes.size != 1:
-            return False
-        i = int(holes[0])
-        expected = np.full(d, 1.0 / (d - 1))
-        expected[i] = 0.0
-        if not STRUCTURE_TOL.admits(np.abs(diag - expected)):
-            return False
-        seen.add(i)
-    return len(seen) == d
+    diag = np.real(np.diagonal(_stack(ensemble.states)[0], axis1=-2, axis2=-1))
+    holes = np.argmin(diag, axis=1)
+    expected = np.full((d, d), 1.0 / (d - 1))
+    expected[np.arange(d), holes] = 0.0
+    return (STRUCTURE_TOL.admits(np.abs(diag - expected))
+            and np.array_equal(np.sort(holes), np.arange(d))
+            and STRUCTURE_TOL.admits(np.abs(ensemble.probs - 1.0 / d)))
 
 
 def _coin_source_from_qubit_pair(ensemble: Ensemble) -> CoinSource | None:
@@ -275,9 +268,7 @@ def rate_report(ensemble: Ensemble, label: str = "ensemble") -> RateReport:
 
     split = _detect_block_split(ensemble)
     if split is not None:
-        entries.append(
-            RateEntry("block-diagonal scheme (shared tau)", split[1].scheme_rate, "scheme_rate")
-        )
+        entries.append(RateEntry("block-diagonal scheme (shared tau)", split, "scheme_rate"))
 
     if _detect_photographic_negative(ensemble):
         entries.append(

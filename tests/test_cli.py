@@ -101,6 +101,14 @@ class TestCliCommands:
         assert float(last[3]) == 0.0  # Xi at eps = 1/2
         assert float(last[4]) == 0.0  # Upsilon at eps = 1/2
 
+    @pytest.mark.parametrize("step", ["0", "-0.1", "nan", "inf", "-inf"])
+    def test_classical_compare_refuses_a_bad_grid_step(self, capsys, step):
+        assert main(["classical", "compare", "--grid", f"--grid-step={step}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: DomainError: --grid-step must be finite and positive, got {float(step)}\n")
+
     def test_classical_simulate_records_seed(self, capsys):
         assert main(["classical", "simulate", "--n", "2000", "--seed", "9"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -251,6 +259,21 @@ class TestCliCommands:
         )
         for m in mocks:
             m.assert_not_called()
+
+    @pytest.mark.parametrize("mode", ["mc", "exact"])
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_non_positive_sample_count_refused_before_the_scheme(self, tmp_path, capsys,
+                                                                 mode, samples):
+        # _plan makes the refusal, so the scheme is never built, in either mode.
+        ens = Ensemble.from_lists([0.3, 0.7], [diag_state(0.9, 0.1), diag_state(0.2, 0.8)])
+        path = write_ensemble(tmp_path / "e.json", ens)
+        with mock.patch.object(blocksim, "project_patch_scheme") as scheme:
+            code = main(["blocksim", "run", "--ensemble", path, "--N", "20", "--rate", "0.8",
+                         "--mode", mode, "--samples", samples])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: DomainError: n_samples must be >= 1, got {samples}\n")
+        scheme.assert_not_called()
 
     @pytest.mark.parametrize("option, message", [
         (["--rate", "nan"], "rate must be finite"),

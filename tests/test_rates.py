@@ -2,12 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mixcomp import qmat, sampling
 from mixcomp.classical import CoinSource, xi_rate
-from mixcomp.errors import TauMismatch, ValidationError
-from mixcomp.measures import Ensemble, holevo, shannon_entropy, vn_entropy
-from mixcomp.purify import photographic_negative_ensemble, photographic_negative_report, upsilon_rate
+from mixcomp.errors import DomainError, TauMismatch, ValidationError
+from mixcomp.measures import Ensemble, entropy_of_spectrum, holevo, shannon_entropy, vn_entropy
+from mixcomp.purify import (
+    _purification_spectrum,
+    photographic_negative_ensemble,
+    photographic_negative_report,
+    upsilon_rate,
+)
 from mixcomp.qmat import maximally_mixed
 from mixcomp.rates import (
     BlockDiagonalEnsemble,
@@ -18,6 +25,7 @@ from mixcomp.rates import (
     rate_report,
     upper_bound_rate,
 )
+from mixcomp.tolerance import STRUCTURE_TOL
 
 from conftest import diag_state
 from test_measures import orthogonally_supported_ensemble
@@ -206,8 +214,9 @@ class TestRateReport:
         assert len(calls) == 1
 
     def test_block_report_builds_each_block_once(self, rng, monkeypatch):
-        # 3 states, d = 4: only the 2 + 2 split is recognised.  Its six sigma and
-        # tau blocks are the only states validated, and example11_rate runs once.
+        # 3 states, d = 4: only the 2 + 2 split is recognised.  At most its six
+        # sigma and tau blocks are validated, and its entry is Example 11's closed
+        # form on the blocks cut from the validated states, bit for bit.
         eps, tau = 0.4, sampling.random_density(2, rng)
         states = []
         for _ in range(3):
@@ -216,16 +225,17 @@ class TestRateReport:
             full[2:, 2:] = (1 - eps) * tau.matrix
             states.append(full)
         ens = Ensemble.from_lists([0.2, 0.3, 0.5], states)
-        built, ranked = [], []
+        traces = [float(np.real(np.trace(s.matrix[:2, :2]))) for s in ens.states]
+        closed = example11_rate(BlockDiagonalEnsemble.build(
+            traces[0], ens.probs, [s.matrix[:2, :2] / w for s, w in zip(ens.states, traces)],
+            [s.matrix[2:, 2:] / (1 - w) for s, w in zip(ens.states, traces)])).scheme_rate
+        built = []
         original_build = qmat.DensityOperator.from_matrix.__func__
         monkeypatch.setattr(qmat.DensityOperator, "from_matrix", classmethod(
             lambda cls, *a, **k: built.append(1) or original_build(cls, *a, **k)))
-        monkeypatch.setattr("mixcomp.rates.example11_rate",
-                            lambda block: ranked.append(1) or example11_rate(block))
-        names = [e.name for e in rate_report(ens).entries]
-        assert "block-diagonal scheme (shared tau)" in names
+        rates = {e.name: e.rate for e in rate_report(ens).entries}
+        assert rates["block-diagonal scheme (shared tau)"] == closed
         assert len(built) <= 6
-        assert len(ranked) == 1
 
     def test_block_report_validates_no_block(self, rng, monkeypatch):
         # The ensemble of the test above: its blocks are cut from validated
@@ -277,3 +287,161 @@ class TestRateReport:
                     RateEntry("scheme", 0.5, "scheme_rate"),
                 ],
             )
+
+
+# The recognisers as they stood before they became gates on the stack: the
+# block-split search built each candidate and let Example 11's checks reject
+# it, and the hole test walked the states one at a time.  Kept as oracles.
+BLOCK = "block-diagonal scheme (shared tau)"
+HOLE = "photographic-negative purification mixture"
+# Deviations on both sides of STRUCTURE_TOL (1e-8), and far from it.
+DEVIATIONS = (0.0, 5e-10, 5e-9, 2e-8, 1e-3)
+
+
+def searched_block_rate(ensemble: Ensemble) -> float | None:
+    best = None
+    mats = np.stack([s.matrix for s in ensemble.states])
+    for m in range(1, ensemble.dim):
+        if not STRUCTURE_TOL.admits(np.abs(mats[:, :m, m:])):
+            continue
+        eps_each = np.real(np.trace(mats[:, :m, :m], axis1=-2, axis2=-1))
+        eps = float(eps_each[0])
+        if not (STRUCTURE_TOL < eps < 1.0 - STRUCTURE_TOL):
+            continue
+        if not STRUCTURE_TOL.admits(np.abs(eps_each - eps)):
+            continue
+        w = eps_each[:, None, None]
+        sigma = [qmat.DensityOperator._wrap(b) for b in mats[:, :m, :m] / w]
+        tau = [qmat.DensityOperator._wrap(b) for b in mats[:, m:, m:] / (1.0 - w)]
+        try:
+            block = BlockDiagonalEnsemble.build(eps, ensemble.probs.copy(), sigma, tau)
+            rate = searched_example11_rate(block)
+        except (TauMismatch, ValidationError, DomainError):
+            continue
+        if best is None or rate < best:
+            best = rate
+    return best
+
+
+def searched_example11_rate(block: BlockDiagonalEnsemble) -> float:
+    tau0 = block.tau_states[0].matrix
+    for i, t in enumerate(block.tau_states[1:], start=1):
+        if not STRUCTURE_TOL.admits(float(np.max(np.abs(t.matrix - tau0)))):
+            raise TauMismatch(f"state {i}")
+    eps = block.epsilon
+    sigma_bar = Ensemble.from_lists(block.probs.copy(), block.sigma_states).average()
+    tau_bar = Ensemble.from_lists(block.probs.copy(), block.tau_states).average()
+    h_split = shannon_entropy([eps, 1.0 - eps])
+    s_sigma = vn_entropy(sigma_bar)
+    s_tau = vn_entropy(tau_bar)
+    s_rho_bar = vn_entropy(qmat.DensityOperator._wrap(block._full(sigma_bar, tau_bar)))
+    if not STRUCTURE_TOL.admits(abs(s_rho_bar - (h_split + eps * s_sigma + (1.0 - eps) * s_tau))):
+        raise ValidationError("decomposition")
+    return h_split + eps * s_sigma
+
+
+def walked_hole_pattern(ensemble: Ensemble) -> bool:
+    d = ensemble.dim
+    if len(ensemble) != d or d < 3:
+        return False
+    if not STRUCTURE_TOL.admits(np.abs(ensemble.probs - 1.0 / d)):
+        return False
+    seen = set()
+    for s in ensemble.states:
+        if not s.is_diagonal:
+            return False
+        diag = np.real(np.diagonal(s.matrix))
+        holes = np.flatnonzero(np.abs(diag) <= STRUCTURE_TOL)
+        if holes.size != 1:
+            return False
+        i = int(holes[0])
+        expected = np.full(d, 1.0 / (d - 1))
+        expected[i] = 0.0
+        if not STRUCTURE_TOL.admits(np.abs(diag - expected)):
+            return False
+        seen.add(i)
+    return len(seen) == d
+
+
+@st.composite
+def block_candidates(draw) -> Ensemble:
+    """diag(eps_i sigma_i, (1 - eps_i) tau_i), with tau_i and eps_i off by a deviation each."""
+    a, b, k = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    rng = sampling.generator(draw(st.integers(0, 2**32 - 1)))
+    eps = draw(st.one_of(st.floats(0.05, 0.95), st.sampled_from([5e-9, 2e-8, 1.0 - 2e-8])))
+    tau_shift, eps_spread = draw(st.sampled_from(DEVIATIONS)), draw(st.sampled_from(DEVIATIONS))
+    tau = sampling.random_density(b, rng).matrix
+    states = []
+    for i in range(k):
+        e = min(eps + eps_spread * (i % 2), 1.0)
+        t = (1.0 - tau_shift) * tau + tau_shift * sampling.random_density(b, rng).matrix
+        full = np.zeros((a + b, a + b), dtype=complex)
+        full[:a, :a] = e * sampling.random_density(a, rng).matrix
+        full[a:, a:] = (1.0 - e) * (tau if i == 0 else t)
+        states.append(full)
+    if draw(st.booleans()):
+        u = sampling.random_unitary(a + b, rng)
+        states = [u @ s @ u.conj().T for s in states]
+    weights = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=k, max_size=k)))
+    return Ensemble.from_lists(weights / weights.sum(), states)
+
+
+@st.composite
+def hole_candidates(draw) -> Ensemble:
+    """The hole pattern in any order, broken by at most one defect of each kind."""
+    d = draw(st.integers(3, 7))
+    holes = list(draw(st.permutations(range(d))))
+    if draw(st.booleans()):
+        holes[1] = holes[0]
+    diags = np.full((d, d), 1.0 / (d - 1))
+    diags[np.arange(d), holes] = 0.0
+    # Move mass between two entries of one state: off-uniform, or into its hole.
+    shift, row = draw(st.sampled_from(DEVIATIONS)), draw(st.integers(0, d - 1))
+    dst = holes[row] if draw(st.booleans()) else (holes[row] + 2) % d
+    diags[row, (holes[row] + 1) % d] -= shift
+    diags[row, dst] += shift
+    states = [np.diag(x).astype(complex) for x in diags]
+    # An off-diagonal pair below, or above, the one diagonal threshold.
+    coherence = draw(st.sampled_from([0.0, 1e-13, 1e-6]))
+    i, j = (holes[0] + 1) % d, (holes[0] + 2) % d
+    states[0][i, j] = states[0][j, i] = coherence
+    probs = np.full(d, 1.0 / d)
+    skew = draw(st.sampled_from(DEVIATIONS))
+    probs[0] += skew
+    probs[1] -= skew
+    return Ensemble.from_lists(probs, states)
+
+
+def report_rate(ensemble: Ensemble, name: str) -> float | None:
+    return {e.name: e.rate for e in rate_report(ensemble).entries}.get(name)
+
+
+class TestRecognisersAgainstTheOldSearch:
+    """Each gate fires exactly where the old code did, with the same rate bit for bit."""
+
+    def test_block_split_gate(self):
+        seen = set()
+
+        @settings(max_examples=200)
+        @given(block_candidates())
+        def check(ens):
+            want = searched_block_rate(ens)
+            assert repr(report_rate(ens, BLOCK)) == repr(want)
+            seen.add(want is not None)
+
+        check()
+        assert seen == {True, False}
+
+    def test_hole_pattern_gate(self):
+        seen = set()
+
+        @settings(max_examples=200)
+        @given(hole_candidates())
+        def check(ens):
+            want = (entropy_of_spectrum(_purification_spectrum(ens))
+                    if walked_hole_pattern(ens) else None)
+            assert repr(report_rate(ens, HOLE)) == repr(want)
+            seen.add(want is not None)
+
+        check()
+        assert seen == {True, False}

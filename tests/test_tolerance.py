@@ -5,7 +5,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from mixcomp import tolerance
+from mixcomp import errors, tolerance
 from mixcomp.cli import main
 from mixcomp.tolerance import STRUCTURE_TOL, Tolerance, max_abs
 
@@ -69,6 +69,27 @@ def test_no_size_bound_is_a_parameter():
         for node in ast.walk(_tree(path))
         if isinstance(node, ast.arg) and node.arg.endswith("_cap")
     ]
+    assert problems == []
+
+
+def test_no_package_error_drives_control_flow():
+    # Guard: a handler that catches a package error turns a refusal into a
+    # branch.  Only the CLI's top level may catch one, to exit 2 with it.
+    package_errors = {name for name, value in vars(errors).items()
+                      if isinstance(value, type) and issubclass(value, errors.MixcompError)}
+    problems = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = _tree(path)
+        allowed = {id(node) for f in tree.body
+                   if path.name == "cli.py" and isinstance(f, ast.FunctionDef) and f.name == "main"
+                   for node in ast.walk(f)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ExceptHandler) or node.type is None or id(node) in allowed:
+                continue
+            caught = {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node.type)
+                      if isinstance(n, (ast.Name, ast.Attribute))}
+            for name in sorted(caught & package_errors):
+                problems.append(f"{path.name}:{node.lineno} catches {name}")
     assert problems == []
 
 
