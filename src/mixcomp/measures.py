@@ -89,6 +89,10 @@ class Ensemble:
         acc = (acc + dagger(acc)) / 2.0
         return DensityOperator._wrap(acc)
 
+    def stack(self) -> tuple[np.ndarray, np.ndarray]:
+        """(m + 1, d, d) stack of the mean state (row 0) and the members, with diagonal tests."""
+        return _stack((self.average(), *self.states))
+
 
 @dataclass(frozen=True, eq=False)
 class Povm:
@@ -167,7 +171,7 @@ def entropy_of_spectrum(vals: np.ndarray) -> float:
 
 def vn_entropy(rho: DensityLike) -> float:
     """Von Neumann entropy -tr(rho log2 rho) in bits."""
-    return float(_entropies(_eigenvalues([as_density(rho)]))[0])
+    return float(_entropies(_eigenvalues(*_stack([as_density(rho)])))[0])
 
 
 def _bhattacharyya(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -229,15 +233,15 @@ def classical_fidelity(p, q) -> float:
     return min(1.0, float(np.sum(np.sqrt(a * b)) ** 2))
 
 
-def _entropy_bracket(ensemble: Ensemble) -> tuple[float, float]:
-    """(S(mean state), chi): the two ends of the rate bracket, from one solve.
+def _entropy_bracket(mats: np.ndarray, flags: np.ndarray, probs: np.ndarray) -> tuple[float, float]:
+    """(S(mean state), chi): the two ends of the rate bracket, from an ensemble's stack.
 
     The mean state and every member are solved as one stack (see
     ``qmat._eigenvalues``), so the mean state is solved once for both.
     Every entropy is at least 0, so 0 <= chi <= S.
     """
-    s = _entropies(_eigenvalues((ensemble.average(), *ensemble.states)))
-    return float(s[0]), max(0.0, float(s[0] - ensemble.probs @ s[1:]))
+    s = _entropies(_eigenvalues(mats, flags))
+    return float(s[0]), max(0.0, float(s[0] - probs @ s[1:]))
 
 
 def holevo(ensemble: Ensemble) -> float:
@@ -246,7 +250,7 @@ def holevo(ensemble: Ensemble) -> float:
     The mean state and all m states are solved in one stacked call, none at
     all when every one of them is diagonal.
     """
-    return _entropy_bracket(ensemble)[1]
+    return _entropy_bracket(*ensemble.stack(), ensemble.probs)[1]
 
 
 def _check_same_shape(a: Ensemble, b: Ensemble) -> None:

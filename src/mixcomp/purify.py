@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NotCommuting, ValidationError
-from .measures import Ensemble, entropy_of_spectrum, holevo, shannon_entropy
+from .measures import Ensemble, _entropy_bracket, entropy_of_spectrum, shannon_entropy
 from .qmat import (
     DensityLike,
     DensityOperator,
@@ -78,31 +78,31 @@ def canonical_purification(rho: DensityLike) -> Purification:
     return Purification(PureState.from_vector(psi / nrm), r, d)
 
 
-def _root_overlaps(states) -> np.ndarray:
-    """Matrix of tr(sqrt(rho_i) sqrt(rho_j)), the overlaps <psi_i|psi_j> of purifications.
+def _root_overlaps(mats: np.ndarray, flags: np.ndarray) -> np.ndarray:
+    """Matrix of tr(sqrt(rho_i) sqrt(rho_j)), the purification overlaps, of a stack (``_stack``).
 
     For commuting states these are the overlaps of the purifications
     sum_k sqrt(p_k) |k> x |k> written in any common eigenbasis {|k>}: the sum
     sum_k sqrt(p_k q_k) does not depend on which common eigenbasis is used.
-    All m roots come from one ``psd_roots`` call on the stacked states, each bit
-    for bit the root ``matrix_sqrt_psd`` gives.
+    All m roots come from one ``psd_roots`` call on the stack, each bit for bit
+    the root ``matrix_sqrt_psd`` gives.
     """
-    if all(s.is_diagonal for s in states):
+    if flags.all():
         # Diagonal roots: the trace is sum_k sqrt(p_ik p_jk), with no d x d products.
-        roots = np.sqrt(np.clip(np.real([np.diagonal(s.matrix) for s in states]), 0.0, None))
+        roots = np.sqrt(np.clip(np.real(np.diagonal(mats, axis1=-2, axis2=-1)), 0.0, None))
         return roots @ roots.T
-    roots, _ = psd_roots(*_stack(states))
+    roots, _ = psd_roots(mats, flags)
     return np.real(np.einsum("iab,jba->ij", roots, roots))
 
 
-def _purification_spectrum(ensemble: Ensemble) -> np.ndarray:
-    """Spectrum of the purification mixture sum_i p_i |psi_i><psi_i|, descending.
+def _purification_spectrum(probs: np.ndarray, mats: np.ndarray, flags: np.ndarray) -> np.ndarray:
+    """Spectrum of the purification mixture sum_i p_i |psi_i><psi_i| of a stack, descending.
 
     Its nonzero eigenvalues are those of the m x m Gram matrix
     G_ij = sqrt(p_i p_j) <psi_i|psi_j>, so no d^2-dimensional state is built.
     """
-    w = np.sqrt(ensemble.probs)
-    gram = np.outer(w, w) * _root_overlaps(ensemble.states)
+    w = np.sqrt(probs)
+    gram = np.outer(w, w) * _root_overlaps(mats, flags)
     return np.clip(np.linalg.eigvalsh(gram)[::-1], 0.0, None)
 
 
@@ -121,7 +121,7 @@ def canonical_overlap(rho1: DensityLike, rho2: DensityLike) -> float:
     """
     r1, r2 = as_density(rho1), as_density(rho2)
     _require_commuting((r1, r2))
-    c = _root_overlaps((r1, r2))[0, 1]
+    c = _root_overlaps(*_stack((r1, r2)))[0, 1]
     return min(1.0, float(c * c))
 
 
@@ -149,7 +149,7 @@ def two_state_purification_rate(ensemble: Ensemble) -> float:
     if len(ensemble) != 2:
         raise DomainError("two_state_purification_rate needs exactly two states")
     _require_commuting(ensemble.states)
-    return entropy_of_spectrum(_purification_spectrum(ensemble))
+    return entropy_of_spectrum(_purification_spectrum(ensemble.probs, *_stack(ensemble.states)))
 
 
 def photographic_negative_ensemble(d: int) -> Ensemble:
@@ -186,10 +186,11 @@ def photographic_negative_report(d: int) -> PhotographicNegativeReport:
     The spectrum comes from the d x d Gram matrix of the purification overlaps
     and is verified against the closed form {(d-1)/d, (d-1) copies of
     1/(d(d-1))}; q is its entropy and chi the Holevo quantity of the source
-    ensemble.
+    ensemble, both read from the ensemble's one stack.
     """
     ensemble = photographic_negative_ensemble(d)
-    spec = _purification_spectrum(ensemble)
+    mats, flags = ensemble.stack()
+    spec = _purification_spectrum(ensemble.probs, mats[1:], flags[1:])
 
     expected = np.concatenate([[(d - 1) / d], np.full(d - 1, 1.0 / (d * (d - 1)))])
     defect = max_abs(spec - expected)
@@ -199,6 +200,5 @@ def photographic_negative_report(d: int) -> PhotographicNegativeReport:
         )
 
     spec.setflags(write=False)
-    return PhotographicNegativeReport(
-        d=d, mixture_spectrum=spec, q=entropy_of_spectrum(spec), chi=holevo(ensemble)
-    )
+    chi = _entropy_bracket(mats, flags, ensemble.probs)[1]
+    return PhotographicNegativeReport(d, spec, entropy_of_spectrum(spec), chi)

@@ -278,13 +278,12 @@ def _stack(states: Sequence[DensityOperator]) -> tuple[np.ndarray, np.ndarray]:
             np.array([s.is_diagonal for s in states], dtype=bool))
 
 
-def _eigenvalues(states: Sequence[DensityOperator]) -> np.ndarray:
-    """Eigenvalues of each state, descending, as one (k, d) array.
+def _eigenvalues(mats: np.ndarray, flags: np.ndarray) -> np.ndarray:
+    """Eigenvalues of each state in a stack and its diagonal tests (``_stack``), descending.
 
     The one spectrum helper for stacks: diagonal states read their diagonal,
     as eig_hermitian does, and the others share one eigvalsh call.
     """
-    mats, flags = _stack(states)
     vals = np.real(np.diagonal(mats, axis1=-2, axis2=-1)).copy()
     if not flags.all():
         vals[~flags] = np.linalg.eigvalsh(mats[~flags])

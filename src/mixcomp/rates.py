@@ -25,7 +25,7 @@ from .measures import (
     vn_entropy,
 )
 from .purify import _purification_spectrum
-from .qmat import DensityLike, DensityOperator, _stack, as_density, commuting, eig_hermitian
+from .qmat import DensityLike, DensityOperator, _eig, as_density, commuting, is_diagonal
 from .tolerance import STRUCTURE_TOL
 
 Kind = Literal["upper_bound", "lower_bound", "scheme_rate", "conjecture"]
@@ -177,17 +177,26 @@ def _example11_scheme_rate(eps: float, sigma_bar: DensityOperator) -> float:
     return shannon_entropy([eps, 1.0 - eps]) + eps * vn_entropy(sigma_bar)
 
 
-def _detect_block_split(ensemble: Ensemble) -> float | None:
-    """The lowest Example 11 rate over the split indices that pass the gates on the stack.
+def _zero_block_splits(members: np.ndarray) -> np.ndarray:
+    """The split indices k with every |rho_i[:k, k:]| <= STRUCTURE_TOL, from one pass.
+
+    reach[i] is the last column any member holds above STRUCTURE_TOL in rows
+    0..i, a running maximum over the members' zero pattern; k passes iff reach[k - 1] < k.
+    """
+    d = members.shape[-1]
+    pattern = (np.abs(members) > STRUCTURE_TOL).any(axis=0)
+    reach = np.maximum.accumulate(np.where(pattern, np.arange(d), 0).max(axis=1))
+    return np.flatnonzero(reach[:-1] < np.arange(1, d)) + 1
+
+
+def _detect_block_split(members: np.ndarray, probs: np.ndarray) -> float | None:
+    """The lowest Example 11 rate over the split indices that pass the gates on the members' stack.
 
     A split that passes has Example 11's shape, whose entropy decomposition is an identity.
     """
-    mats, _ = _stack(ensemble.states)
     best: float | None = None
-    for m in range(1, ensemble.dim):
-        if not STRUCTURE_TOL.admits(np.abs(mats[:, :m, m:])):
-            continue
-        eps_each = np.real(np.trace(mats[:, :m, :m], axis1=-2, axis2=-1))
+    for m in _zero_block_splits(members):
+        eps_each = np.real(np.trace(members[:, :m, :m], axis1=-2, axis2=-1))
         eps = float(eps_each[0])
         if not (STRUCTURE_TOL < eps < 1.0 - STRUCTURE_TOL
                 and STRUCTURE_TOL.admits(np.abs(eps_each - eps))):
@@ -195,88 +204,71 @@ def _detect_block_split(ensemble: Ensemble) -> float | None:
         # Each block over its own trace: a principal block of a validated
         # state, so exactly Hermitian, PSD by Cauchy interlacing, trace one.
         w = eps_each[:, None, None]
-        tau = mats[:, m:, m:] / (1.0 - w)
+        tau = members[:, m:, m:] / (1.0 - w)
         if not STRUCTURE_TOL.admits(np.abs(tau[1:] - tau[0])):
             continue
-        sigma = tuple(DensityOperator._wrap(b) for b in mats[:, :m, :m] / w)
-        rate = _example11_scheme_rate(eps, Ensemble(sigma, ensemble.probs).average())
+        sigma = tuple(DensityOperator._wrap(b) for b in members[:, :m, :m] / w)
+        rate = _example11_scheme_rate(eps, Ensemble(sigma, probs).average())
         if best is None or rate < best:
             best = rate
     return best
 
 
-def _detect_photographic_negative(ensemble: Ensemble) -> bool:
+def _detect_photographic_negative(mats: np.ndarray, flags: np.ndarray, probs: np.ndarray) -> bool:
     """Whether the states are the hole pattern in any order: one hole each, at its argmin."""
-    d = ensemble.dim
-    if len(ensemble) != d or d < 3 or not all(s.is_diagonal for s in ensemble.states):
+    m, d = mats.shape[:2]
+    if m != d or d < 3 or not flags.all():
         return False
-    diag = np.real(np.diagonal(_stack(ensemble.states)[0], axis1=-2, axis2=-1))
+    diag = np.real(np.diagonal(mats, axis1=-2, axis2=-1))
     holes = np.argmin(diag, axis=1)
     expected = np.full((d, d), 1.0 / (d - 1))
     expected[np.arange(d), holes] = 0.0
     return (STRUCTURE_TOL.admits(np.abs(diag - expected))
             and np.array_equal(np.sort(holes), np.arange(d))
-            and STRUCTURE_TOL.admits(np.abs(ensemble.probs - 1.0 / d)))
-
-
-def _coin_source_from_qubit_pair(ensemble: Ensemble) -> CoinSource | None:
-    """The coin source of a commuting pair of qubit states (the caller checks commuting)."""
-    if ensemble.dim != 2:
-        return None
-    r1, r2 = ensemble.states
-    # The top eigenvector of rho1 - rho2 is a common eigenvector when rho1 != rho2;
-    # when they are equal any vector gives alpha1 = alpha2, and Xi depends only on
-    # |alpha2 - alpha1|.
-    e = eig_hermitian(r1.matrix - r2.matrix).eigenvectors[:, 0]
-    alpha1, alpha2 = (
-        float(np.clip(np.real(np.vdot(e, r.matrix @ e)), 0.0, 1.0)) for r in (r1, r2)
-    )
-    return CoinSource(
-        p1=float(ensemble.probs[0]), p2=float(ensemble.probs[1]), alpha1=alpha1, alpha2=alpha2
-    )
+            and STRUCTURE_TOL.admits(np.abs(probs - 1.0 / d)))
 
 
 def rate_report(ensemble: Ensemble, label: str = "ensemble") -> RateReport:
     """Bounds plus scheme rates for every recognised special ensemble shape.
 
     Recognition is structural with tolerance 1e-8; anything unrecognised
-    degrades gracefully to a bounds-only report.
+    degrades gracefully to a bounds-only report.  The ensemble is stacked once
+    (``Ensemble.stack``), and every measure and recogniser reads that stack.
     """
-    s_bar, chi = _entropy_bracket(ensemble)
+    mats, flags = ensemble.stack()
+    members, diagonal, probs = mats[1:], flags[1:], ensemble.probs
+    s_bar, chi = _entropy_bracket(mats, flags, probs)
     entries = [
         RateEntry("mean-state entropy S", s_bar, "upper_bound"),
         RateEntry("Holevo quantity chi", chi, "lower_bound"),
         # Visible coding can always just name the state at the prior's entropy.
-        RateEntry("visible state-identity coding H(p)",
-                  shannon_entropy(ensemble.probs), "scheme_rate"),
+        RateEntry("visible state-identity coding H(p)", entropy_of_spectrum(probs), "scheme_rate"),
     ]
 
-    if len(ensemble) == 2 and commuting(ensemble.states):
-        coin = _coin_source_from_qubit_pair(ensemble)
-        if coin is not None:
-            entries.append(
-                RateEntry("three-message protocol Xi", xi_rate(coin), "scheme_rate")
-            )
-        # purify.two_state_purification_rate without its second commuting test.
-        entries.append(
-            RateEntry(
-                "canonical purification scheme",
-                entropy_of_spectrum(_purification_spectrum(ensemble)),
-                "scheme_rate",
-            )
-        )
+    pair = len(ensemble) == 2 and commuting(ensemble.states)
+    if pair and ensemble.dim == 2:
+        # The coin source of a commuting qubit pair.  The top eigenvector of
+        # rho1 - rho2 is a common eigenvector when rho1 != rho2; when they are equal
+        # any vector gives alpha1 = alpha2, and Xi depends only on |alpha2 - alpha1|.
+        # The difference of two validated states is exactly Hermitian, so it is
+        # solved without the checks a raw array gets.
+        diff = members[0] - members[1]
+        e = _eig(diff, is_diagonal(diff)).eigenvectors[:, 0]
+        alpha = (float(np.clip(np.real(np.vdot(e, r @ e)), 0.0, 1.0)) for r in members)
+        coin = CoinSource(float(probs[0]), float(probs[1]), *alpha)
+        entries.append(RateEntry("three-message protocol Xi", xi_rate(coin), "scheme_rate"))
+    # A pair's entry is purify.two_state_purification_rate without its second
+    # commuting test.  A hole pattern's upper traces differ at every split, so it
+    # has no block entry, and the one purification entry precedes that entry either way.
+    if pair or _detect_photographic_negative(members, diagonal, probs):
+        name = ("canonical purification scheme" if pair
+                else "photographic-negative purification mixture")
+        entries.append(RateEntry(
+            name, entropy_of_spectrum(_purification_spectrum(probs, members, diagonal)),
+            "scheme_rate"))
 
-    split = _detect_block_split(ensemble)
+    split = _detect_block_split(members, probs)
     if split is not None:
         entries.append(RateEntry("block-diagonal scheme (shared tau)", split, "scheme_rate"))
-
-    if _detect_photographic_negative(ensemble):
-        entries.append(
-            RateEntry(
-                "photographic-negative purification mixture",
-                entropy_of_spectrum(_purification_spectrum(ensemble)),
-                "scheme_rate",
-            )
-        )
 
     return RateReport.from_entries(label, entries)

@@ -20,6 +20,8 @@ from mixcomp.rates import (
     BlockDiagonalEnsemble,
     RateEntry,
     RateReport,
+    _detect_block_split,
+    _zero_block_splits,
     example11_rate,
     lower_bound_rate,
     rate_report,
@@ -438,10 +440,96 @@ class TestRecognisersAgainstTheOldSearch:
         @settings(max_examples=200)
         @given(hole_candidates())
         def check(ens):
-            want = (entropy_of_spectrum(_purification_spectrum(ens))
+            want = (entropy_of_spectrum(_purification_spectrum(ens.probs, *qmat._stack(ens.states)))
                     if walked_hole_pattern(ens) else None)
             assert repr(report_rate(ens, HOLE)) == repr(want)
             seen.add(want is not None)
 
         check()
         assert seen == {True, False}
+
+
+def sliced_block_search(ensemble: Ensemble) -> tuple[list[int], float | None]:
+    """The block-split search with a slice |rho_i[:k, k:]| per split index, as it stood
+    before the zero-pattern pass: the split indices it admits, and its rate."""
+    mats = np.stack([s.matrix for s in ensemble.states])
+    admitted, best = [], None
+    for m in range(1, ensemble.dim):
+        if not STRUCTURE_TOL.admits(np.abs(mats[:, :m, m:])):
+            continue
+        admitted.append(m)
+        eps_each = np.real(np.trace(mats[:, :m, :m], axis1=-2, axis2=-1))
+        eps = float(eps_each[0])
+        if not (STRUCTURE_TOL < eps < 1.0 - STRUCTURE_TOL
+                and STRUCTURE_TOL.admits(np.abs(eps_each - eps))):
+            continue
+        w = eps_each[:, None, None]
+        tau = mats[:, m:, m:] / (1.0 - w)
+        if not STRUCTURE_TOL.admits(np.abs(tau[1:] - tau[0])):
+            continue
+        sigma = tuple(qmat.DensityOperator._wrap(b) for b in mats[:, :m, :m] / w)
+        rate = (shannon_entropy([eps, 1.0 - eps])
+                + eps * vn_entropy(Ensemble(sigma, ensemble.probs).average()))
+        if best is None or rate < best:
+            best = rate
+    return admitted, best
+
+
+@st.composite
+def split_candidates(draw) -> Ensemble:
+    """Block-diagonal states at one or several cuts (1 x 1 blocks at every cut: diagonal).
+
+    Shared blocks after the first pass the trace and tau gates.  One entry
+    across two blocks may sit at 1/2 or 2 times STRUCTURE_TOL, and the basis
+    may be permuted or rotated by a random unitary (generic states).
+    """
+    d, k = draw(st.integers(2, 7)), draw(st.integers(1, 4))
+    rng = sampling.generator(draw(st.integers(0, 2**32 - 1)))
+    cuts = sorted(draw(st.sets(st.integers(1, d - 1), min_size=1)))
+    edges = [0, *cuts, d]
+    sizes = np.diff(edges)
+    shared = draw(st.booleans())
+    common = ([sampling.random_density(int(b), rng).matrix for b in sizes],
+              sampling.random_prob_vector(len(sizes), rng))
+    states = []
+    for i in range(k):
+        blocks, weights = ([sampling.random_density(int(b), rng).matrix for b in sizes],
+                           sampling.random_prob_vector(len(sizes), rng))
+        if shared:
+            blocks, weights = blocks[:1] + common[0][1:], common[1]
+        full = np.zeros((d, d), dtype=complex)
+        for a, b, block, w in zip(edges, edges[1:], blocks, weights):
+            full[a:b, a:b] = w * block
+        states.append(full)
+    scale = draw(st.sampled_from([None, 0.5, 2.0]))
+    if scale is not None:
+        row, col = draw(st.integers(0, cuts[0] - 1)), draw(st.integers(cuts[0], d - 1))
+        member = draw(st.integers(0, k - 1))
+        states[member][row, col] = states[member][col, row] = scale * STRUCTURE_TOL
+    basis = draw(st.sampled_from(["computational", "permuted", "generic"]))
+    if basis == "permuted":
+        order = list(draw(st.permutations(range(d))))
+        states = [s[np.ix_(order, order)] for s in states]
+    elif basis == "generic":
+        u = sampling.random_unitary(d, rng)
+        states = [u @ s @ u.conj().T for s in states]
+    return Ensemble.from_lists(sampling.random_prob_vector(k, rng), states)
+
+
+def test_zero_pattern_search_admits_the_sliced_splits():
+    # The admitted splits and the rate equal the sliced search's; no split,
+    # splits without a rate, and a rate all occur.
+    seen = set()
+
+    @settings(max_examples=300)
+    @given(split_candidates())
+    def check(ens):
+        admitted, want = sliced_block_search(ens)
+        members = qmat._stack(ens.states)[0]
+        assert _zero_block_splits(members).tolist() == admitted
+        assert repr(_detect_block_split(members, ens.probs)) == repr(want)
+        assert repr(report_rate(ens, BLOCK)) == repr(want)
+        seen.add((bool(admitted), want is not None))
+
+    check()
+    assert seen == {(False, False), (True, False), (True, True)}

@@ -24,8 +24,8 @@ from mixcomp.measures import (
     holevo_continuity_bound,
     vn_entropy,
 )
-from mixcomp.purify import _root_overlaps
-from mixcomp.qmat import DensityOperator, eig_hermitian, is_diagonal, matrix_sqrt_psd
+from mixcomp.purify import _root_overlaps, photographic_negative_ensemble
+from mixcomp.qmat import DensityOperator, _stack, eig_hermitian, is_diagonal, matrix_sqrt_psd
 from mixcomp.rates import rate_report
 from mixcomp.tolerance import DIAGONAL_TOL, LOG_FLOOR, STRUCTURE_TOL, max_abs
 
@@ -100,7 +100,7 @@ def test_root_overlaps_equal_per_state_square_roots(pair):
     states = pair[0].states
     roots = [matrix_sqrt_psd(s) for s in states]
     oracle = np.array([[np.real(np.trace(x @ y)) for y in roots] for x in roots])
-    assert max_abs(_root_overlaps(states) - oracle) <= AGREE
+    assert max_abs(_root_overlaps(*_stack(states)) - oracle) <= AGREE
 
 
 def admits_oracle(tol, defect) -> bool:
@@ -236,3 +236,34 @@ def test_rate_report_solves_the_mean_state_once(monkeypatch, rng):
         counter.inputs.clear()
         rate_report(ensemble)
         assert counter.calls_with(ensemble.average().matrix) == solves
+
+
+def test_rate_report_stacks_its_members_once(monkeypatch, rng):
+    # A generic ensemble, a commuting non-diagonal qubit pair (coin and canonical
+    # purification entries), a block ensemble and a hole pattern: each report
+    # stacks the members once, for the bracket and every recogniser.
+    u = sampling.random_unitary(2, rng)
+    pair = Ensemble.from_lists([0.3, 0.7], [u @ diag_state(a, 1.0 - a) @ u.conj().T
+                                           for a in (0.2, 0.9)])
+    tau = sampling.random_density(2, rng).matrix
+    blocks = []
+    for _ in range(3):
+        full = np.zeros((4, 4), dtype=complex)
+        full[:2, :2] = 0.4 * sampling.random_density(2, rng).matrix
+        full[2:, 2:] = 0.6 * tau
+        blocks.append(full)
+    block = Ensemble.from_lists([0.2, 0.3, 0.5], blocks)
+    stacked = []
+    original = np.stack
+    monkeypatch.setattr(np, "stack", lambda arrays, *a, **k: (
+        stacked.append([id(x) for x in arrays]) or original(arrays, *a, **k)))
+    for ensemble, entry in ((dense_ensemble(rng, 3, 4), None),
+                            (pair, "three-message protocol Xi"),
+                            (block, "block-diagonal scheme (shared tau)"),
+                            (photographic_negative_ensemble(5),
+                             "photographic-negative purification mixture")):
+        stacked.clear()
+        names = [e.name for e in rate_report(ensemble).entries]
+        assert entry is None or entry in names
+        first = id(ensemble.states[0].matrix)
+        assert sum(first in ids for ids in stacked) == 1
