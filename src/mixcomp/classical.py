@@ -13,7 +13,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DegenerateProtocol, DimensionMismatch, DomainError, ValidationError
+from .errors import (
+    DegenerateProtocol,
+    DimensionMismatch,
+    DimensionOverflow,
+    DomainError,
+    ValidationError,
+)
 from .measures import Ensemble, _entropy_bracket, as_prob_vector, shannon_entropy
 from .sampling import block_generator
 from .tolerance import PARAM_EPS, UNIT_TOL
@@ -26,6 +32,8 @@ TAILS, HEADS = 0, 1
 #: Positions simulated per independent random stream; results do not depend on
 #: how blocks are distributed over workers.
 BLOCK_SIZE = 4096
+#: Most positions one simulation runs: its three int8 traces take 30 MB here.
+TOSS_CAP = 10_000_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,6 +212,8 @@ def example9_simulate(src: CoinSource, n_tosses: int, seed: int = 0) -> Protocol
     """
     if n_tosses < 1:
         raise DomainError(f"n_tosses must be >= 1, got {n_tosses}")
+    if n_tosses > TOSS_CAP:
+        raise DimensionOverflow(f"n_tosses {n_tosses} exceeds TOSS_CAP {TOSS_CAP}")
     s, swapped = orient_coins(src)
     m0_prob = 1.0 - s.alpha2 + s.alpha1
     heads_if_m0 = s.alpha1 / m0_prob if m0_prob > 0.0 else 0.0

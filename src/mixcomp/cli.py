@@ -18,8 +18,12 @@ import sys
 import numpy as np
 
 from . import blocksim, classical, purify, rates, wire
-from .errors import DomainError, MixcompError
+from .errors import DimensionOverflow, DomainError, MixcompError
 from .measures import fidelity, holevo, vn_entropy
+
+#: Most rows ``classical compare`` takes a --grid-step for: steps down to 1e-4,
+#: at about 0.5 ms a row.
+GRID_ROW_CAP = 5001
 
 
 def _add_common(parser: argparse.ArgumentParser, seed: bool = False) -> None:
@@ -109,9 +113,14 @@ def cmd_classical_compare(args) -> None:
     header = ["epsilon_or_params", "S_rho_bar", "H_p", "Xi", "Upsilon", "chi", "conjectured_MI"]
     if not 0.0 < args.grid_step < np.inf:
         raise DomainError(f"--grid-step must be finite and positive, got {args.grid_step}")
+    # The grid runs to just past 1/2; np.arange gives it ceil(stop / step) rows.
+    stop = 0.5 + 1e-12
+    if stop / args.grid_step > GRID_ROW_CAP:
+        raise DimensionOverflow(
+            f"--grid-step {args.grid_step} gives more than GRID_ROW_CAP {GRID_ROW_CAP} grid rows")
     rows = []
     if args.grid:
-        for eps in np.arange(0.0, 0.5 + 1e-12, args.grid_step):
+        for eps in np.arange(0.0, stop, args.grid_step):
             eps = float(round(eps, 10))
             src = classical.CoinSource(0.5, 0.5, eps, 1.0 - eps)
             rows.append(_compare_row(eps, src))

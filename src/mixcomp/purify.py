@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NotCommuting, ValidationError
+from .errors import DimensionOverflow, DomainError, NotCommuting, ValidationError
 from .measures import Ensemble, _entropy_bracket, entropy_of_spectrum, shannon_entropy
 from .qmat import (
     DensityLike,
@@ -33,6 +33,10 @@ from .qmat import (
     psd_roots,
 )
 from .tolerance import PHASE_FLOOR, STRUCTURE_TOL, max_abs
+
+#: Largest d of the hole-pattern ensemble: its d states of d x d complex
+#: entries take 268 MB at d = 256, and the memory grows as d^3.
+HOLE_DIM_CAP = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,6 +164,9 @@ def photographic_negative_ensemble(d: int) -> Ensemble:
     """
     if d < 3:
         raise DomainError(f"photographic negative ensemble needs d >= 3, got {d}")
+    if d > HOLE_DIM_CAP:
+        raise DimensionOverflow(f"photographic negative ensemble d = {d} exceeds HOLE_DIM_CAP "
+                                f"{HOLE_DIM_CAP}")
     states = []
     for i in range(d):
         diag = np.full(d, 1.0 / (d - 1))

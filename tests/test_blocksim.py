@@ -91,6 +91,15 @@ class TestTypicalSubspace:
         pi = sub.projector()
         assert np.max(np.abs(pi @ pi - pi)) <= 1e-10
 
+    def test_projector_in_the_computational_basis(self):
+        # A diagonal reference has no frame: the projector is the diagonal 0/1
+        # matrix of the kept coordinates, for one factor and for a block.
+        sub = typical_subspace(diag_state(0.2, 0.5, 0.3), 2)
+        assert sub.frame is None
+        np.testing.assert_array_equal(sub.projector(), np.diag([0, 1, 1]).astype(complex))
+        block = typical_subspace_from_weights(np.array([0.49, 0.21, 0.21, 0.09]), 3)
+        np.testing.assert_array_equal(block.projector(), np.diag([1, 1, 1, 0]).astype(complex))
+
     def test_domain(self, rng):
         rho = sampling.random_density(3, rng)
         with pytest.raises(DomainError):

@@ -168,6 +168,33 @@ class TestSimulation:
         with pytest.raises(DegenerateProtocol):
             m0_output_law(src)
 
+    def test_swapped_source_relabels_its_coins_back(self):
+        # alpha1 > alpha2: the protocol runs on the relabelled source and the
+        # coin sequence comes back in the caller's labels; messages and
+        # outputs are those of the relabelled run.
+        src = CoinSource(0.7, 0.3, 0.9, 0.2)
+        oriented, swapped = orient_coins(src)
+        assert swapped
+        trace = example9_simulate(src, 20_000, seed=7)
+        ref = example9_simulate(oriented, 20_000, seed=7)
+        assert trace.swapped and not ref.swapped
+        np.testing.assert_array_equal(trace.coin_sequence, 3 - ref.coin_sequence)
+        np.testing.assert_array_equal(trace.message_sequence, ref.message_sequence)
+        np.testing.assert_array_equal(trace.output_sequence, ref.output_sequence)
+        emp = trace.empirical_heads_given_coin()
+        for coin, alpha in ((1, 0.9), (2, 0.2)):
+            count = int(np.sum(trace.coin_sequence == coin))
+            assert abs(emp[coin] - alpha) <= 4 * math.sqrt(alpha * (1 - alpha) / count)
+
+    @pytest.mark.parametrize("src", [CoinSource(0.4, 0.6, 0.2, 0.6),
+                                     CoinSource(0.6, 0.4, 0.6, 0.2)])
+    def test_m0_output_law_non_degenerate(self, src):
+        # m0 = 1 - 0.6 + 0.2 = 0.6 in either labelling: (P(heads), P(tails)) =
+        # (0.2, 0.4) / 0.6, and the shared branch reproduces the lower coin's heads.
+        law = m0_output_law(src)
+        np.testing.assert_allclose(law, [1 / 3, 2 / 3], atol=1e-15)
+        assert abs(0.6 * law[0] - 0.2) <= 1e-15
+
     def test_trace_length_invariant(self):
         with pytest.raises(ValidationError):
             ProtocolTrace(

@@ -6,7 +6,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from mixcomp import blocksim, cli, sampling, wire
+from mixcomp import blocksim, classical, cli, sampling, wire
 from mixcomp.blocksim import ceiling_subspace_dim
 from mixcomp.cli import main
 from mixcomp.errors import ParseError, ValidationError
@@ -108,6 +108,56 @@ class TestCliCommands:
         assert captured.out == ""
         assert captured.err == (
             f"error: DomainError: --grid-step must be finite and positive, got {float(step)}\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["classical", "compare", "--grid", "--grid-step=9.99e-05"],
+         "--grid-step 9.99e-05 gives more than GRID_ROW_CAP 5001 grid rows"),
+        (["classical", "compare", "--grid", "--grid-step=1e-09"],
+         "--grid-step 1e-09 gives more than GRID_ROW_CAP 5001 grid rows"),
+        (["classical", "compare", "--grid-step=5e-324"],
+         "--grid-step 5e-324 gives more than GRID_ROW_CAP 5001 grid rows"),
+        (["classical", "simulate", "--n", "10000001"],
+         "n_tosses 10000001 exceeds TOSS_CAP 10000000"),
+        (["classical", "simulate", "--n", "10000000000"],
+         "n_tosses 10000000000 exceeds TOSS_CAP 10000000"),
+        (["purify", "report", "--dim", "257"],
+         "photographic negative ensemble d = 257 exceeds HOLE_DIM_CAP 256"),
+        (["purify", "report", "--dim", "1024"],
+         "photographic negative ensemble d = 1024 exceeds HOLE_DIM_CAP 256"),
+    ])
+    def test_size_bounds_refused_before_any_array(self, capsys, argv, message):
+        # Grid rows, tosses and the hole dimension are bounded before the
+        # grid, the traces or the first state is built.
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: DimensionOverflow: {message}\n"
+        assert peak < 2**20
+
+    def test_grid_row_cap_admits_its_own_step(self, capsys, monkeypatch):
+        # Step 1e-4 gives exactly GRID_ROW_CAP rows, so it is accepted (rows stubbed).
+        monkeypatch.setattr(cli, "_compare_row", lambda label, src: [label])
+        assert main(["classical", "compare", "--grid", "--grid-step=1e-4"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1 + cli.GRID_ROW_CAP and lines[-1] == "0.5"
+
+    def test_classical_compare_single_source(self, capsys):
+        # Without --grid: one row for the source the options describe.
+        assert main(["classical", "compare", "--p1", "0.3", "--alpha1", "0.6",
+                     "--alpha2", "0.1"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 2
+        row = lines[1].split(",")
+        assert row[0] == "p1=0.3;a1=0.6;a2=0.1"
+        assert row[4] == "nan"  # not the symmetric family: no Upsilon
+        xi = classical.xi_rate(classical.CoinSource(0.3, 0.7, 0.6, 0.1))
+        assert row[3] == f"{xi:.12g}"
 
     def test_classical_simulate_records_seed(self, capsys):
         assert main(["classical", "simulate", "--n", "2000", "--seed", "9"]) == 0
