@@ -184,7 +184,9 @@ def _zero_block_splits(members: np.ndarray) -> np.ndarray:
     0..i, a running maximum over the members' zero pattern; k passes iff reach[k - 1] < k.
     """
     d = members.shape[-1]
-    pattern = (np.abs(members) > STRUCTURE_TOL).any(axis=0)
+    pattern = np.zeros((d, d), dtype=bool)
+    for x in members:  # one member at a time: |entries| of the whole stack would be m d^2 floats
+        pattern |= np.abs(x) > STRUCTURE_TOL
     reach = np.maximum.accumulate(np.where(pattern, np.arange(d), 0).max(axis=1))
     return np.flatnonzero(reach[:-1] < np.arange(1, d)) + 1
 
