@@ -243,7 +243,8 @@ def rate_report(ensemble: Ensemble, label: str = "ensemble") -> RateReport:
     entries = [
         RateEntry("mean-state entropy S", s_bar, "upper_bound"),
         RateEntry("Holevo quantity chi", chi, "lower_bound"),
-        # Visible coding can always just name the state at the prior's entropy.
+        # Visible coding can always just name the state at the prior's entropy;
+        # the prior was validated when the ensemble was built.
         RateEntry("visible state-identity coding H(p)", entropy_of_spectrum(probs), "scheme_rate"),
     ]
 

@@ -26,12 +26,12 @@ TWO_QUBITS = diag_state(0.1, 0.2, 0.3, 0.4)
 HALF = [0.5, 0.5]
 
 
-def pair_ensemble(*states) -> measures.Ensemble:
+def uniform_ensemble(*states) -> measures.Ensemble:
     return measures.Ensemble.from_lists(np.full(len(states), 1.0 / len(states)), states)
 
 
 def qubit_source() -> blocksim.BlockSource:
-    return blocksim.BlockSource.build(pair_ensemble(QUBIT, diag_state(0.9, 0.1)), 2)
+    return blocksim.BlockSource.build(uniform_ensemble(QUBIT, diag_state(0.9, 0.1)), 2)
 
 
 def write_bad_json(tmp_path) -> str:
@@ -47,7 +47,7 @@ def two_povm() -> measures.Povm:
 # (id, call on a tmp_path, error type, fragment of the message that names the invariant)
 CASES = [
     # blocksim
-    ("block-length", lambda tmp: blocksim.BlockSource.build(pair_ensemble(QUBIT), 0),
+    ("block-length", lambda tmp: blocksim.BlockSource.build(uniform_ensemble(QUBIT), 0),
      DomainError, "n_blocks must be >= 1, got 0"),
     ("retained-count", lambda tmp: blocksim.power_spectrum_top_sum(QUBIT, 2, 5),
      DomainError, "retained count 5 outside [1, 4]"),
@@ -88,12 +88,12 @@ CASES = [
     ("povm-state-dims", lambda tmp: two_povm().outcome_probs(QUTRIT),
      DimensionMismatch, "state dimension 3 does not match POVM dimension 2"),
     ("ensemble-pair-lengths",
-     lambda tmp: measures.avg_ensemble_fidelity(pair_ensemble(QUBIT, QUBIT),
-                                                pair_ensemble(QUBIT, QUBIT, QUBIT)),
+     lambda tmp: measures.avg_ensemble_fidelity(uniform_ensemble(QUBIT, QUBIT),
+                                                uniform_ensemble(QUBIT, QUBIT, QUBIT)),
      LengthMismatch, "ensembles have 2 and 3 states"),
     ("ensemble-pair-dims",
-     lambda tmp: measures.avg_ensemble_fidelity(pair_ensemble(QUBIT, QUBIT),
-                                                pair_ensemble(QUTRIT, QUTRIT)),
+     lambda tmp: measures.avg_ensemble_fidelity(uniform_ensemble(QUBIT, QUBIT),
+                                                uniform_ensemble(QUTRIT, QUTRIT)),
      DimensionMismatch, "ensembles have dims 2 and 3"),
     ("measured-state-dims",
      lambda tmp: measures.measured_classical_fidelity(QUBIT, QUTRIT, two_povm()),
