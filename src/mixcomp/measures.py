@@ -23,11 +23,13 @@ from .errors import (
 from .qmat import (
     DensityLike,
     DensityOperator,
+    _as_density_pairs,
+    _eigenpairs,
     _eigenvalues,
+    _spectrum_root,
     _stack,
     as_density,
     dagger,
-    matrix_sqrt_psd,
     psd_roots,
 )
 from .tolerance import LOG_FLOOR, STRUCTURE_TOL, UNIT_TOL, max_abs
@@ -170,21 +172,27 @@ def entropy_of_spectrum(vals: np.ndarray) -> float:
 
 
 def vn_entropy(rho: DensityLike) -> float:
-    """Von Neumann entropy -tr(rho log2 rho) in bits."""
-    return float(_entropies(_eigenvalues(*_stack([as_density(rho)])))[0])
+    """Von Neumann entropy -tr(rho log2 rho) in bits.
+
+    A DensityOperator costs one eigvalsh call; a raw array costs the one eigh
+    call of its validation, whose eigenvalues give the entropy (a second call
+    when the PSD clamp rebuilt it).  Diagonal states cost none.
+    """
+    r, pairs = _as_density_pairs(rho)
+    return float(_entropies(_eigenvalues(*_stack([r]))[0] if pairs is None else pairs[0]))
 
 
 def _bhattacharyya(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """G of diagonal states, from the diagonals of two matrices or stacks (..., d, d)."""
-    p = np.clip(np.real(np.diagonal(a, axis1=-2, axis2=-1)), 0.0, None)
-    q = np.clip(np.real(np.diagonal(b, axis1=-2, axis2=-1)), 0.0, None)
+    p = np.maximum(np.real(np.diagonal(a, axis1=-2, axis2=-1)), 0.0)
+    q = np.maximum(np.real(np.diagonal(b, axis1=-2, axis2=-1)), 0.0)
     return np.sum(np.sqrt(p * q), axis=-1)
 
 
 def _sqrt_fid_oriented(root: np.ndarray, other: np.ndarray) -> np.ndarray:
     mid = root @ other @ root
     mid = (mid + dagger(mid)) / 2.0
-    return np.sum(np.sqrt(np.clip(np.linalg.eigvalsh(mid), 0.0, None)), axis=-1)
+    return np.sum(np.sqrt(np.maximum(np.linalg.eigvalsh(mid), 0.0)), axis=-1)
 
 
 def sqrt_fidelity_from_roots(a: np.ndarray, root_a: np.ndarray, b: np.ndarray,
@@ -208,15 +216,18 @@ def sqrt_fidelity(rho1: DensityLike, rho2: DensityLike) -> float:
     """G(rho1, rho2) = tr sqrt(sqrt(rho1) rho2 sqrt(rho1)), symmetrised, at most 1.
 
     Two diagonal states take the classical Bhattacharyya sum without square
-    roots; see ``sqrt_fidelity_from_roots`` for the formula.
+    roots; see ``sqrt_fidelity_from_roots`` for the formula.  Otherwise two
+    DensityOperators cost two eigh calls (their roots) and two eigvalsh calls
+    (the two orientations); a raw array's root comes from the eigh call of its
+    validation, so two raw arrays cost the same 2 + 2 in all.
     """
-    r1, r2 = as_density(rho1), as_density(rho2)
+    (r1, p1), (r2, p2) = _as_density_pairs(rho1), _as_density_pairs(rho2)
     if r1.dim != r2.dim:
         raise DimensionMismatch(f"fidelity operands have dims {r1.dim} and {r2.dim}")
     if r1.is_diagonal and r2.is_diagonal:
         return min(float(_bhattacharyya(r1.matrix, r2.matrix)), 1.0)
-    return float(sqrt_fidelity_from_roots(r1.matrix, matrix_sqrt_psd(r1),
-                                          r2.matrix, matrix_sqrt_psd(r2)))
+    root1, root2 = (_spectrum_root(*_eigenpairs(r, p)) for r, p in ((r1, p1), (r2, p2)))
+    return float(sqrt_fidelity_from_roots(r1.matrix, root1, r2.matrix, root2))
 
 
 def fidelity(rho1: DensityLike, rho2: DensityLike) -> float:

@@ -25,10 +25,11 @@ from .qmat import (
     DensityLike,
     DensityOperator,
     PureState,
+    _as_density_pairs,
+    _eigenpairs,
+    _spectrum_root,
     _stack,
-    as_density,
     commuting,
-    eig_hermitian,
     kron,
     psd_roots,
 )
@@ -70,32 +71,31 @@ def canonical_purification(rho: DensityLike) -> Purification:
     Eigenvalues are taken in descending order with stable ties and eigenvector
     phases fixed, so the construction is deterministic.
     """
-    r = as_density(rho)
-    spec = eig_hermitian(r)
-    vecs = _fix_phases(spec.eigenvectors)
+    r, pairs = _as_density_pairs(rho)
+    vals, vecs = _eigenpairs(r, pairs)
     d = r.dim
     psi = np.zeros(d * d, dtype=complex)
-    for lam, col in zip(spec.eigenvalues, vecs.T):
+    for lam, col in zip(vals, _fix_phases(vecs).T):
         if lam > 0.0:
             psi += np.sqrt(lam) * kron([col, col])
     nrm = np.linalg.norm(psi)
     return Purification(PureState.from_vector(psi / nrm), r, d)
 
 
-def _root_overlaps(mats: np.ndarray, flags: np.ndarray) -> np.ndarray:
+def _root_overlaps(mats: np.ndarray, flags: np.ndarray, pairs=None) -> np.ndarray:
     """Matrix of tr(sqrt(rho_i) sqrt(rho_j)), the purification overlaps, of a stack (``_stack``).
 
     For commuting states these are the overlaps of the purifications
     sum_k sqrt(p_k) |k> x |k> written in any common eigenbasis {|k>}: the sum
     sum_k sqrt(p_k q_k) does not depend on which common eigenbasis is used.
     All m roots come from one ``psd_roots`` call on the stack, each bit for bit
-    the root ``matrix_sqrt_psd`` gives.
+    the root ``matrix_sqrt_psd`` gives, or from the stack's eigenpairs ``pairs``.
     """
     if flags.all():
         # Diagonal roots: the trace is sum_k sqrt(p_ik p_jk), with no d x d products.
-        roots = np.sqrt(np.clip(np.real(np.diagonal(mats, axis1=-2, axis2=-1)), 0.0, None))
+        roots = np.sqrt(np.maximum(np.real(np.diagonal(mats, axis1=-2, axis2=-1)), 0.0))
         return roots @ roots.T
-    roots, _ = psd_roots(mats, flags)
+    roots = psd_roots(mats, flags)[0] if pairs is None else _spectrum_root(*pairs)
     return np.real(np.einsum("iab,jba->ij", roots, roots))
 
 
@@ -121,11 +121,12 @@ def canonical_overlap(rho1: DensityLike, rho2: DensityLike) -> float:
     Equals tr(sqrt(rho1) sqrt(rho2))^2, the same in every common eigenbasis,
     and equals the Bures-Uhlmann fidelity of the two commuting states, i.e. the
     purifications are optimally parallel.  Degenerate spectra need no special
-    treatment.
+    treatment; two raw arrays' roots come from their validation's eigenpairs.
     """
-    r1, r2 = as_density(rho1), as_density(rho2)
+    (r1, p1), (r2, p2) = _as_density_pairs(rho1), _as_density_pairs(rho2)
     _require_commuting((r1, r2))
-    c = _root_overlaps(*_stack((r1, r2)))[0, 1]
+    pairs = None if p1 is None or p2 is None else tuple(map(np.stack, zip(p1, p2)))
+    c = _root_overlaps(*_stack((r1, r2)), pairs)[0, 1]
     return min(1.0, float(c * c))
 
 
@@ -160,7 +161,9 @@ def photographic_negative_ensemble(d: int) -> Ensemble:
     """Equiprobable ensemble of the d 'hole at position i' diagonal states.
 
     State i is uniform weight 1/(d-1) on every basis index except i; the mean
-    state is maximally mixed.
+    state is maximally mixed.  The states and the prior are valid by
+    construction, so they are wrapped without validation; they equal what
+    ``Ensemble.from_lists`` builds from them, bit for bit.
     """
     if d < 3:
         raise DomainError(f"photographic negative ensemble needs d >= 3, got {d}")
@@ -171,8 +174,10 @@ def photographic_negative_ensemble(d: int) -> Ensemble:
     for i in range(d):
         diag = np.full(d, 1.0 / (d - 1))
         diag[i] = 0.0
-        states.append(np.diag(diag).astype(complex))
-    return Ensemble.from_lists(np.full(d, 1.0 / d), states)
+        states.append(DensityOperator._wrap(np.diag(diag).astype(complex)))
+    probs = np.full(d, 1.0 / d)
+    probs.setflags(write=False)
+    return Ensemble(tuple(states), probs)
 
 
 @dataclass(frozen=True)

@@ -117,7 +117,8 @@ class Spectrum:
         return (v * self.eigenvalues) @ dagger(v)
 
 
-def _eig(a: np.ndarray, diagonal: bool) -> Spectrum:
+def _eig(a: np.ndarray, diagonal: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (descending, stable ties) and eigenvectors as plain arrays; see Spectrum."""
     if diagonal:
         vals = np.real(np.diagonal(a)).copy()
         vecs = np.eye(a.shape[0], dtype=complex)
@@ -127,7 +128,7 @@ def _eig(a: np.ndarray, diagonal: bool) -> Spectrum:
         except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy rarely fails
             raise NoConvergence(f"eigensolver did not converge: {exc}") from exc
     order = np.argsort(-vals, kind="stable")
-    return Spectrum(_readonly(vals[order]), _readonly(vecs[:, order]))
+    return vals[order], np.ascontiguousarray(vecs[:, order])
 
 
 def eig_hermitian(m) -> Spectrum:
@@ -139,9 +140,9 @@ def eig_hermitian(m) -> Spectrum:
     NoConvergence if the underlying iterative solver fails.
     """
     if isinstance(m, DensityOperator):
-        return _eig(m.matrix, m.is_diagonal)
+        return Spectrum(*map(_readonly, _eig(m.matrix, m.is_diagonal)))
     a = _hermitian_part(_as_square_complex(m), "matrix")
-    return _eig(a, is_diagonal(a))
+    return Spectrum(*map(_readonly, _eig(a, is_diagonal(a))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,24 +171,12 @@ class DensityOperator:
 
     @classmethod
     def from_matrix(cls, m, name: str = "density operator") -> "DensityOperator":
-        a = _hermitian_part(_as_square_complex(m, name), name)
-        tr = float(np.real(np.trace(a)))
-        if not UNIT_TOL.admits(abs(tr - 1.0)):
-            raise ValidationError(f"{name}: |trace - 1| = {abs(tr - 1.0):.3e} exceeds {UNIT_TOL}")
-        rho = cls._wrap(a)
-        spec = eig_hermitian(rho)
-        lo = float(spec.eigenvalues[-1])
-        if not PSD_TOL.admits(-lo):
-            raise NotPSD(f"{name}: eigenvalue {lo:.3e} below PSD tolerance -{PSD_TOL}")
-        if lo >= 0.0:
-            return rho
-        vecs = spec.eigenvectors
-        a = (vecs * np.clip(spec.eigenvalues, 0.0, None)) @ dagger(vecs)
-        a = (a + dagger(a)) / 2.0
-        tr = float(np.real(np.trace(a)))
-        if not UNIT_TOL.admits(abs(tr - 1.0)):
-            a = a / tr
-        return cls._wrap(a)
+        """Validate a raw matrix (see ``_validate``): one eigh call, none if it is diagonal.
+
+        The state keeps its diagonal test but not the check's eigendecomposition,
+        so a measure solves it again; handed the raw array, the measure uses it.
+        """
+        return _validate(m, name)[0]
 
     @cached_property
     def is_diagonal(self) -> bool:
@@ -203,6 +192,40 @@ def as_density(rho: DensityLike, name: str = "density operator") -> DensityOpera
     if isinstance(rho, DensityOperator):
         return rho
     return DensityOperator.from_matrix(rho, name)
+
+
+def _validate(m, name: str) -> tuple[DensityOperator, tuple | None]:
+    """The one density-operator check of a raw matrix, and the eigenpairs (``_eig``) it solved.
+
+    Clamping eigenvalues in [-PSD_TOL, 0) to zero rebuilds the matrix: its eigenpairs are None.
+    """
+    a = _hermitian_part(_as_square_complex(m, name), name)
+    tr = float(np.real(np.trace(a)))
+    if not UNIT_TOL.admits(abs(tr - 1.0)):
+        raise ValidationError(f"{name}: |trace - 1| = {abs(tr - 1.0):.3e} exceeds {UNIT_TOL}")
+    rho = DensityOperator._wrap(a)
+    vals, vecs = _eig(a, rho.is_diagonal)
+    lo = float(vals[-1])
+    if not PSD_TOL.admits(-lo):
+        raise NotPSD(f"{name}: eigenvalue {lo:.3e} below PSD tolerance -{PSD_TOL}")
+    if lo >= 0.0:
+        return rho, (vals, vecs)
+    a = (vecs * np.maximum(vals, 0.0)) @ dagger(vecs)
+    a = (a + dagger(a)) / 2.0
+    tr = float(np.real(np.trace(a)))
+    if not UNIT_TOL.admits(abs(tr - 1.0)):
+        a = a / tr
+    return DensityOperator._wrap(a), None
+
+
+def _as_density_pairs(rho: DensityLike) -> tuple[DensityOperator, tuple | None]:
+    """as_density, and the eigenpairs of a raw array's validation (None for a DensityOperator)."""
+    return (rho, None) if isinstance(rho, DensityOperator) else _validate(rho, "density operator")
+
+
+def _eigenpairs(rho: DensityOperator, pairs: tuple | None) -> tuple[np.ndarray, np.ndarray]:
+    """``pairs`` from the state's validation if there are any, else its eigenpairs solved now."""
+    return _eig(rho.matrix, rho.is_diagonal) if pairs is None else pairs
 
 
 @dataclass(frozen=True, eq=False)
@@ -246,7 +269,7 @@ def matrix_sqrt_psd(m) -> np.ndarray:
 
 def _spectrum_root(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     """V sqrt(max(vals, 0)) V^dag, symmetrised, of one spectrum or a stack of them."""
-    r = (vecs * np.sqrt(np.clip(vals, 0.0, None))[..., None, :]) @ dagger(vecs)
+    r = (vecs * np.sqrt(np.maximum(vals, 0.0))[..., None, :]) @ dagger(vecs)
     return (r + dagger(r)) / 2.0
 
 

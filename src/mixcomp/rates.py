@@ -256,7 +256,7 @@ def rate_report(ensemble: Ensemble, label: str = "ensemble") -> RateReport:
         # The difference of two validated states is exactly Hermitian, so it is
         # solved without the checks a raw array gets.
         diff = members[0] - members[1]
-        e = _eig(diff, is_diagonal(diff)).eigenvectors[:, 0]
+        e = _eig(diff, is_diagonal(diff))[1][:, 0]
         alpha = (float(np.clip(np.real(np.vdot(e, r @ e)), 0.0, 1.0)) for r in members)
         coin = CoinSource(float(probs[0]), float(probs[1]), *alpha)
         entries.append(RateEntry("three-message protocol Xi", xi_rate(coin), "scheme_rate"))

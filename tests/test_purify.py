@@ -221,6 +221,20 @@ class TestPhotographicNegative:
         with pytest.raises(DomainError):
             photographic_negative_ensemble(2)
 
+    @pytest.mark.parametrize("d", range(3, 17))
+    def test_built_states_equal_the_validated_build(self, d):
+        # The ensemble is wrapped without validation; validating the same
+        # diagonals must change no bit of a state or of the prior.
+        diagonals = [np.where(np.arange(d) == i, 0.0, 1.0 / (d - 1)) for i in range(d)]
+        ref = Ensemble.from_lists(np.full(d, 1.0 / d),
+                                  [np.diag(x).astype(complex) for x in diagonals])
+        ens = photographic_negative_ensemble(d)
+        assert ens.probs.tobytes() == ref.probs.tobytes() and not ens.probs.flags.writeable
+        assert len(ens.states) == d
+        for s, r in zip(ens.states, ref.states):
+            assert s.matrix.tobytes() == r.matrix.tobytes() and not s.matrix.flags.writeable
+            assert s.is_diagonal
+
     def test_d3_report(self):
         rep = photographic_negative_report(3)
         np.testing.assert_allclose(rep.mixture_spectrum, [2 / 3, 1 / 6, 1 / 6], atol=1e-10)

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mixcomp import sampling
+from mixcomp.blocksim import power_spectrum_top_sum, project_and_patch, typical_subspace
 from mixcomp.measures import (
     Ensemble,
     avg_ensemble_fidelity,
@@ -24,7 +25,12 @@ from mixcomp.measures import (
     holevo_continuity_bound,
     vn_entropy,
 )
-from mixcomp.purify import _root_overlaps, photographic_negative_ensemble
+from mixcomp.purify import (
+    _root_overlaps,
+    canonical_overlap,
+    canonical_purification,
+    photographic_negative_ensemble,
+)
 from mixcomp.qmat import DensityOperator, _stack, eig_hermitian, is_diagonal, matrix_sqrt_psd
 from mixcomp.rates import rate_report
 from mixcomp.tolerance import DIAGONAL_TOL, LOG_FLOOR, STRUCTURE_TOL, max_abs
@@ -267,3 +273,69 @@ def test_rate_report_stacks_its_members_once(monkeypatch, rng):
         assert entry is None or entry in names
         first = id(ensemble.states[0].matrix)
         assert sum(first in ids for ids in stacked) == 1
+
+
+def raw_operands(rng, d: int = 4):
+    """A generic raw pair, a commuting non-diagonal raw pair, and a raw matrix
+    whose lowest eigenvalue lies in [-PSD_TOL, 0), which validation clamps."""
+    a, b = (np.array(sampling.random_density(d, rng).matrix) for _ in range(2))
+    u = sampling.random_unitary(d, rng)
+    c1, c2 = (u @ np.diag(sampling.random_prob_vector(d, rng)) @ u.conj().T for _ in range(2))
+    spectrum = np.linspace(1.0, 0.0, d)
+    spectrum[-1] = -1e-11
+    clamped = u @ np.diag(spectrum / spectrum.sum()) @ u.conj().T
+    return (a, b), (c1, c2), (clamped + clamped.conj().T) / 2.0
+
+
+@pytest.mark.parametrize("entry, calls", [
+    ("fidelity", {"eigh": 2, "eigvalsh": 2}),
+    ("vn_entropy", {"eigh": 1, "eigvalsh": 0}),
+    ("canonical_purification", {"eigh": 1, "eigvalsh": 0}),
+    ("typical_subspace", {"eigh": 1, "eigvalsh": 0}),
+    ("power_spectrum_top_sum", {"eigh": 1, "eigvalsh": 0}),
+    ("canonical_overlap", {"eigh": 2, "eigvalsh": 0}),
+])
+def test_raw_operand_is_solved_once(monkeypatch, rng, entry, calls):
+    # The measure reuses the eigendecomposition its validation computed: one
+    # solve per raw operand fewer than validating and then solving it.
+    (a, b), (c1, c2), _ = raw_operands(rng)
+    run = {"fidelity": lambda: fidelity(a, b),
+           "vn_entropy": lambda: vn_entropy(a),
+           "canonical_purification": lambda: canonical_purification(a),
+           "typical_subspace": lambda: typical_subspace(a, 2),
+           "power_spectrum_top_sum": lambda: power_spectrum_top_sum(a, 2, 3),
+           "canonical_overlap": lambda: canonical_overlap(c1, c2)}[entry]
+    counter = SolverCounter(monkeypatch)
+    run()
+    assert counter.calls == calls
+
+
+def test_clamped_raw_operand_is_solved_again(monkeypatch, rng):
+    # The clamp rebuilds the matrix, so its validation's eigenpairs are not
+    # the rebuilt matrix's: that one is solved as a DensityOperator is.
+    (_, b), _, clamped = raw_operands(rng)
+    rebuilt = DensityOperator.from_matrix(clamped).matrix
+    assert not np.array_equal(rebuilt, clamped)
+    counter = SolverCounter(monkeypatch)
+    vn_entropy(clamped)
+    assert counter.calls == {"eigh": 1, "eigvalsh": 1}
+    assert counter.calls_with(rebuilt) == 1
+    counter.inputs.clear()
+    fidelity(clamped, b)
+    assert counter.calls == {"eigh": 4, "eigvalsh": 3}
+    assert counter.calls_with(rebuilt) == 1
+
+
+def test_validated_operands_are_solved_as_before(monkeypatch, rng):
+    # A DensityOperator keeps no spectrum: two cost 2 + 2 in fidelity, and the
+    # dense chain's project_and_patch validates its output with one eigh call,
+    # five solves per string with the fidelity that scores it.
+    rho, sigma = sampling.random_density(4, rng), sampling.random_density(4, rng)
+    sub = typical_subspace(rho, 2)
+    counter = SolverCounter(monkeypatch)
+    fidelity(rho, sigma)
+    assert counter.calls == {"eigh": 2, "eigvalsh": 2}
+    out = project_and_patch(sigma, sub)
+    assert counter.calls == {"eigh": 3, "eigvalsh": 2}
+    fidelity(sigma, out)
+    assert counter.calls == {"eigh": 5, "eigvalsh": 4}
