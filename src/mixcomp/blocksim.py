@@ -33,8 +33,6 @@ from .qmat import (
     DIM_CAP,
     DensityLike,
     DensityOperator,
-    _as_density_pairs,
-    _eigenpairs,
     _marginals,
     _readonly,
     _stack,
@@ -85,8 +83,9 @@ class BlockSource:
 
     @classmethod
     def build(cls, base: Ensemble, n_blocks: int) -> "BlockSource":
-        if n_blocks < 1:
-            raise DomainError(f"n_blocks must be >= 1, got {n_blocks}")
+        # Written so that NaN and inf fail; 2.0 is a block length, 2.5 is not.
+        if not (1 <= n_blocks < math.inf and n_blocks == math.floor(n_blocks)):
+            raise DomainError(f"n_blocks must be a whole number >= 1, got {n_blocks}")
         return cls(base, int(n_blocks))
 
     @property
@@ -152,12 +151,11 @@ def _frame_unitary(subspace: TypicalSubspace) -> np.ndarray | None:
     return kron([u] * n)
 
 
-def _weights_and_frame(rho: DensityOperator, states, pairs=None
-                       ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Clipped diagonal and no frame if all ``states`` are diagonal, else ``_eigenpairs``."""
+def _weights_and_frame(rho: DensityOperator, states) -> tuple[np.ndarray, np.ndarray | None]:
+    """Clipped diagonal and no frame if all ``states`` are diagonal, else ``rho.eigenpairs()``."""
     if all(s.is_diagonal for s in states):
         return np.maximum(np.real(np.diagonal(rho.matrix)), 0.0), None
-    vals, vecs = _eigenpairs(rho, pairs)
+    vals, vecs = rho.eigenpairs()
     return vals, _readonly(vecs)
 
 
@@ -165,10 +163,11 @@ def typical_subspace(reference: DensityLike, subspace_dim: int) -> TypicalSubspa
     """Subspace of the ``subspace_dim`` largest-eigenvalue eigenvectors of a state.
 
     The frame is the state's eigenbasis, or the computational basis when the
-    state is diagonal.  A raw array's eigenbasis is that of its validation.
+    state is diagonal.  The eigenbasis is the state's ``eigenpairs``: that of
+    its validation when the state kept it, a raw array's included.
     """
-    rho, pairs = _as_density_pairs(reference)
-    w, frame = _weights_and_frame(rho, [rho], pairs)
+    rho = as_density(reference)
+    w, frame = _weights_and_frame(rho, [rho])
     return replace(typical_subspace_from_weights(w, subspace_dim), frame=frame)
 
 
@@ -215,7 +214,7 @@ def project_and_patch(rho: DensityLike, subspace: TypicalSubspace) -> DensityOpe
     # The check's eigendecomposition is dropped, so the scorer solves the output
     # again: the benchmark pins five solves per dense string, and handing the
     # spectrum on belongs with the k x k scorer (ROADMAP item 3).
-    return DensityOperator.from_matrix((out + dagger(out)) / 2.0)
+    return DensityOperator._wrap(DensityOperator.from_matrix((out + dagger(out)) / 2.0).matrix)
 
 
 def project_and_patch_diagonal(diag: np.ndarray, subspace: TypicalSubspace) -> np.ndarray:
@@ -242,7 +241,7 @@ def power_spectrum_top_sum(base_avg: DensityLike, n_blocks: int, retained: int) 
     so no block-sized matrix is ever materialised; their d^N vector is bounded
     by DIAGONAL_TABLE_BUDGET, like the scheme's (see kron_power_vector).
     """
-    w = kron_power_vector(_eigenpairs(*_as_density_pairs(base_avg))[0], n_blocks)
+    w = kron_power_vector(as_density(base_avg).eigenpairs()[0], n_blocks)
     if not (1 <= retained <= w.size):
         raise DomainError(f"retained count {retained} outside [1, {w.size}]")
     top = np.partition(w, -retained)[-retained:]
@@ -707,7 +706,7 @@ def theorem7_demo(base: Ensemble, delta: float, n_list, seed: int = 0) -> list[T
     s_bar = vn_entropy(base.average())
     rows = []
     for n in n_list:
-        source = BlockSource.build(base, int(n))
+        source = BlockSource.build(base, n)
         rate_down = max(0.0, s_bar - delta)
         ceiling, k_down = lemma_a1_ceiling(source, rate_down)
         rate_up = s_bar + delta
@@ -715,7 +714,7 @@ def theorem7_demo(base: Ensemble, delta: float, n_list, seed: int = 0) -> list[T
         achieved = global_fidelity_score(source, scheme, seed=seed)
         rows.append(
             Theorem7Row(
-                n_blocks=int(n),
+                n_blocks=source.n_blocks,
                 rate_down=rate_down,
                 ceiling_dim=k_down,
                 ceiling=ceiling,

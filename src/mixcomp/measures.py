@@ -23,8 +23,6 @@ from .errors import (
 from .qmat import (
     DensityLike,
     DensityOperator,
-    _as_density_pairs,
-    _eigenpairs,
     _eigenvalues,
     _spectrum_root,
     _stack,
@@ -172,14 +170,12 @@ def entropy_of_spectrum(vals: np.ndarray) -> float:
 
 
 def vn_entropy(rho: DensityLike) -> float:
-    """Von Neumann entropy -tr(rho log2 rho) in bits.
+    """Von Neumann entropy -tr(rho log2 rho) in bits, from the state's ``eigenvalues``.
 
-    A DensityOperator costs one eigvalsh call; a raw array costs the one eigh
-    call of its validation, whose eigenvalues give the entropy (a second call
-    when the PSD clamp rebuilt it).  Diagonal states cost none.
+    A state that kept its check's eigenpairs, a raw array's included, costs no
+    further solve; any other costs one eigvalsh call.  Diagonal states cost none.
     """
-    r, pairs = _as_density_pairs(rho)
-    return float(_entropies(_eigenvalues(*_stack([r]))[0] if pairs is None else pairs[0]))
+    return float(_entropies(as_density(rho).eigenvalues()))
 
 
 def _bhattacharyya(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -216,17 +212,17 @@ def sqrt_fidelity(rho1: DensityLike, rho2: DensityLike) -> float:
     """G(rho1, rho2) = tr sqrt(sqrt(rho1) rho2 sqrt(rho1)), symmetrised, at most 1.
 
     Two diagonal states take the classical Bhattacharyya sum without square
-    roots; see ``sqrt_fidelity_from_roots`` for the formula.  Otherwise two
-    DensityOperators cost two eigh calls (their roots) and two eigvalsh calls
-    (the two orientations); a raw array's root comes from the eigh call of its
-    validation, so two raw arrays cost the same 2 + 2 in all.
+    roots; see ``sqrt_fidelity_from_roots`` for the formula.  Otherwise each
+    root comes from the state's ``eigenpairs``, one eigh call unless the state
+    kept its check's, and the two orientations cost two eigvalsh calls: two raw
+    arrays cost 2 + 2 in all, two validated states 0 + 2.
     """
-    (r1, p1), (r2, p2) = _as_density_pairs(rho1), _as_density_pairs(rho2)
+    r1, r2 = as_density(rho1), as_density(rho2)
     if r1.dim != r2.dim:
         raise DimensionMismatch(f"fidelity operands have dims {r1.dim} and {r2.dim}")
     if r1.is_diagonal and r2.is_diagonal:
         return min(float(_bhattacharyya(r1.matrix, r2.matrix)), 1.0)
-    root1, root2 = (_spectrum_root(*_eigenpairs(r, p)) for r, p in ((r1, p1), (r2, p2)))
+    root1, root2 = (_spectrum_root(*r.eigenpairs()) for r in (r1, r2))
     return float(sqrt_fidelity_from_roots(r1.matrix, root1, r2.matrix, root2))
 
 

@@ -25,10 +25,9 @@ from .qmat import (
     DensityLike,
     DensityOperator,
     PureState,
-    _as_density_pairs,
-    _eigenpairs,
     _spectrum_root,
     _stack,
+    as_density,
     commuting,
     kron,
     psd_roots,
@@ -71,8 +70,8 @@ def canonical_purification(rho: DensityLike) -> Purification:
     Eigenvalues are taken in descending order with stable ties and eigenvector
     phases fixed, so the construction is deterministic.
     """
-    r, pairs = _as_density_pairs(rho)
-    vals, vecs = _eigenpairs(r, pairs)
+    r = as_density(rho)
+    vals, vecs = r.eigenpairs()
     d = r.dim
     psi = np.zeros(d * d, dtype=complex)
     for lam, col in zip(vals, _fix_phases(vecs).T):
@@ -82,20 +81,20 @@ def canonical_purification(rho: DensityLike) -> Purification:
     return Purification(PureState.from_vector(psi / nrm), r, d)
 
 
-def _root_overlaps(mats: np.ndarray, flags: np.ndarray, pairs=None) -> np.ndarray:
+def _root_overlaps(mats: np.ndarray, flags: np.ndarray) -> np.ndarray:
     """Matrix of tr(sqrt(rho_i) sqrt(rho_j)), the purification overlaps, of a stack (``_stack``).
 
     For commuting states these are the overlaps of the purifications
     sum_k sqrt(p_k) |k> x |k> written in any common eigenbasis {|k>}: the sum
     sum_k sqrt(p_k q_k) does not depend on which common eigenbasis is used.
     All m roots come from one ``psd_roots`` call on the stack, each bit for bit
-    the root ``matrix_sqrt_psd`` gives, or from the stack's eigenpairs ``pairs``.
+    the root ``matrix_sqrt_psd`` gives.
     """
     if flags.all():
         # Diagonal roots: the trace is sum_k sqrt(p_ik p_jk), with no d x d products.
         roots = np.sqrt(np.maximum(np.real(np.diagonal(mats, axis1=-2, axis2=-1)), 0.0))
         return roots @ roots.T
-    roots = psd_roots(mats, flags)[0] if pairs is None else _spectrum_root(*pairs)
+    roots = psd_roots(mats, flags)[0]
     return np.real(np.einsum("iab,jba->ij", roots, roots))
 
 
@@ -121,12 +120,16 @@ def canonical_overlap(rho1: DensityLike, rho2: DensityLike) -> float:
     Equals tr(sqrt(rho1) sqrt(rho2))^2, the same in every common eigenbasis,
     and equals the Bures-Uhlmann fidelity of the two commuting states, i.e. the
     purifications are optimally parallel.  Degenerate spectra need no special
-    treatment; two raw arrays' roots come from their validation's eigenpairs.
+    treatment.  Unless both states are diagonal, each root comes from the
+    state's ``eigenpairs``: no solve for a state that kept its check's.
     """
-    (r1, p1), (r2, p2) = _as_density_pairs(rho1), _as_density_pairs(rho2)
+    r1, r2 = as_density(rho1), as_density(rho2)
     _require_commuting((r1, r2))
-    pairs = None if p1 is None or p2 is None else tuple(map(np.stack, zip(p1, p2)))
-    c = _root_overlaps(*_stack((r1, r2)), pairs)[0, 1]
+    if r1.is_diagonal and r2.is_diagonal:
+        c = _root_overlaps(*_stack((r1, r2)))[0, 1]
+    else:
+        roots = _spectrum_root(*map(np.stack, zip(r1.eigenpairs(), r2.eigenpairs())))
+        c = np.real(np.einsum("iab,jba->ij", roots, roots))[0, 1]
     return min(1.0, float(c * c))
 
 

@@ -140,7 +140,7 @@ def eig_hermitian(m) -> Spectrum:
     NoConvergence if the underlying iterative solver fails.
     """
     if isinstance(m, DensityOperator):
-        return Spectrum(*map(_readonly, _eig(m.matrix, m.is_diagonal)))
+        return Spectrum(*map(_readonly, m.eigenpairs()))
     a = _hermitian_part(_as_square_complex(m), "matrix")
     return Spectrum(*map(_readonly, _eig(a, is_diagonal(a))))
 
@@ -152,10 +152,15 @@ class DensityOperator:
     Construct through :meth:`from_matrix`, which validates the three
     invariants and clamps tiny negative eigenvalues (within -1e-9) to zero;
     fidelity formulas take matrix square roots that are undefined for the
-    small negatives floating point produces.
+    small negatives floating point produces.  Code gets a state's spectrum
+    only from :meth:`eigenpairs` and :meth:`eigenvalues`, which read the
+    eigendecomposition the check kept, if any.
     """
 
     matrix: np.ndarray
+    # The read-only (eigenvalues, eigenvectors) of from_matrix's PSD check, kept
+    # on non-diagonal states it did not rebuild; not a field, so not a parameter.
+    _spectrum = None
 
     @property
     def dim(self) -> int:
@@ -171,17 +176,44 @@ class DensityOperator:
 
     @classmethod
     def from_matrix(cls, m, name: str = "density operator") -> "DensityOperator":
-        """Validate a raw matrix (see ``_validate``): one eigh call, none if it is diagonal.
+        """The one density-operator check of a raw matrix: one eigh call, none if it is diagonal.
 
-        The state keeps its diagonal test but not the check's eigendecomposition,
-        so a measure solves it again; handed the raw array, the measure uses it.
+        A non-diagonal state keeps the eigenpairs (``_eig``) the PSD check
+        solved, so its measures solve it no more.  Clamping eigenvalues in
+        [-PSD_TOL, 0) to zero rebuilds the matrix, and that state keeps none.
         """
-        return _validate(m, name)[0]
+        a = _hermitian_part(_as_square_complex(m, name), name)
+        tr = float(np.real(np.trace(a)))
+        if not UNIT_TOL.admits(abs(tr - 1.0)):
+            raise ValidationError(f"{name}: |trace - 1| = {abs(tr - 1.0):.3e} exceeds {UNIT_TOL}")
+        rho = cls._wrap(a)
+        vals, vecs = _eig(a, rho.is_diagonal)
+        lo = float(vals[-1])
+        if not PSD_TOL.admits(-lo):
+            raise NotPSD(f"{name}: eigenvalue {lo:.3e} below PSD tolerance -{PSD_TOL}")
+        if lo >= 0.0:
+            if not rho.is_diagonal:
+                object.__setattr__(rho, "_spectrum", (_readonly(vals), _readonly(vecs)))
+            return rho
+        a = (vecs * np.maximum(vals, 0.0)) @ dagger(vecs)
+        a = (a + dagger(a)) / 2.0
+        tr = float(np.real(np.trace(a)))
+        if not UNIT_TOL.admits(abs(tr - 1.0)):
+            a = a / tr
+        return cls._wrap(a)
 
     @cached_property
     def is_diagonal(self) -> bool:
         """Whether the matrix passes the one diagonal test; computed once per state."""
         return is_diagonal(self.matrix)
+
+    def eigenpairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenvalues (descending, stable ties) and eigenvectors: those kept, else one ``_eig``."""
+        return _eig(self.matrix, self.is_diagonal) if self._spectrum is None else self._spectrum
+
+    def eigenvalues(self) -> np.ndarray:
+        """Eigenvalues, descending: those kept, else one eigvalsh call (none if diagonal)."""
+        return _eigenvalues(*_stack([self]))[0] if self._spectrum is None else self._spectrum[0]
 
 
 DensityLike = Union[DensityOperator, np.ndarray, Sequence]
@@ -192,40 +224,6 @@ def as_density(rho: DensityLike, name: str = "density operator") -> DensityOpera
     if isinstance(rho, DensityOperator):
         return rho
     return DensityOperator.from_matrix(rho, name)
-
-
-def _validate(m, name: str) -> tuple[DensityOperator, tuple | None]:
-    """The one density-operator check of a raw matrix, and the eigenpairs (``_eig``) it solved.
-
-    Clamping eigenvalues in [-PSD_TOL, 0) to zero rebuilds the matrix: its eigenpairs are None.
-    """
-    a = _hermitian_part(_as_square_complex(m, name), name)
-    tr = float(np.real(np.trace(a)))
-    if not UNIT_TOL.admits(abs(tr - 1.0)):
-        raise ValidationError(f"{name}: |trace - 1| = {abs(tr - 1.0):.3e} exceeds {UNIT_TOL}")
-    rho = DensityOperator._wrap(a)
-    vals, vecs = _eig(a, rho.is_diagonal)
-    lo = float(vals[-1])
-    if not PSD_TOL.admits(-lo):
-        raise NotPSD(f"{name}: eigenvalue {lo:.3e} below PSD tolerance -{PSD_TOL}")
-    if lo >= 0.0:
-        return rho, (vals, vecs)
-    a = (vecs * np.maximum(vals, 0.0)) @ dagger(vecs)
-    a = (a + dagger(a)) / 2.0
-    tr = float(np.real(np.trace(a)))
-    if not UNIT_TOL.admits(abs(tr - 1.0)):
-        a = a / tr
-    return DensityOperator._wrap(a), None
-
-
-def _as_density_pairs(rho: DensityLike) -> tuple[DensityOperator, tuple | None]:
-    """as_density, and the eigenpairs of a raw array's validation (None for a DensityOperator)."""
-    return (rho, None) if isinstance(rho, DensityOperator) else _validate(rho, "density operator")
-
-
-def _eigenpairs(rho: DensityOperator, pairs: tuple | None) -> tuple[np.ndarray, np.ndarray]:
-    """``pairs`` from the state's validation if there are any, else its eigenpairs solved now."""
-    return _eig(rho.matrix, rho.is_diagonal) if pairs is None else pairs
 
 
 @dataclass(frozen=True, eq=False)

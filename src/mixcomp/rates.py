@@ -15,10 +15,11 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .classical import CoinSource, xi_rate
-from .errors import DomainError, TauMismatch, ValidationError
+from .errors import DimensionMismatch, DomainError, TauMismatch, ValidationError
 from .measures import (
     Ensemble,
     _entropy_bracket,
+    as_prob_vector,
     entropy_of_spectrum,
     holevo,
     shannon_entropy,
@@ -107,8 +108,10 @@ class BlockDiagonalEnsemble:
         tau = tuple(as_density(t, "tau block") for t in tau_states)
         if len(sig) != len(tau):
             raise ValidationError("sigma and tau block lists must have equal length")
-        from .measures import as_prob_vector
-
+        for label, blocks in (("sigma", sig), ("tau", tau)):
+            dims = sorted({b.dim for b in blocks})
+            if len(dims) > 1:
+                raise DimensionMismatch(f"{label} blocks have mixed dimensions {dims}")
         p = as_prob_vector(probs, "block-diagonal priors")
         if p.size != len(sig):
             raise ValidationError("priors length must match the number of states")
@@ -151,8 +154,8 @@ def example11_rate(block: BlockDiagonalEnsemble) -> Example11Rate:
                 f"tau blocks must coincide: state {i} deviates by {defect:.3e}"
             )
     eps = block.epsilon
-    sigma_bar = Ensemble.from_lists(block.probs.copy(), block.sigma_states).average()
-    tau_bar = Ensemble.from_lists(block.probs.copy(), block.tau_states).average()
+    sigma_bar = Ensemble(block.sigma_states, block.probs).average()
+    tau_bar = Ensemble(block.tau_states, block.probs).average()
     scheme_rate = _example11_scheme_rate(eps, sigma_bar)
     s_tau = vn_entropy(tau_bar)
     # The mean of the full states, built from the block means: exactly

@@ -113,6 +113,10 @@ def load_json(path: str) -> dict:
         raise ParseError(f"input file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc.strerror or exc}") from exc
 
 
 def load_density(path: str) -> DensityOperator:

@@ -493,6 +493,22 @@ class TestEigenframeSubspace:
         assert scheme.subspace.eta <= 1e-12
 
 
+class TestBlockLength:
+    @pytest.mark.parametrize("n", [2.5, math.nan, math.inf, -math.inf, 0, 0.5, np.float64(1.5)])
+    def test_build_refuses_a_length_not_whole_finite_and_positive(self, n):
+        with pytest.raises(DomainError, match="n_blocks must be a whole number >= 1"):
+            BlockSource.build(two_coin_base(0.9), n)
+
+    @pytest.mark.parametrize("n", [3, np.int64(3), np.uint8(3), 3.0])
+    def test_build_accepts_whole_lengths(self, n):
+        source = BlockSource.build(two_coin_base(0.9), n)
+        assert source.n_blocks == 3 and type(source.n_blocks) is int
+
+    def test_theorem7_demo_refuses_a_fractional_length(self):
+        with pytest.raises(DomainError, match="got 2.7"):
+            theorem7_demo(two_coin_base(0.9), 0.1, [2.7])
+
+
 class TestTheorem7Demo:
     def test_ceiling_sequence_matches_binomial_oracle(self):
         base = two_coin_base(0.9)  # mean state diag(0.5, 0.5)

@@ -237,6 +237,21 @@ class TestCliCommands:
         err = capsys.readouterr().err
         assert "trace" in err
 
+    @pytest.mark.parametrize("kind, fragment", [("directory", "cannot read"),
+                                                 ("binary", "is not UTF-8 text")])
+    def test_unreadable_input_exits_2(self, tmp_path, capsys, kind, fragment):
+        # A PermissionError takes the same OSError branch; it is not tested
+        # because a process running as root reads every file.
+        path = tmp_path / "input"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"\xff\xfe\x00{")
+        assert main(["entropy", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ParseError: ") and fragment in err and str(path) in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("where", ["probs", "states"])
     def test_holevo_rejects_nan_literal(self, tmp_path, capsys, where):
         payload = wire.ensemble_to_json(photographic_negative_ensemble(3))

@@ -153,6 +153,27 @@ class TestDensityOperator:
         # Each state ran its checks, the diagonal test included, when it was built.
         assert checks == []
 
+    def test_validated_state_keeps_its_check_read_only(self, rng):
+        rho = sampling.random_density(3, rng)
+        vals, vecs = rho.eigenpairs()
+        for stored in (vals, vecs):
+            with pytest.raises(ValueError, match="read-only"):
+                stored[0] = 0.0
+        assert rho.eigenvalues() is vals and rho.eigenpairs()[1] is vecs
+        assert eig_hermitian(rho).eigenvalues.tobytes() == vals.tobytes()
+
+    def test_diagonal_wrapped_and_clamped_states_keep_nothing(self, rng):
+        diagonal = DensityOperator.from_matrix(diag_state(0.5, 0.3, 0.2))
+        wrapped = DensityOperator._wrap(sampling.random_density(3, rng).matrix)
+        u = sampling.random_unitary(3, rng)
+        clamped = DensityOperator.from_matrix(u @ diag_state(0.6, 0.4 + 5e-10, -5e-10)
+                                              @ u.conj().T)
+        for rho in (diagonal, wrapped, clamped):
+            assert rho._spectrum is None
+            # Nothing kept, so each call solves afresh: a new array every time.
+            assert rho.eigenpairs()[0] is not rho.eigenpairs()[0]
+        assert diagonal.eigenvalues().tolist() == [0.5, 0.3, 0.2]
+
     def test_eigenvalues_sum_to_one(self, rng):
         for _ in range(10):
             rho = sampling.random_density(int(rng.integers(2, 8)), rng)

@@ -1,10 +1,12 @@
-"""A raw array against its validated DensityOperator, at each entry point that decomposes it.
+"""A raw array, its validated DensityOperator and a wrapped copy, at each entry point
+that decomposes them.
 
-A raw operand's validation computes its eigendecomposition and the measure
-uses it; a DensityOperator keeps none, so the measure solves it again.  The
-property holds both routes to the same bits, except ``vn_entropy``, whose raw
-route reads eigh's eigenvalues where the validated route calls eigvalsh.  The
-refusal table holds both routes to the same errors.
+A raw operand is validated by ``from_matrix``, whose state keeps the
+eigendecomposition its check solved, and the measure asks the state for it; a
+wrapped state kept none, so the measure solves it again.  The property holds
+all three to the same bits, except ``vn_entropy`` of the wrapped state, which
+calls eigvalsh where the others read eigh's eigenvalues.  The refusal table
+holds the raw and validated routes to the same errors.
 """
 
 import numpy as np
@@ -79,14 +81,22 @@ def entry_points(a, c, pair, k, n, r) -> dict:
     }
 
 
+def wrapped(m) -> DensityOperator:
+    """The validated state's matrix in a state that kept no spectrum."""
+    return DensityOperator._wrap(DensityOperator.from_matrix(m).matrix)
+
+
 @settings(max_examples=200)
 @given(raw_operands())
-def test_raw_operands_give_the_validated_bits(case):
+def test_raw_validated_and_wrapped_operands_give_the_same_bits(case):
     kind, a, *rest = case
     for name, call in entry_points(a, *rest).items():
-        assert bits(call(np.asarray)) == bits(call(DensityOperator.from_matrix)), name
-    raw, validated = vn_entropy(a), vn_entropy(DensityOperator.from_matrix(a))
-    assert abs(raw - validated) <= ENTROPY_AGREE
+        raw = bits(call(np.asarray))
+        assert raw == bits(call(DensityOperator.from_matrix)), name
+        assert raw == bits(call(wrapped)), name
+    raw = vn_entropy(a)
+    assert bits(raw) == bits(vn_entropy(DensityOperator.from_matrix(a)))
+    assert abs(raw - vn_entropy(wrapped(a))) <= ENTROPY_AGREE
     # The roots and clamps read np.maximum(x, 0.0), once np.clip(x, 0.0, None):
     # the same bits on every spectrum drawn, negative and zero entries included.
     vals = np.linalg.eigvalsh(a)

@@ -48,7 +48,7 @@ def two_povm() -> measures.Povm:
 CASES = [
     # blocksim
     ("block-length", lambda tmp: blocksim.BlockSource.build(uniform_ensemble(QUBIT), 0),
-     DomainError, "n_blocks must be >= 1, got 0"),
+     DomainError, "n_blocks must be a whole number >= 1, got 0"),
     ("retained-count", lambda tmp: blocksim.power_spectrum_top_sum(QUBIT, 2, 5),
      DomainError, "retained count 5 outside [1, 4]"),
     ("identity-scheme-budget",
@@ -123,6 +123,12 @@ CASES = [
     ("block-list-lengths",
      lambda tmp: rates.BlockDiagonalEnsemble.build(0.5, HALF, [QUBIT, QUBIT], [QUBIT]),
      ValidationError, "sigma and tau block lists must have equal length"),
+    ("block-sigma-dims",
+     lambda tmp: rates.BlockDiagonalEnsemble.build(0.5, HALF, [QUBIT, QUTRIT], [QUTRIT] * 2),
+     DimensionMismatch, "sigma blocks have mixed dimensions [2, 3]"),
+    ("block-tau-dims",
+     lambda tmp: rates.BlockDiagonalEnsemble.build(0.5, HALF, [QUBIT] * 2, [QUBIT, QUTRIT]),
+     DimensionMismatch, "tau blocks have mixed dimensions [2, 3]"),
     ("block-prior-length",
      lambda tmp: rates.BlockDiagonalEnsemble.build(0.5, [0.2, 0.3, 0.5], [QUBIT] * 2, [QUBIT] * 2),
      ValidationError, "priors length must match the number of states"),

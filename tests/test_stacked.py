@@ -326,16 +326,44 @@ def test_clamped_raw_operand_is_solved_again(monkeypatch, rng):
     assert counter.calls_with(rebuilt) == 1
 
 
-def test_validated_operands_are_solved_as_before(monkeypatch, rng):
-    # A DensityOperator keeps no spectrum: two cost 2 + 2 in fidelity, and the
-    # dense chain's project_and_patch validates its output with one eigh call,
-    # five solves per string with the fidelity that scores it.
-    rho, sigma = sampling.random_density(4, rng), sampling.random_density(4, rng)
-    sub = typical_subspace(rho, 2)
+@pytest.mark.parametrize("entry, wrapped_calls", [
+    ("fidelity", {"eigh": 2, "eigvalsh": 2}),
+    ("vn_entropy", {"eigh": 0, "eigvalsh": 1}),
+    ("canonical_purification", {"eigh": 1, "eigvalsh": 0}),
+    ("typical_subspace", {"eigh": 1, "eigvalsh": 0}),
+    ("power_spectrum_top_sum", {"eigh": 1, "eigvalsh": 0}),
+])
+def test_validated_state_reuses_its_check_and_wrapped_state_is_solved(
+        monkeypatch, rng, entry, wrapped_calls):
+    # A validated state kept the eigenpairs of its check: only fidelity's two
+    # orientations are solved.  A wrapped state kept none, so each of its
+    # spectra is solved once, as before.
+    validated = [sampling.random_density(4, rng) for _ in range(2)]
+    wrapped = [DensityOperator._wrap(r.matrix) for r in validated]
+    run = {"fidelity": fidelity,
+           "vn_entropy": lambda r, _: vn_entropy(r),
+           "canonical_purification": lambda r, _: canonical_purification(r),
+           "typical_subspace": lambda r, _: typical_subspace(r, 2),
+           "power_spectrum_top_sum": lambda r, _: power_spectrum_top_sum(r, 2, 3)}[entry]
     counter = SolverCounter(monkeypatch)
-    fidelity(rho, sigma)
-    assert counter.calls == {"eigh": 2, "eigvalsh": 2}
-    out = project_and_patch(sigma, sub)
+    run(*validated)
+    assert counter.calls == {"eigh": 0, "eigvalsh": 2 if entry == "fidelity" else 0}
+    counter.calls.update(eigh=0, eigvalsh=0)
+    run(*wrapped)
+    assert counter.calls == wrapped_calls
+
+
+@pytest.mark.parametrize("kept", [2, 4])
+def test_dense_chain_costs_five_solves_per_string(monkeypatch, rng, kept):
+    # The scorer's block state is wrapped, and project_and_patch drops its
+    # check's eigenpairs: one eigh call validates the output, and fidelity
+    # solves both roots and both orientations.  Keeping every coordinate
+    # leaves the output full rank, so no clamp is what drops them.
+    rho, sigma = sampling.random_density(4, rng), sampling.random_density(4, rng)
+    sub = typical_subspace(rho, kept)
+    sig = DensityOperator._wrap(sigma.matrix)
+    counter = SolverCounter(monkeypatch)
+    out = project_and_patch(sig, sub)
+    assert counter.calls == {"eigh": 1, "eigvalsh": 0}
+    fidelity(sig, out)
     assert counter.calls == {"eigh": 3, "eigvalsh": 2}
-    fidelity(sigma, out)
-    assert counter.calls == {"eigh": 5, "eigvalsh": 4}

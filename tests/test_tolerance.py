@@ -72,6 +72,22 @@ def test_no_size_bound_is_a_parameter():
     assert problems == []
 
 
+def test_one_route_to_a_state_spectrum():
+    # Guard: a state's kept eigenpairs are read and set only in qmat.py, behind
+    # DensityOperator.eigenpairs and eigenvalues; a ``pairs`` parameter would
+    # thread them around the state again.
+    problems = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.arg) and node.arg == "pairs":
+                problems.append(f"{path.name}:{node.lineno} has a pairs parameter")
+            touched = (node.attr if isinstance(node, ast.Attribute)
+                       else node.value if isinstance(node, ast.Constant) else None)
+            if touched == "_spectrum" and path.name != "qmat.py":
+                problems.append(f"{path.name}:{node.lineno} reads or sets _spectrum")
+    assert problems == []
+
+
 def test_no_package_error_drives_control_flow():
     # Guard: a handler that catches a package error turns a refusal into a
     # branch.  Only the CLI's top level may catch one, to exit 2 with it.
