@@ -318,7 +318,9 @@ def project_patch_scheme(source: BlockSource, rate: float) -> ProjectPatchScheme
     The subspace spans the heaviest product eigenvectors of the block mean
     state, so it is a set of kept coordinates in the frame of the base mean
     state's eigenvectors.  A source of diagonal states keeps the computational
-    basis as its frame.  No block-sized matrix is built here.
+    basis as its frame.  No block-sized matrix is built here.  The base mean
+    state keeps its eigenpairs (``Ensemble.average``), so this scheme, its
+    plan and its ceiling share one eigh call.
     """
     k = scheme_subspace_dim(rate, source.n_blocks, source.full_dim)
     w, frame = _weights_and_frame(source.base.average(), source.base.states)

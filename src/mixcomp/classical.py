@@ -267,7 +267,7 @@ def classical_rate_comparison(src: CoinSource):
     s, swapped = orient_coins(src)
     ensemble = src.as_ensemble()
     abar = src.average_heads()
-    s_bar, chi = _entropy_bracket(*ensemble.stack(), ensemble.probs)
+    s_bar, chi = _entropy_bracket(ensemble)
     entries = [
         RateEntry("S(mean state) = H(avg coin)", s_bar, "upper_bound"),
         RateEntry("H(coin priors)", shannon_entropy([src.p1, src.p2]), "upper_bound"),

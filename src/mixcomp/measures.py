@@ -2,13 +2,14 @@
 
 All logarithms are base 2, so entropies and rates come out in bits (qubits per
 signal).  The convention 0*log(0) = 0 is implemented by zeroing eigenvalues
-below 1e-15 before taking logs.  Ensemble-level measures solve all of an
-ensemble's states as one (m, d, d) stack.
+below 1e-15 before taking logs.  Ensemble-level measures read the members'
+kept eigenpairs and solve the rest in one stacked call (see ``Ensemble``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -23,12 +24,13 @@ from .errors import (
 from .qmat import (
     DensityLike,
     DensityOperator,
-    _eigenvalues,
+    _MeanState,
+    _roots,
+    _spectra,
     _spectrum_root,
     _stack,
     as_density,
     dagger,
-    psd_roots,
 )
 from .tolerance import LOG_FLOOR, STRUCTURE_TOL, UNIT_TOL, max_abs
 
@@ -55,7 +57,14 @@ def as_prob_vector(p, name: str = "probability vector") -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Ensemble:
-    """Probability-weighted list of same-dimension density operators."""
+    """Probability-weighted list of same-dimension density operators.
+
+    The ensemble keeps its mean state (``average``), built on first ask.
+    Ensemble measures read each member's kept eigenpairs, or a diagonal
+    member's diagonal, so a call solves only the mean state and the members
+    that kept nothing.  No stack, spectrum or root of the members is kept
+    across calls.
+    """
 
     states: tuple[DensityOperator, ...]
     probs: np.ndarray
@@ -82,16 +91,25 @@ class Ensemble:
         return len(self.states)
 
     def average(self) -> DensityOperator:
-        """The mean state sum_i p_i rho_i (valid by convexity)."""
+        """The mean state sum_i p_i rho_i (valid by convexity), built once.
+
+        It keeps the eigenpairs of its first ``eigenpairs`` call, so routines
+        that take its eigenbasis share one eigh call; its ``eigenvalues`` are
+        one eigvalsh call on each ask, as in ``_entropy_bracket``.
+        """
+        return self._mean
+
+    @cached_property
+    def _mean(self) -> DensityOperator:
         acc = np.zeros((self.dim, self.dim), dtype=complex)
         for p, rho in zip(self.probs, self.states):
             acc += p * rho.matrix
         acc = (acc + dagger(acc)) / 2.0
-        return DensityOperator._wrap(acc)
+        return _MeanState._wrap(acc)
 
     def stack(self) -> tuple[np.ndarray, np.ndarray]:
-        """(m + 1, d, d) stack of the mean state (row 0) and the members, with diagonal tests."""
-        return _stack((self.average(), *self.states))
+        """(m, d, d) stack of the members and their diagonal tests, built afresh on each call."""
+        return _stack(self.states)
 
 
 @dataclass(frozen=True, eq=False)
@@ -240,24 +258,25 @@ def classical_fidelity(p, q) -> float:
     return min(1.0, float(np.sum(np.sqrt(a * b)) ** 2))
 
 
-def _entropy_bracket(mats: np.ndarray, flags: np.ndarray, probs: np.ndarray) -> tuple[float, float]:
-    """(S(mean state), chi): the two ends of the rate bracket, from an ensemble's stack.
+def _entropy_bracket(ensemble: Ensemble) -> tuple[float, float]:
+    """(S(mean state), chi): the two ends of the rate bracket, from one ``qmat._spectra`` call.
 
-    The mean state and every member are solved as one stack (see
-    ``qmat._eigenvalues``), so the mean state is solved once for both.
-    Every entropy is at least 0, so 0 <= chi <= S.
+    The mean state and the members that kept nothing and are not diagonal
+    share one eigvalsh call, so the mean state is solved once for both ends;
+    the other members are read.  Every entropy is at least 0, so 0 <= chi <= S.
     """
-    s = _entropies(_eigenvalues(mats, flags))
-    return float(s[0]), max(0.0, float(s[0] - probs @ s[1:]))
+    s = _entropies(_spectra((ensemble.average(), *ensemble.states)))
+    return float(s[0]), max(0.0, float(s[0] - ensemble.probs @ s[1:]))
 
 
 def holevo(ensemble: Ensemble) -> float:
     """Holevo quantity chi = S(mean state) - sum_i p_i S(rho_i), in bits.
 
-    The mean state and all m states are solved in one stacked call, none at
-    all when every one of them is diagonal.
+    It costs one eigvalsh call (see ``_entropy_bracket``), none at all when
+    the mean state and every member are diagonal.  A member's entropy is that
+    of its ``eigenvalues``, as in ``vn_entropy``.
     """
-    return _entropy_bracket(*ensemble.stack(), ensemble.probs)[1]
+    return _entropy_bracket(ensemble)[1]
 
 
 def _check_same_shape(a: Ensemble, b: Ensemble) -> None:
@@ -275,14 +294,16 @@ def _check_same_shape(a: Ensemble, b: Ensemble) -> None:
 def avg_ensemble_fidelity(a: Ensemble, b: Ensemble) -> float:
     """Average fidelity sum_i p_i F(rho_i, sigma_i) between same-shape ensembles.
 
-    Every pair is scored at once: one ``psd_roots`` call per ensemble and one
-    ``sqrt_fidelity_from_roots`` call on the two stacks, so the cost is two
-    eigh and two eigvalsh calls whatever m is.  Each term is the pairwise
+    Every pair is scored at once: one ``sqrt_fidelity_from_roots`` call on
+    the two stacks, so the cost is two eigvalsh calls whatever m is.  The
+    roots come from the members' ``eigenpairs`` (``qmat._roots``): validated
+    members kept their check's and diagonal ones need none, so only a member
+    that kept nothing costs an eigh call.  Each term is the pairwise
     ``fidelity`` up to rounding.
     """
     _check_same_shape(a, b)
-    (sa, da), (sb, db) = _stack(a.states), _stack(b.states)
-    g = sqrt_fidelity_from_roots(sa, psd_roots(sa, da)[0], sb, psd_roots(sb, db)[0], da & db)
+    (sa, da), (sb, db) = a.stack(), b.stack()
+    g = sqrt_fidelity_from_roots(sa, _roots(a.states), sb, _roots(b.states), da & db)
     return float(a.probs @ (g * g))
 
 

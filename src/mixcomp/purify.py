@@ -16,22 +16,13 @@ G_ij = sqrt(p_i p_j) <psi_i|psi_j>.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DimensionOverflow, DomainError, NotCommuting, ValidationError
 from .measures import Ensemble, _entropy_bracket, entropy_of_spectrum, shannon_entropy
-from .qmat import (
-    DensityLike,
-    DensityOperator,
-    PureState,
-    _spectrum_root,
-    _stack,
-    as_density,
-    commuting,
-    kron,
-    psd_roots,
-)
+from .qmat import DensityLike, DensityOperator, PureState, _roots, as_density, commuting, kron
 from .tolerance import PHASE_FLOOR, STRUCTURE_TOL, max_abs
 
 #: Largest d of the hole-pattern ensemble: its d states of d x d complex
@@ -81,31 +72,33 @@ def canonical_purification(rho: DensityLike) -> Purification:
     return Purification(PureState.from_vector(psi / nrm), r, d)
 
 
-def _root_overlaps(mats: np.ndarray, flags: np.ndarray) -> np.ndarray:
-    """Matrix of tr(sqrt(rho_i) sqrt(rho_j)), the purification overlaps, of a stack (``_stack``).
+def _root_overlaps(states: Sequence[DensityOperator]) -> np.ndarray:
+    """Matrix of tr(sqrt(rho_i) sqrt(rho_j)), the purification overlaps, of the states.
 
     For commuting states these are the overlaps of the purifications
     sum_k sqrt(p_k) |k> x |k> written in any common eigenbasis {|k>}: the sum
     sum_k sqrt(p_k q_k) does not depend on which common eigenbasis is used.
-    All m roots come from one ``psd_roots`` call on the stack, each bit for bit
-    the root ``matrix_sqrt_psd`` gives.
+    The roots come from the states' ``eigenpairs`` (``qmat._roots``), each
+    bit for bit the root ``matrix_sqrt_psd`` gives.
     """
-    if flags.all():
-        # Diagonal roots: the trace is sum_k sqrt(p_ik p_jk), with no d x d products.
-        roots = np.sqrt(np.maximum(np.real(np.diagonal(mats, axis1=-2, axis2=-1)), 0.0))
+    if all(s.is_diagonal for s in states):
+        # Diagonal roots: the trace is sum_k sqrt(p_ik p_jk), read from each
+        # state's diagonal, with no stack and no d x d products.
+        diagonals = np.real([np.diagonal(s.matrix) for s in states])
+        roots = np.sqrt(np.maximum(diagonals, 0.0))
         return roots @ roots.T
-    roots = psd_roots(mats, flags)[0]
+    roots = _roots(states)
     return np.real(np.einsum("iab,jba->ij", roots, roots))
 
 
-def _purification_spectrum(probs: np.ndarray, mats: np.ndarray, flags: np.ndarray) -> np.ndarray:
-    """Spectrum of the purification mixture sum_i p_i |psi_i><psi_i| of a stack, descending.
+def _purification_spectrum(ensemble: Ensemble) -> np.ndarray:
+    """Spectrum of the purification mixture sum_i p_i |psi_i><psi_i| of an ensemble, descending.
 
     Its nonzero eigenvalues are those of the m x m Gram matrix
     G_ij = sqrt(p_i p_j) <psi_i|psi_j>, so no d^2-dimensional state is built.
     """
-    w = np.sqrt(probs)
-    gram = np.outer(w, w) * _root_overlaps(mats, flags)
+    w = np.sqrt(ensemble.probs)
+    gram = np.outer(w, w) * _root_overlaps(ensemble.states)
     return np.clip(np.linalg.eigvalsh(gram)[::-1], 0.0, None)
 
 
@@ -125,11 +118,7 @@ def canonical_overlap(rho1: DensityLike, rho2: DensityLike) -> float:
     """
     r1, r2 = as_density(rho1), as_density(rho2)
     _require_commuting((r1, r2))
-    if r1.is_diagonal and r2.is_diagonal:
-        c = _root_overlaps(*_stack((r1, r2)))[0, 1]
-    else:
-        roots = _spectrum_root(*map(np.stack, zip(r1.eigenpairs(), r2.eigenpairs())))
-        c = np.real(np.einsum("iab,jba->ij", roots, roots))[0, 1]
+    c = _root_overlaps((r1, r2))[0, 1]
     return min(1.0, float(c * c))
 
 
@@ -157,7 +146,7 @@ def two_state_purification_rate(ensemble: Ensemble) -> float:
     if len(ensemble) != 2:
         raise DomainError("two_state_purification_rate needs exactly two states")
     _require_commuting(ensemble.states)
-    return entropy_of_spectrum(_purification_spectrum(ensemble.probs, *_stack(ensemble.states)))
+    return entropy_of_spectrum(_purification_spectrum(ensemble))
 
 
 def photographic_negative_ensemble(d: int) -> Ensemble:
@@ -201,11 +190,13 @@ def photographic_negative_report(d: int) -> PhotographicNegativeReport:
     The spectrum comes from the d x d Gram matrix of the purification overlaps
     and is verified against the closed form {(d-1)/d, (d-1) copies of
     1/(d(d-1))}; q is its entropy and chi the Holevo quantity of the source
-    ensemble, both read from the ensemble's one stack.
+    ensemble.  The states are diagonal, so the Gram matrix comes from their
+    diagonals and chi from ``_entropy_bracket``, which reads them too:
+    no stack of the d states is built, and no eigensolve is made but the
+    d x d Gram matrix's.
     """
     ensemble = photographic_negative_ensemble(d)
-    mats, flags = ensemble.stack()
-    spec = _purification_spectrum(ensemble.probs, mats[1:], flags[1:])
+    spec = _purification_spectrum(ensemble)
 
     expected = np.concatenate([[(d - 1) / d], np.full(d - 1, 1.0 / (d * (d - 1)))])
     defect = max_abs(spec - expected)
@@ -215,5 +206,5 @@ def photographic_negative_report(d: int) -> PhotographicNegativeReport:
         )
 
     spec.setflags(write=False)
-    chi = _entropy_bracket(mats, flags, ensemble.probs)[1]
+    chi = _entropy_bracket(ensemble)[1]
     return PhotographicNegativeReport(d, spec, entropy_of_spectrum(spec), chi)

@@ -213,7 +213,25 @@ class DensityOperator:
 
     def eigenvalues(self) -> np.ndarray:
         """Eigenvalues, descending: those kept, else one eigvalsh call (none if diagonal)."""
-        return _eigenvalues(*_stack([self]))[0] if self._spectrum is None else self._spectrum[0]
+        return _spectra([self])[0] if self._spectrum is None else self._spectrum[0]
+
+
+class _MeanState(DensityOperator):
+    """A wrapped state that keeps the eigenpairs of its first ``eigenpairs`` call.
+
+    An ensemble's mean state is one: several routines take its eigenbasis as
+    their frame, and the first of them solves it for all.  ``eigenvalues``
+    stays one eigvalsh call, so S(mean) has the same bits in whatever order
+    the two are asked for.
+    """
+
+    @cached_property
+    def _solved(self) -> tuple[np.ndarray, np.ndarray]:
+        return tuple(map(_readonly, _eig(self.matrix, self.is_diagonal)))
+
+    def eigenpairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenvalues (descending, stable ties) and eigenvectors, read-only: one ``_eig``, kept."""
+        return self._solved
 
 
 DensityLike = Union[DensityOperator, np.ndarray, Sequence]
@@ -299,16 +317,37 @@ def _stack(states: Sequence[DensityOperator]) -> tuple[np.ndarray, np.ndarray]:
             np.array([s.is_diagonal for s in states], dtype=bool))
 
 
-def _eigenvalues(mats: np.ndarray, flags: np.ndarray) -> np.ndarray:
-    """Eigenvalues of each state in a stack and its diagonal tests (``_stack``), descending.
+def _spectra(states: Sequence[DensityOperator]) -> np.ndarray:
+    """Eigenvalues of each state, descending, as one (k, d) array.
 
-    The one spectrum helper for stacks: diagonal states read their diagonal,
-    as eig_hermitian does, and the others share one eigvalsh call.
+    The one spectrum helper for several states: a state that kept its check's
+    eigenpairs is read, a diagonal state reads its diagonal, as eig_hermitian
+    does, and the others share one stacked eigvalsh call.  No stack of the
+    states that cost no solve is built.
     """
-    vals = np.real(np.diagonal(mats, axis1=-2, axis2=-1)).copy()
-    if not flags.all():
-        vals[~flags] = np.linalg.eigvalsh(mats[~flags])
-    return np.sort(vals, axis=-1)[..., ::-1]
+    vals = np.empty((len(states), states[0].dim))
+    solve = []
+    for i, s in enumerate(states):
+        if s._spectrum is not None:
+            vals[i] = s._spectrum[0]
+        elif s.is_diagonal:
+            vals[i] = np.sort(np.real(np.diagonal(s.matrix)))[::-1]
+        else:
+            solve.append(i)
+    if solve:
+        solved = np.linalg.eigvalsh(np.stack([states[i].matrix for i in solve]))
+        vals[solve] = np.sort(solved, axis=-1)[:, ::-1]
+    return vals
+
+
+def _roots(states: Sequence[DensityOperator]) -> np.ndarray:
+    """matrix_sqrt_psd of each state, as one (k, d, d) array, from the states' ``eigenpairs``.
+
+    A state that kept its check's eigenpairs, or is diagonal, costs no solve;
+    any other costs one eigh call.  Each root is bit for bit the one
+    matrix_sqrt_psd gives the state.
+    """
+    return _spectrum_root(*map(np.stack, zip(*(s.eigenpairs() for s in states))))
 
 
 def kron(factors: Sequence[np.ndarray]) -> np.ndarray:

@@ -237,12 +237,13 @@ def rate_report(ensemble: Ensemble, label: str = "ensemble") -> RateReport:
     """Bounds plus scheme rates for every recognised special ensemble shape.
 
     Recognition is structural with tolerance 1e-8; anything unrecognised
-    degrades gracefully to a bounds-only report.  The ensemble is stacked once
-    (``Ensemble.stack``), and every measure and recogniser reads that stack.
+    degrades gracefully to a bounds-only report.  The members are stacked once
+    (``Ensemble.stack``), and every recogniser reads that stack; the bracket
+    and the purification entry read the members' kept eigenpairs instead.
     """
-    mats, flags = ensemble.stack()
-    members, diagonal, probs = mats[1:], flags[1:], ensemble.probs
-    s_bar, chi = _entropy_bracket(mats, flags, probs)
+    members, diagonal = ensemble.stack()
+    probs = ensemble.probs
+    s_bar, chi = _entropy_bracket(ensemble)
     entries = [
         RateEntry("mean-state entropy S", s_bar, "upper_bound"),
         RateEntry("Holevo quantity chi", chi, "lower_bound"),
@@ -270,8 +271,7 @@ def rate_report(ensemble: Ensemble, label: str = "ensemble") -> RateReport:
         name = ("canonical purification scheme" if pair
                 else "photographic-negative purification mixture")
         entries.append(RateEntry(
-            name, entropy_of_spectrum(_purification_spectrum(probs, members, diagonal)),
-            "scheme_rate"))
+            name, entropy_of_spectrum(_purification_spectrum(ensemble)), "scheme_rate"))
 
     split = _detect_block_split(members, probs)
     if split is not None:

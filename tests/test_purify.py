@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -248,6 +249,17 @@ class TestPhotographicNegative:
         closed = (2.0 / d) * math.log2(d - 1) - math.log2(1 - 1 / d)
         assert abs(rep.q - closed) <= 1e-8
         assert abs(rep.gap - (2.0 / d) * math.log2(d - 1)) <= 1e-9
+
+    def test_report_builds_no_stack_of_the_states(self):
+        # The d states take 32 MiB at d = 128, and a stack of them as much again:
+        # the Gram matrix and chi are read from the diagonals instead.
+        tracemalloc.start()
+        try:
+            photographic_negative_report(128)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2**20
 
     def test_gap_vanishes_for_large_d(self):
         assert photographic_negative_report(64).gap < 0.2

@@ -107,6 +107,20 @@ class TestDensityOperator:
         vals = eig_hermitian(rho.matrix).eigenvalues
         assert vals.min() >= 0.0
         assert abs(np.real(np.trace(rho.matrix)) - 1.0) <= 1e-10
+        # The clamped eigenvalue becomes exactly 0, not |lambda|.
+        assert rho.matrix[1, 1] == 0.0
+
+    def test_clamp_rebuilds_a_rotated_state_from_its_clipped_spectrum(self, rng):
+        # V max(lambda, 0) V^dag, renormalised: the eigenvalue in [-PSD_TOL, 0)
+        # is set to 0, and the others are kept.
+        u = sampling.random_unitary(3, rng)
+        raw = u @ diag_state(0.6, 0.4 + 5e-10, -5e-10) @ u.conj().T
+        lam, v = np.linalg.eigh((raw + raw.conj().T) / 2.0)
+        want = (v * np.maximum(lam, 0.0)) @ v.conj().T
+        want /= np.real(np.trace(want))
+        rho = DensityOperator.from_matrix(raw)
+        assert not rho.is_diagonal
+        assert np.max(np.abs(rho.matrix - want)) <= 1e-15
 
     def test_rejects_clearly_negative(self):
         with pytest.raises(NotPSD):

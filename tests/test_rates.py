@@ -440,7 +440,7 @@ class TestRecognisersAgainstTheOldSearch:
         @settings(max_examples=200)
         @given(hole_candidates())
         def check(ens):
-            want = (entropy_of_spectrum(_purification_spectrum(ens.probs, *qmat._stack(ens.states)))
+            want = (entropy_of_spectrum(_purification_spectrum(ens))
                     if walked_hole_pattern(ens) else None)
             assert repr(report_rate(ens, HOLE)) == repr(want)
             seen.add(want is not None)

@@ -1,10 +1,12 @@
 """Stacked ensemble measures against their per-state definitions.
 
-Each ensemble-level measure solves all of an ensemble's states as one
-(m, d, d) stack.  The oracles here are the per-state versions: a sum of
-pairwise fidelities, entropies from one ``eig_hermitian`` per state, and
-overlaps from one ``matrix_sqrt_psd`` per state.  The solver-count tests pin
-the stacking itself by counting ``np.linalg.eigh`` and ``eigvalsh`` calls.
+Each ensemble-level measure reads its members' kept eigenpairs (diagonal
+members their diagonals) and solves only the ensemble's mean state, which it
+keeps, and the members that kept nothing.  The oracles here are the per-state
+versions: a sum of pairwise fidelities, entropies from one ``eig_hermitian``
+per state, and overlaps from one ``matrix_sqrt_psd`` per state.  The
+solver-count tests pin what is solved by counting ``np.linalg.eigh`` and
+``eigvalsh`` calls.
 """
 
 import math
@@ -14,8 +16,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mixcomp import sampling
-from mixcomp.blocksim import power_spectrum_top_sum, project_and_patch, typical_subspace
+from mixcomp import sampling, wire
+from mixcomp.blocksim import (
+    BlockSource,
+    lemma_a1_ceiling,
+    power_spectrum_top_sum,
+    project_and_patch,
+    project_patch_scheme,
+    typical_subspace,
+)
+from mixcomp.cli import main
 from mixcomp.measures import (
     Ensemble,
     avg_ensemble_fidelity,
@@ -31,7 +41,15 @@ from mixcomp.purify import (
     canonical_purification,
     photographic_negative_ensemble,
 )
-from mixcomp.qmat import DensityOperator, _stack, eig_hermitian, is_diagonal, matrix_sqrt_psd
+from mixcomp.qmat import (
+    DensityOperator,
+    _roots,
+    _spectra,
+    eig_hermitian,
+    is_diagonal,
+    matrix_sqrt_psd,
+    psd_roots,
+)
 from mixcomp.rates import rate_report
 from mixcomp.tolerance import DIAGONAL_TOL, LOG_FLOOR, STRUCTURE_TOL, max_abs
 
@@ -106,7 +124,84 @@ def test_root_overlaps_equal_per_state_square_roots(pair):
     states = pair[0].states
     roots = [matrix_sqrt_psd(s) for s in states]
     oracle = np.array([[np.real(np.trace(x @ y)) for y in roots] for x in roots])
-    assert max_abs(_root_overlaps(*_stack(states)) - oracle) <= AGREE
+    assert max_abs(_root_overlaps(states) - oracle) <= AGREE
+
+
+KEPT_KINDS = ("validated", "wrapped", "clamped", "diagonal")
+
+
+def kept_member(kind: str, d: int, rng) -> DensityOperator:
+    """One member of a kind: validated keeps its check's eigenpairs, wrapped and
+    clamped (lowest eigenvalue in [-PSD_TOL, 0), rebuilt) keep none, diagonal needs none."""
+    if kind == "diagonal" or (kind == "clamped" and d == 1):
+        return DensityOperator.from_matrix(np.diag(sampling.random_prob_vector(d, rng)))
+    if kind == "clamped":
+        u = sampling.random_unitary(d, rng)
+        spectrum = np.append(sampling.random_prob_vector(d - 1, rng) * (1.0 + 5e-10), -5e-10)
+        raw = (u * spectrum) @ u.conj().T
+        rho = DensityOperator.from_matrix((raw + raw.conj().T) / 2.0)
+        assert rho._spectrum is None and not rho.is_diagonal  # rebuilt by the clamp
+        return rho
+    rho = sampling.random_density(d, rng)
+    return rho if kind == "validated" else DensityOperator._wrap(rho.matrix)
+
+
+@st.composite
+def kept_ensembles(draw) -> tuple:
+    """(d, kinds, seed): an ensemble of one kind, or of mixed kinds, d <= 16 and m <= 8."""
+    d, m = draw(st.integers(1, 16)), draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(KEPT_KINDS + ("mixed",)))
+    kinds = [draw(st.sampled_from(KEPT_KINDS)) if kind == "mixed" else kind for _ in range(m)]
+    return d, kinds, draw(st.integers(0, 2**32 - 1))
+
+
+def fresh_pair(d: int, kinds: list, seed: int) -> tuple[Ensemble, Ensemble]:
+    """Two ensembles of the same kinds sharing one prior, built afresh from the seed."""
+    rng = sampling.generator(seed)
+    probs = sampling.random_prob_vector(len(kinds), rng)
+    return tuple(Ensemble.from_lists(probs, [kept_member(k, d, rng) for k in kinds])
+                 for _ in range(2))
+
+
+def entry_results(ensemble: Ensemble, other: Ensemble, order) -> dict:
+    """The repr of every entry point that reads what the members kept, called in ``order``."""
+    source = BlockSource.build(ensemble, 2)
+    entries = {
+        "holevo": lambda: holevo(ensemble),
+        "report": lambda: [(e.name, e.rate) for e in rate_report(ensemble).entries],
+        "avg fidelity": lambda: avg_ensemble_fidelity(ensemble, other),
+        "holevo bound": lambda: holevo_continuity_bound(ensemble, other),
+        "entropy bound": lambda: avg_entropy_continuity_bound(ensemble, other),
+        "mean entropy": lambda: vn_entropy(ensemble.average()),
+        "ceiling": lambda: lemma_a1_ceiling(source, 1.0),
+        "scheme": lambda: (lambda sub: (sub.eta, sub.coordinates.tobytes(),
+                                        None if sub.frame is None else sub.frame.tobytes()))(
+            project_patch_scheme(source, 1.0).subspace),
+    }
+    return {name: repr(entries[name]()) for name in order}
+
+
+@settings(max_examples=100)
+@given(kept_ensembles())
+def test_member_spectra_and_roots_read_what_the_members_kept(drawn):
+    ensemble, other = fresh_pair(*drawn)
+    mean = ensemble.average()
+    spectra, roots = _spectra((mean, *ensemble.states)), _roots(ensemble.states)
+    assert spectra.shape == (len(ensemble) + 1, ensemble.dim)
+    assert spectra[0].tobytes() == mean.eigenvalues().tobytes()
+    for row, s in zip(spectra[1:], ensemble.states):
+        assert max_abs(row - np.linalg.eigvalsh(s.matrix)[::-1]) <= 1e-15
+    assert roots.tobytes() == psd_roots(np.stack([s.matrix for s in ensemble.states]))[0].tobytes()
+    # The ensemble keeps its mean state, and the mean state its eigenpairs.
+    assert ensemble.average() is mean and mean.eigenpairs() is mean.eigenpairs()
+    for kept in (mean.matrix, *mean.eigenpairs()):
+        with pytest.raises(ValueError, match="read-only"):
+            kept[(0,) * kept.ndim] = 0.0
+    # Two fresh copies, the entry points called in two orders: the same bits.
+    order = ["holevo", "report", "avg fidelity", "holevo bound", "entropy bound",
+             "mean entropy", "ceiling", "scheme"]
+    assert entry_results(*fresh_pair(*drawn), order) == entry_results(
+        *fresh_pair(*drawn), order[::-1])
 
 
 def admits_oracle(tol, defect) -> bool:
@@ -217,16 +312,59 @@ def test_holevo_is_one_solver_call_or_none(monkeypatch, rng):
     assert counter.total == 1
 
 
+def test_holevo_solves_only_the_mean_of_a_validated_ensemble(monkeypatch, rng):
+    # Validated members kept their check's eigenpairs, so holevo solves only
+    # the mean state; wrapped members join it in the one stacked call.
+    ensemble = dense_ensemble(rng, 4, 6)
+    counter = SolverCounter(monkeypatch)
+    holevo(ensemble)
+    assert counter.calls == {"eigh": 0, "eigvalsh": 1}
+    assert counter.inputs[0].shape == (1, 4, 4)
+    assert counter.calls_with(ensemble.average().matrix) == 1
+    holevo(wrapped_copy(ensemble))
+    assert counter.calls == {"eigh": 0, "eigvalsh": 2}
+    assert counter.inputs[1].shape == (7, 4, 4)
+
+
+def wrapped_copy(ensemble: Ensemble) -> Ensemble:
+    """The same members wrapped, so that none keeps its check's eigenpairs."""
+    return Ensemble(tuple(DensityOperator._wrap(s.matrix) for s in ensemble.states),
+                    ensemble.probs)
+
+
 @pytest.mark.parametrize("m", [1, 3, 8])
-def test_avg_ensemble_fidelity_is_two_eigh_and_two_eigvalsh_calls(monkeypatch, rng, m):
+def test_avg_ensemble_fidelity_solves_roots_only_for_wrapped_members(monkeypatch, rng, m):
+    # Validated members root from their kept eigenpairs: only the two
+    # orientations are solved.  A wrapped member costs one eigh call, on each
+    # call, since nothing is kept across calls.
     a, b = dense_ensemble(rng, 3, m), dense_ensemble(rng, 3, m)
     b = Ensemble.from_lists(a.probs, b.states)
+    wa, wb = wrapped_copy(a), wrapped_copy(b)
     counter = SolverCounter(monkeypatch)
     avg_ensemble_fidelity(a, b)
-    assert counter.calls == {"eigh": 2, "eigvalsh": 2}
+    assert counter.calls == {"eigh": 0, "eigvalsh": 2}
     holevo_continuity_bound(a, b)
     avg_entropy_continuity_bound(a, b)
-    assert counter.calls == {"eigh": 6, "eigvalsh": 6}
+    assert counter.calls == {"eigh": 0, "eigvalsh": 6}
+    counter.calls.update(eigh=0, eigvalsh=0)
+    avg_ensemble_fidelity(wa, wb)
+    assert counter.calls == {"eigh": 2 * m, "eigvalsh": 2}
+    holevo_continuity_bound(wa, wb)
+    avg_entropy_continuity_bound(wa, wb)
+    assert counter.calls == {"eigh": 6 * m, "eigvalsh": 6}
+
+
+def test_blocksim_run_solves_the_base_mean_once(monkeypatch, rng, tmp_path):
+    # The plan, the scheme and the ceiling each take the base mean state's
+    # eigenpairs; the mean state keeps them, so one eigh call serves all three.
+    path = tmp_path / "e.json"
+    ensemble = dense_ensemble(rng, 2, 3)
+    path.write_text(wire.dumps(wire.ensemble_to_json(ensemble)))
+    mean = wire.load_ensemble(str(path)).average().matrix
+    counter = SolverCounter(monkeypatch)
+    assert main(["blocksim", "run", "--ensemble", str(path), "--N", "3", "--rate", "0.6",
+                 "--mode", "exact", "--out", str(tmp_path / "out.json")]) == 0
+    assert counter.calls_with(mean) == 1
 
 
 def test_rate_report_solves_the_mean_state_once(monkeypatch, rng):
