@@ -30,7 +30,6 @@ from .classical import (
     StochasticMatrix,
     analytic_output_law,
     apply_channel,
-    classical_rate_comparison,
     example9_message_distribution,
     example9_simulate,
     xi_rate,

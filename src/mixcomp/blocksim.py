@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionMismatch, DimensionOverflow, DomainError
+from .errors import DimensionMismatch, DimensionOverflow, DomainError, ValidationError
 from .measures import Ensemble, fidelity, sqrt_fidelity_from_roots, vn_entropy
 from .qmat import (
     DIM_CAP,
@@ -178,6 +178,8 @@ def typical_subspace_from_weights(weights: np.ndarray, subspace_dim: int) -> Typ
     is deterministic.
     """
     w = np.asarray(weights, dtype=float)
+    if not np.isfinite(w).all():
+        raise ValidationError("typical subspace weights must be finite")
     if not (1 <= subspace_dim <= w.size):
         raise DomainError(f"subspace_dim must lie in [1, {w.size}], got {subspace_dim}")
     order = np.argsort(-w, kind="stable")

@@ -5,6 +5,10 @@ with priors p1, p2), tosses it once, and hands the outcome to the sender.  The
 three-message protocol forwards a compressed description whose per-position
 output law exactly matches the chosen coin, at a rate Xi that can beat both
 the average-coin entropy and the coin-identity entropy.
+
+A source's rate report is ``rates.rate_report(src.as_ensemble())``: the coins
+are a commuting qubit pair, whose report carries S, chi, H(p), Xi and the
+pair's purification rate.  This module imports neither ``rates`` nor ``purify``.
 """
 
 from __future__ import annotations
@@ -20,17 +24,17 @@ from .errors import (
     DomainError,
     ValidationError,
 )
-from .measures import Ensemble, _entropy_bracket, as_prob_vector, shannon_entropy
+from .measures import Ensemble, as_prob_vector, shannon_entropy
 from .sampling import block_generator
-from .tolerance import PARAM_EPS, UNIT_TOL
+from .tolerance import UNIT_TOL
 
 #: Message codes in protocol traces.
 M0, M1, M2 = 0, 1, 2
 #: Output codes: tails 0, heads 1.
 TAILS, HEADS = 0, 1
 
-#: Positions simulated per independent random stream; results do not depend on
-#: how blocks are distributed over workers.
+#: Positions simulated per independent random stream: block b draws from
+#: ``block_generator(seed, b)``, so the trace depends only on the seed.
 BLOCK_SIZE = 4096
 #: Most positions one simulation runs: its three int8 traces take 30 MB here.
 TOSS_CAP = 10_000_000
@@ -206,14 +210,18 @@ def example9_simulate(src: CoinSource, n_tosses: int, seed: int = 0) -> Protocol
     """Simulate the three-message protocol for ``n_tosses`` positions.
 
     Randomness is drawn from one counter-based stream per position block, so
-    the trace depends only on ``seed`` regardless of worker scheduling.  The
-    degenerate corner alpha1 = 0, alpha2 = 1 runs through the identity
-    messages only (the shared message has probability zero).
+    the trace depends only on ``seed``.  The degenerate corner alpha1 = 0,
+    alpha2 = 1 runs through the identity messages only (the shared message
+    has probability zero).
     """
     if n_tosses < 1:
         raise DomainError(f"n_tosses must be >= 1, got {n_tosses}")
+    # Written so that NaN fails; 10.0 is a toss count, 10.5 is not.
+    if not n_tosses == np.floor(n_tosses):
+        raise DomainError(f"n_tosses must be a whole number, got {n_tosses}")
     if n_tosses > TOSS_CAP:
         raise DimensionOverflow(f"n_tosses {n_tosses} exceeds TOSS_CAP {TOSS_CAP}")
+    n_tosses = int(n_tosses)
     s, swapped = orient_coins(src)
     m0_prob = 1.0 - s.alpha2 + s.alpha1
     heads_if_m0 = s.alpha1 / m0_prob if m0_prob > 0.0 else 0.0
@@ -247,41 +255,3 @@ def example9_simulate(src: CoinSource, n_tosses: int, seed: int = 0) -> Protocol
     for a in (coins, messages, outputs):
         a.setflags(write=False)
     return ProtocolTrace(coins, messages, outputs, seed=seed, swapped=swapped)
-
-
-def matches_symmetric_family(src: CoinSource) -> float | None:
-    """Epsilon if the source is the symmetric family (p = 1/2, alpha2 = 1 - alpha1)."""
-    s, _ = orient_coins(src)
-    if PARAM_EPS.admits([abs(s.p1 - 0.5), abs(s.alpha2 - (1.0 - s.alpha1)), s.alpha1 - 0.5]):
-        return float(min(s.alpha1, 0.5))
-    return None
-
-
-def classical_rate_comparison(src: CoinSource):
-    """Rate report for the coin source: both upper bounds, Xi, the purification
-    rate when applicable, the Holevo lower bound, and the conjectured rate."""
-    # Imported here: rates depends on this module for coin-shape recognition.
-    from .purify import upsilon_rate
-    from .rates import RateEntry, RateReport
-
-    s, swapped = orient_coins(src)
-    ensemble = src.as_ensemble()
-    abar = src.average_heads()
-    s_bar, chi = _entropy_bracket(ensemble)
-    entries = [
-        RateEntry("S(mean state) = H(avg coin)", s_bar, "upper_bound"),
-        RateEntry("H(coin priors)", shannon_entropy([src.p1, src.p2]), "upper_bound"),
-        RateEntry("three-message protocol Xi", xi_rate(src), "scheme_rate"),
-    ]
-    eps = matches_symmetric_family(src)
-    if eps is not None:
-        entries.append(RateEntry("purification scheme Upsilon", upsilon_rate(eps), "scheme_rate"))
-    # The mutual information H(avg coin) - sum_i p_i H(coin i) equals chi for
-    # this commuting source.
-    entries.append(RateEntry("Holevo quantity", chi, "lower_bound"))
-    entries.append(RateEntry("conjectured optimal rate (mutual information)", chi, "conjecture"))
-    label = (
-        f"coins p1={src.p1:g} alpha1={src.alpha1:g} alpha2={src.alpha2:g}"
-        f" avg_heads={abar:g}" + (" (labels swapped internally)" if swapped else "")
-    )
-    return RateReport.from_entries(label, entries)

@@ -97,16 +97,12 @@ def cmd_purify_report(args) -> None:
 
 
 def _compare_row(label, src: classical.CoinSource) -> list:
-    rate = {e.name: e.rate for e in classical.classical_rate_comparison(src).entries}
-    return [
-        label,
-        rate["S(mean state) = H(avg coin)"],
-        rate["H(coin priors)"],
-        rate["three-message protocol Xi"],
-        rate.get("purification scheme Upsilon", float("nan")),
-        rate["Holevo quantity"],
-        rate["conjectured optimal rate (mutual information)"],
-    ]
+    # The CSV's columns are rate_report entries; conjectured_MI is chi, the
+    # mutual information of this commuting source.
+    rate = {e.name: e.rate for e in rates.rate_report(src.as_ensemble()).entries}
+    return [label, *(rate[name] for name in (
+        "mean-state entropy S", "visible state-identity coding H(p)", "three-message protocol Xi",
+        "canonical purification scheme", "Holevo quantity chi", "Holevo quantity chi"))]
 
 
 def cmd_classical_compare(args) -> None:

@@ -10,7 +10,9 @@ Every purification overlap and rate here comes from one formula: the overlap
 <psi_i|psi_j> = tr(sqrt(rho_i) sqrt(rho_j)), which for commuting states is the
 same in every common eigenbasis, so no code picks one.  A mixture
 sum_i p_i |psi_i><psi_i| has the nonzero spectrum of its Gram matrix
-G_ij = sqrt(p_i p_j) <psi_i|psi_j>.
+G_ij = sqrt(p_i p_j) <psi_i|psi_j>.  A pair's 2 x 2 Gram spectrum has a closed
+form (``_pair_entropy``), written without cancelling subtractions, which
+every pair rate reads; three or more states take the Gram matrix's eigvalsh.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionOverflow, DomainError, NotCommuting, ValidationError
-from .measures import Ensemble, _entropy_bracket, entropy_of_spectrum, shannon_entropy
+from .measures import Ensemble, _entropy_bracket, entropy_of_spectrum
 from .qmat import DensityLike, DensityOperator, PureState, _roots, as_density, commuting, kron
 from .tolerance import PHASE_FLOOR, STRUCTURE_TOL, max_abs
 
@@ -102,6 +104,36 @@ def _purification_spectrum(ensemble: Ensemble) -> np.ndarray:
     return np.clip(np.linalg.eigvalsh(gram)[::-1], 0.0, None)
 
 
+def _diagonal_gap(p: np.ndarray, q: np.ndarray) -> float:
+    """1 - sum_k sqrt(p_k q_k), as (1/2) sum_k ((p_k - q_k) / (sqrt(p_k) + sqrt(q_k)))^2."""
+    s = np.sqrt(p) + np.sqrt(q)
+    t = np.divide(p - q, s, out=np.zeros_like(s), where=s > 0.0)
+    return 0.5 * float(t @ t)
+
+
+def _root_gap(states: Sequence[DensityOperator]) -> float:
+    """1 - tr(sqrt(rho1) sqrt(rho2)) of two states, as (1/2) ||sqrt(rho1) - sqrt(rho2)||_F^2."""
+    if all(s.is_diagonal for s in states):
+        return _diagonal_gap(*(np.maximum(np.real(np.diagonal(s.matrix)), 0.0) for s in states))
+    r1, r2 = _roots(states)
+    return 0.5 * float(np.sum(np.abs(r1 - r2) ** 2))
+
+
+def _pair_entropy(w1: float, w2: float, gap: float) -> float:
+    """Entropy in bits of the Gram matrix [[w1, sqrt(w1 w2) c], [sqrt(w1 w2) c, w2]], c = 1 - gap.
+
+    With w1 + w2 = 1 its eigenvalues are big = (1 + sqrt((w1 - w2)^2 + 4 w1 w2 c^2)) / 2
+    and small = w1 w2 gap (2 - gap) / big, and log(big) = log1p(-small): no
+    subtraction cancels, so the rate keeps its relative accuracy as it nears 0.
+    """
+    c = 1.0 - gap
+    big = 0.5 * (1.0 + np.sqrt((w1 - w2) ** 2 + 4.0 * w1 * w2 * c * c))
+    small = w1 * w2 * gap * (2.0 - gap) / big
+    if small <= 0.0:
+        return 0.0
+    return float(-(small * np.log(small) + big * np.log1p(-small)) / np.log(2.0))
+
+
 def _require_commuting(states) -> None:
     if not commuting(states):
         raise NotCommuting(f"states do not commute: max |[rho1, rho2]| > {STRUCTURE_TOL}")
@@ -127,13 +159,14 @@ def upsilon_rate(epsilon: float) -> float:
 
     For the equiprobable pair diag(eps, 1-eps) / diag(1-eps, eps) the optimal
     purification mixture has entropy
-    H(1/2 + sqrt(eps(1-eps)), 1/2 - sqrt(eps(1-eps))) qubits/signal.
+    H(1/2 + sqrt(eps(1-eps)), 1/2 - sqrt(eps(1-eps))) qubits/signal, computed
+    as every pair rate is (``_pair_entropy``).
     """
     e = float(epsilon)
     if not (0.0 <= e <= 0.5):
         raise DomainError(f"upsilon_rate requires 0 <= epsilon <= 1/2, got {e}")
-    s = np.sqrt(e * (1.0 - e))
-    return shannon_entropy([0.5 + s, 0.5 - s])
+    p = np.array([e, 1.0 - e])
+    return _pair_entropy(0.5, 0.5, _diagonal_gap(p, p[::-1]))
 
 
 def two_state_purification_rate(ensemble: Ensemble) -> float:
@@ -141,12 +174,13 @@ def two_state_purification_rate(ensemble: Ensemble) -> float:
 
     The mixture p1 |psi1><psi1| + p2 |psi2><psi2| has rank <= 2; its spectrum
     is that of the 2x2 Gram matrix with the purification overlap
-    c = tr(sqrt(rho1) sqrt(rho2)) = sum_k sqrt(p_k q_k).
+    c = tr(sqrt(rho1) sqrt(rho2)) = sum_k sqrt(p_k q_k), in closed form
+    (``_pair_entropy``).
     """
     if len(ensemble) != 2:
         raise DomainError("two_state_purification_rate needs exactly two states")
     _require_commuting(ensemble.states)
-    return entropy_of_spectrum(_purification_spectrum(ensemble))
+    return _pair_entropy(*ensemble.probs, _root_gap(ensemble.states))
 
 
 def photographic_negative_ensemble(d: int) -> Ensemble:
@@ -159,9 +193,13 @@ def photographic_negative_ensemble(d: int) -> Ensemble:
     """
     if d < 3:
         raise DomainError(f"photographic negative ensemble needs d >= 3, got {d}")
+    # Written so that NaN fails; 4.0 is a dimension, 4.5 is not.
+    if not d == np.floor(d):
+        raise DomainError(f"photographic negative ensemble needs a whole number d, got {d}")
     if d > HOLE_DIM_CAP:
         raise DimensionOverflow(f"photographic negative ensemble d = {d} exceeds HOLE_DIM_CAP "
                                 f"{HOLE_DIM_CAP}")
+    d = int(d)
     states = []
     for i in range(d):
         diag = np.full(d, 1.0 / (d - 1))

@@ -4,7 +4,8 @@ Every report brackets the unknown optimal rate between the Holevo quantity
 (lower bound) and the mean-state entropy (upper bound), and attaches scheme
 rates for the special ensemble shapes the package knows how to compress
 (two commuting states, block-diagonal with a shared lower block, the
-photographic-negative family).
+photographic-negative family).  It is the one report for every source: a
+two-coin source's is ``rate_report(src.as_ensemble())``, with Xi and the pair rate.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .measures import (
     shannon_entropy,
     vn_entropy,
 )
-from .purify import _purification_spectrum
+from .purify import _pair_entropy, _purification_spectrum, _root_gap
 from .qmat import DensityLike, DensityOperator, _eig, as_density, commuting, is_diagonal
 from .tolerance import STRUCTURE_TOL
 
@@ -267,11 +268,13 @@ def rate_report(ensemble: Ensemble, label: str = "ensemble") -> RateReport:
     # A pair's entry is purify.two_state_purification_rate without its second
     # commuting test.  A hole pattern's upper traces differ at every split, so it
     # has no block entry, and the one purification entry precedes that entry either way.
-    if pair or _detect_photographic_negative(members, diagonal, probs):
-        name = ("canonical purification scheme" if pair
-                else "photographic-negative purification mixture")
-        entries.append(RateEntry(
-            name, entropy_of_spectrum(_purification_spectrum(ensemble)), "scheme_rate"))
+    if pair:
+        entries.append(RateEntry("canonical purification scheme",
+                                 _pair_entropy(*probs, _root_gap(ensemble.states)), "scheme_rate"))
+    elif _detect_photographic_negative(members, diagonal, probs):
+        entries.append(RateEntry("photographic-negative purification mixture",
+                                 entropy_of_spectrum(_purification_spectrum(ensemble)),
+                                 "scheme_rate"))
 
     split = _detect_block_split(members, probs)
     if split is not None:

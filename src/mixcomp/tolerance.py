@@ -58,6 +58,5 @@ LOG_FLOOR = Tolerance(1e-15)
 #: An amplitude above this can pin an eigenvector's phase.
 PHASE_FLOOR = Tolerance(1e-12)
 #: Rounding slack on real parameters a caller gives: the rate 0.1 * 3 at N = 10
-#: gives rate * N = 3.0000000000000004, whose ceil must be 3, not 4; and a coin
-#: source matches the symmetric family when its parameters do within this.
+#: gives rate * N = 3.0000000000000004, whose ceil must be 3, not 4.
 PARAM_EPS = Tolerance(1e-9)

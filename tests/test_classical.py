@@ -13,7 +13,6 @@ from mixcomp.classical import (
     StochasticMatrix,
     analytic_output_law,
     apply_channel,
-    classical_rate_comparison,
     example9_message_distribution,
     example9_simulate,
     is_degenerate,
@@ -23,7 +22,8 @@ from mixcomp.classical import (
 )
 from mixcomp.errors import DegenerateProtocol, DimensionMismatch, ValidationError
 from mixcomp.measures import shannon_entropy, vn_entropy
-from mixcomp.purify import upsilon_rate
+from mixcomp.purify import two_state_purification_rate, upsilon_rate
+from mixcomp.rates import rate_report
 
 
 def h_bits(*ps) -> float:
@@ -203,20 +203,23 @@ class TestSimulation:
 
 
 class TestRateComparison:
+    """A coin source's one rate report: ``rate_report`` of its ensemble."""
+
+    @staticmethod
+    def rates(src: CoinSource) -> dict:
+        return {e.name: e.rate for e in rate_report(src.as_ensemble()).entries}
+
     def test_beats_both_bounds_near_quarter(self):
-        src = CoinSource(0.5, 0.5, 0.24, 0.26)
-        report = classical_rate_comparison(src)
-        rates = {e.name: e.rate for e in report.entries}
+        rates = self.rates(CoinSource(0.5, 0.5, 0.24, 0.26))
         xi = rates["three-message protocol Xi"]
-        assert xi < rates["H(coin priors)"]
-        assert xi < rates["S(mean state) = H(avg coin)"]
-        assert abs(rates["S(mean state) = H(avg coin)"] - h_bits(0.25, 0.75)) <= 1e-12
+        assert xi < rates["visible state-identity coding H(p)"]
+        assert xi < rates["mean-state entropy S"]
+        assert abs(rates["mean-state entropy S"] - h_bits(0.25, 0.75)) <= 1e-12
 
     def test_identical_coins(self):
-        report = classical_rate_comparison(CoinSource(0.5, 0.5, 0.3, 0.3))
-        rates = {e.name: e.rate for e in report.entries}
+        rates = self.rates(CoinSource(0.5, 0.5, 0.3, 0.3))
         assert rates["three-message protocol Xi"] == 0.0
-        assert rates["Holevo quantity"] <= 1e-12
+        assert rates["Holevo quantity chi"] <= 1e-12
 
     def test_holevo_equals_mutual_information(self, rng):
         for _ in range(10):
@@ -224,33 +227,32 @@ class TestRateComparison:
                 p1=(p1 := float(rng.random())), p2=1 - p1,
                 alpha1=float(rng.random()), alpha2=float(rng.random()),
             )
-            ens = src.as_ensemble()
-            from mixcomp.measures import holevo
-
             abar = src.average_heads()
             mutual_information = shannon_entropy([abar, 1 - abar]) - (
                 src.p1 * shannon_entropy([src.alpha1, 1 - src.alpha1])
                 + src.p2 * shannon_entropy([src.alpha2, 1 - src.alpha2])
             )
-            assert abs(holevo(ens) - mutual_information) <= 1e-9
+            assert abs(self.rates(src)["Holevo quantity chi"] - mutual_information) <= 1e-9
 
     def test_conjectured_rate_below_everything(self, rng):
+        # chi, the conjectured optimal rate of this commuting source, lies
+        # below every upper bound and scheme rate the report carries.
         for _ in range(20):
             src = CoinSource(
                 p1=(p1 := float(rng.random())), p2=1 - p1,
                 alpha1=float(rng.random()), alpha2=float(rng.random()),
             )
-            report = classical_rate_comparison(src)
-            mi = {e.name: e.rate for e in report.entries}[
-                "conjectured optimal rate (mutual information)"
-            ]
-            ens = src.as_ensemble()
+            report = rate_report(src.as_ensemble())
+            chi = {e.name: e.rate for e in report.entries}["Holevo quantity chi"]
+            uppers = [e.rate for e in report.entries if e.kind in ("upper_bound", "scheme_rate")]
+            assert len(uppers) >= 4  # S, H(p), Xi and the purification rate
             bound = min(
-                vn_entropy(ens.average()),
+                vn_entropy(src.as_ensemble().average()),
                 shannon_entropy([src.p1, src.p2]),
                 xi_rate(src),
+                *uppers,
             )
-            assert mi <= bound + 1e-9
+            assert chi <= bound + 1e-9
 
     @pytest.mark.parametrize("eps", np.round(np.arange(0.0, 0.501, 0.01), 10))
     def test_xi_dominates_upsilon(self, eps):
@@ -261,8 +263,13 @@ class TestRateComparison:
             assert abs(gap) <= 1e-9
 
     def test_symmetric_family_gets_upsilon_entry(self):
-        report = classical_rate_comparison(CoinSource(0.5, 0.5, 0.25, 0.75))
-        names = [e.name for e in report.entries]
-        assert "purification scheme Upsilon" in names
-        rates = {e.name: e.rate for e in report.entries}
-        assert abs(rates["purification scheme Upsilon"] - upsilon_rate(0.25)) <= 1e-12
+        for eps in (0.0, 0.1, 0.25, 0.4, 0.49, 0.5):
+            for src in (CoinSource(0.5, 0.5, eps, 1.0 - eps), CoinSource(0.5, 0.5, 1.0 - eps, eps)):
+                rates = self.rates(src)
+                assert abs(rates["canonical purification scheme"] - upsilon_rate(eps)) <= 1e-12
+
+    def test_off_family_gets_the_pair_rate(self):
+        src = CoinSource(0.3, 0.7, 0.6, 0.1)
+        rate = self.rates(src)["canonical purification scheme"]
+        assert rate == two_state_purification_rate(src.as_ensemble())
+        assert 0.0 < rate < 1.0

@@ -11,7 +11,7 @@ from mixcomp.blocksim import ceiling_subspace_dim
 from mixcomp.cli import main
 from mixcomp.errors import ParseError, ValidationError
 from mixcomp.measures import Ensemble
-from mixcomp.purify import photographic_negative_ensemble
+from mixcomp.purify import photographic_negative_ensemble, two_state_purification_rate
 
 from conftest import diag_state, top_product_sum_oracle
 
@@ -155,9 +155,10 @@ class TestCliCommands:
         assert len(lines) == 2
         row = lines[1].split(",")
         assert row[0] == "p1=0.3;a1=0.6;a2=0.1"
-        assert row[4] == "nan"  # not the symmetric family: no Upsilon
-        xi = classical.xi_rate(classical.CoinSource(0.3, 0.7, 0.6, 0.1))
-        assert row[3] == f"{xi:.12g}"
+        src = classical.CoinSource(0.3, 0.7, 0.6, 0.1)
+        assert row[3] == f"{classical.xi_rate(src):.12g}"
+        # Off the symmetric family, Upsilon is the pair's purification rate, not nan.
+        assert row[4] == f"{two_state_purification_rate(src.as_ensemble()):.12g}"
 
     def test_classical_simulate_records_seed(self, capsys):
         assert main(["classical", "simulate", "--n", "2000", "--seed", "9"]) == 0

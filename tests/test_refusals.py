@@ -7,7 +7,7 @@ the public entry point with an input that breaks exactly one invariant.
 import numpy as np
 import pytest
 
-from mixcomp import blocksim, classical, measures, qmat, rates, wire
+from mixcomp import blocksim, classical, measures, purify, qmat, rates, wire
 from mixcomp.errors import (
     DimensionMismatch,
     DimensionOverflow,
@@ -56,6 +56,10 @@ CASES = [
      DimensionOverflow, "coordinates exceed DIAGONAL_TABLE_BUDGET"),
     ("scoring-mode", lambda tmp: blocksim.project_patch_plan(qubit_source(), "fast", 10),
      DomainError, "mode must be auto|exact|mc, got 'fast'"),
+    ("typical-weights-nan", lambda tmp: blocksim.typical_subspace_from_weights([np.nan, 1.0], 1),
+     ValidationError, "typical subspace weights must be finite"),
+    ("typical-weights-inf", lambda tmp: blocksim.typical_subspace_from_weights([np.inf, 1.0], 1),
+     ValidationError, "typical subspace weights must be finite"),
     # classical
     ("stochastic-negative",
      lambda tmp: classical.StochasticMatrix.from_matrix([[1.5, 0.0], [-0.5, 1.0]]),
@@ -67,6 +71,12 @@ CASES = [
     ("toss-count",
      lambda tmp: classical.example9_simulate(classical.CoinSource(0.5, 0.5, 0.2, 0.5), 0),
      DomainError, "n_tosses must be >= 1, got 0"),
+    ("toss-count-nan",
+     lambda tmp: classical.example9_simulate(classical.CoinSource(0.5, 0.5, 0.2, 0.5), np.nan),
+     DomainError, "n_tosses must be a whole number, got nan"),
+    ("toss-count-fraction",
+     lambda tmp: classical.example9_simulate(classical.CoinSource(0.5, 0.5, 0.2, 0.5), 10.5),
+     DomainError, "n_tosses must be a whole number, got 10.5"),
     # measures
     ("prob-empty", lambda tmp: measures.as_prob_vector([], "p"),
      ValidationError, "p: must be non-empty"),
@@ -101,6 +111,11 @@ CASES = [
     ("measured-povm-dims",
      lambda tmp: measures.measured_classical_fidelity(QUTRIT, QUTRIT, two_povm()),
      InvalidPovm, "POVM dimension 2 does not match state dimension 3"),
+    # purify
+    ("hole-dim-nan", lambda tmp: purify.photographic_negative_ensemble(np.nan),
+     DomainError, "photographic negative ensemble needs a whole number d, got nan"),
+    ("hole-dim-fraction", lambda tmp: purify.photographic_negative_ensemble(4.5),
+     DomainError, "photographic negative ensemble needs a whole number d, got 4.5"),
     # qmat
     ("tensor-empty", lambda tmp: qmat.tensor_many([]),
      ValidationError, "tensor_many: need at least one factor"),
