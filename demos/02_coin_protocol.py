@@ -20,7 +20,7 @@ from mixcomp.rates import rate_report
 print("== Nearly identical coins compress to almost nothing ==")
 src = CoinSource(p1=0.5, p2=0.5, alpha1=0.24, alpha2=0.26)
 dist = example9_message_distribution(src)
-print("  message distribution (shared, coin-1, coin-2):", [round(x, 4) for x in dist])
+print("  message distribution (shared, coin-1, coin-2):", [round(float(x), 4) for x in dist])
 # The coins are a commuting qubit pair, so the ensemble's rate report carries
 # the protocol rate Xi beside the bounds; chi is the coins' mutual information.
 report = rate_report(src.as_ensemble())

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import reduce
 from typing import Callable
@@ -33,13 +32,14 @@ from .qmat import (
     DIM_CAP,
     DensityLike,
     DensityOperator,
+    _eig,
     _marginals,
     _readonly,
-    _stack,
+    _spectrum_root,
     as_density,
     dagger,
+    is_diagonal,
     kron,
-    psd_roots,
 )
 from .sampling import block_generator
 from .tolerance import PARAM_EPS
@@ -151,9 +151,9 @@ def _frame_unitary(subspace: TypicalSubspace) -> np.ndarray | None:
     return kron([u] * n)
 
 
-def _weights_and_frame(rho: DensityOperator, states) -> tuple[np.ndarray, np.ndarray | None]:
-    """Clipped diagonal and no frame if all ``states`` are diagonal, else ``rho.eigenpairs()``."""
-    if all(s.is_diagonal for s in states):
+def _weights_and_frame(rho: DensityOperator, diagonal) -> tuple[np.ndarray, np.ndarray | None]:
+    """Clipped diagonal and no frame if the states are ``diagonal``, else ``rho.eigenpairs()``."""
+    if diagonal:
         return np.maximum(np.real(np.diagonal(rho.matrix)), 0.0), None
     vals, vecs = rho.eigenpairs()
     return vals, _readonly(vecs)
@@ -167,7 +167,7 @@ def typical_subspace(reference: DensityLike, subspace_dim: int) -> TypicalSubspa
     its validation when the state kept it, a raw array's included.
     """
     rho = as_density(reference)
-    w, frame = _weights_and_frame(rho, [rho])
+    w, frame = _weights_and_frame(rho, rho.is_diagonal)
     return replace(typical_subspace_from_weights(w, subspace_dim), frame=frame)
 
 
@@ -325,7 +325,7 @@ def project_patch_scheme(source: BlockSource, rate: float) -> ProjectPatchScheme
     plan and its ceiling share one eigh call.
     """
     k = scheme_subspace_dim(rate, source.n_blocks, source.full_dim)
-    w, frame = _weights_and_frame(source.base.average(), source.base.states)
+    w, frame = _weights_and_frame(source.base.average(), source.base.diagonal.all())
     sub = typical_subspace_from_weights(kron_power_vector(w, source.n_blocks), k)
     return ProjectPatchScheme(replace(sub, frame=frame))
 
@@ -339,17 +339,17 @@ class FidelityScore:
 
 
 def _in_frame(source: BlockSource, frame: np.ndarray | None) -> BlockSource:
-    """The source with each base state rotated once into a scheme's frame.
+    """The source with its base stack rotated once into a scheme's frame, in one product.
 
     Global and local fidelities are unchanged by a product unitary, so scores
     computed in the frame equal scores in the computational basis.
     """
     if frame is None:
         return source
-    rotated = [dagger(frame) @ s.matrix @ frame for s in source.base.states]
-    # Symmetrised: a DensityOperator's matrix is exactly Hermitian.
-    states = tuple(DensityOperator._wrap((r + dagger(r)) / 2.0) for r in rotated)
-    return BlockSource(Ensemble(states, source.base.probs), source.n_blocks)
+    rotated = dagger(frame) @ source.base.matrices @ frame
+    # Symmetrised: an ensemble's rows are exactly Hermitian.
+    return BlockSource(Ensemble._of(source.base.probs, (rotated + dagger(rotated)) / 2.0),
+                       source.n_blocks)
 
 
 def _plan(source: BlockSource, keeps_coordinates: bool, mode: str,
@@ -369,7 +369,7 @@ def _plan(source: BlockSource, keeps_coordinates: bool, mode: str,
     if not n_samples >= 1:
         raise DomainError(f"n_samples must be >= 1, got {n_samples}")
     elements = max(len(source.base), source.base.dim) ** source.n_blocks * source.base.dim
-    diagonal = keeps_coordinates and all(s.is_diagonal for s in source.base.states)
+    diagonal = keeps_coordinates and bool(source.base.diagonal.all())
     tabled = diagonal and elements <= DIAGONAL_TABLE_BUDGET
     reason = (f"the diagonal tables need {elements} elements, over the budget "
               f"{DIAGONAL_TABLE_BUDGET}" if diagonal else "no diagonal fast path applies")
@@ -407,7 +407,7 @@ def project_patch_plan(source: BlockSource, mode: str,
     It needs only the base states, so a request no path can score, or one with
     a sample count below 1, is refused before the scheme's d^N weights are built.
     """
-    _, frame = _weights_and_frame(source.base.average(), source.base.states)
+    _, frame = _weights_and_frame(source.base.average(), source.base.diagonal.all())
     return _plan(_in_frame(source, frame), True, mode, n_samples)
 
 
@@ -419,7 +419,7 @@ def _diagonal_inputs(source: BlockSource,
                      scheme: ProjectPatchScheme) -> tuple[np.ndarray, np.ndarray, tuple]:
     """Base diagonals (m x d), kept-set mask (shape (d,)*N) and patch coordinate x0."""
     d, n = source.base.dim, source.n_blocks
-    P = np.clip(np.real([np.diagonal(s.matrix) for s in source.base.states]), 0.0, None)
+    P = np.clip(source.base.matrices.diagonal(0, -2, -1).real, 0.0, None)
     kept = scheme.subspace.coordinates
     mask = np.zeros(source.full_dim)
     mask[kept] = 1.0
@@ -518,36 +518,27 @@ def _diagonal_tables(factors: list[np.ndarray], mask: np.ndarray, x0: tuple,
     return g, local
 
 
-# Base states as an (m, d, d) stack, their square roots and their diagonal tests.
-_Base = tuple[np.ndarray, np.ndarray, np.ndarray]
-
-
-def _base_roots(source: BlockSource) -> _Base:
-    """The base states' stack, square roots (one eigh call) and diagonal tests."""
-    mats, diagonal = _stack(source.base.states)
-    return (mats, *psd_roots(mats, diagonal))
-
-
 def _score_string(source: BlockSource, scheme: Scheme, string, want_local: bool,
-                  base: _Base | None = None) -> tuple[float, float]:
+                  roots: np.ndarray | None = None) -> tuple[float, float]:
     """Global and local score of one string from dense d^N matrices (local 0.0 unless wanted).
 
     The local score takes the N marginals of the output in one pass and
-    scores them against their base states as one (N, d, d) stack.  ``base``
-    is ``_base_roots(source)``, which a scoring call computes once; it is
-    computed here when not given.
+    scores them against their base states, rows of the base's held stack, as
+    one (N, d, d) stack.  ``roots`` are the base states' roots, which a scoring
+    call computes once (``Ensemble._roots``); here, when not given.
     """
-    sig = DensityOperator._wrap(kron([source.base.states[i].matrix for i in string]))
+    sig = DensityOperator._wrap(kron([source.base.matrices[i] for i in string]))
     out = scheme.apply(sig)
     g = fidelity(sig, out)
     if not want_local:
         return g, 0.0
-    mats, roots, diagonal = _base_roots(source) if base is None else base
+    roots = source.base._roots() if roots is None else roots
     idx = list(string)
     marg = np.stack(_marginals(out.matrix, (source.base.dim,) * source.n_blocks))
-    marg_roots, marg_diagonal = psd_roots(marg)
-    g_marg = sqrt_fidelity_from_roots(mats[idx], roots[idx], marg, marg_roots,
-                                      diagonal[idx] & marg_diagonal)
+    marg_diagonal = np.array([is_diagonal(x) for x in marg])
+    marg_roots = _spectrum_root(*_eig(marg, marg_diagonal))
+    g_marg = sqrt_fidelity_from_roots(source.base.matrices[idx], roots[idx], marg, marg_roots,
+                                      source.base.diagonal[idx] & marg_diagonal)
     return g, math.prod((g_marg**2).tolist())
 
 
@@ -562,6 +553,8 @@ def _score_distinct(rows: np.ndarray, score: Callable, workers: int) -> np.ndarr
     strings = [tuple(int(x) for x in row) for row in distinct]
     workers = min(workers, os.cpu_count() or 1, len(strings))
     if workers > 1:
+        # Imported here: the pool's module pulls in logging, which no other path needs.
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=workers) as pool:
             scored = list(pool.map(score, strings))
     else:
@@ -637,10 +630,10 @@ def _scores(source: BlockSource, scheme: Scheme, want_local: bool, mode: str,
             g, loc = _diagonal_tables([P[s:s + 1] for s in string], mask, x0, want_local)
             return g.item(), (0.0 if loc is None else loc.item())
     else:
-        base = _base_roots(source) if want_local else None
+        roots = source.base._roots() if want_local else None
 
         def score(string):
-            return _score_string(source, scheme, string, want_local, base)
+            return _score_string(source, scheme, string, want_local, roots)
 
     if exact:
         method = "exact-diagonal" if diagonal else "exact-dense"

@@ -25,12 +25,13 @@ from .qmat import (
     DensityLike,
     DensityOperator,
     _MeanState,
-    _roots,
-    _spectra,
+    _eig,
+    _kept_pairs,
+    _readonly,
     _spectrum_root,
-    _stack,
     as_density,
     dagger,
+    is_diagonal,
 )
 from .tolerance import LOG_FLOOR, STRUCTURE_TOL, UNIT_TOL, max_abs
 
@@ -55,22 +56,27 @@ def as_prob_vector(p, name: str = "probability vector") -> np.ndarray:
     return np.clip(a, 0.0, None)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Ensemble:
-    """Probability-weighted list of same-dimension density operators.
+    """Probability-weighted density operators of one dimension, held as one read-only stack.
 
-    The ensemble keeps its mean state (``average``), built on first ask.
-    Ensemble measures read each member's kept eigenpairs, or a diagonal
-    member's diagonal, so a call solves only the mean state and the members
-    that kept nothing.  No stack, spectrum or root of the members is kept
-    across calls.
+    ``matrices`` (m, d, d) holds the members, ``diagonal`` their diagonal
+    tests and ``probs`` the prior.  Rows marked in ``kept`` hold the
+    eigenpairs their check kept in ``values`` (m, d) and ``vectors`` (m, d, d),
+    all three None if none did.  Measures read these arrays and solve only the
+    mean state (``average``, kept) and the other rows, in one stacked call.
     """
 
-    states: tuple[DensityOperator, ...]
+    matrices: np.ndarray
+    diagonal: np.ndarray
     probs: np.ndarray
+    kept: np.ndarray | None
+    values: np.ndarray | None
+    vectors: np.ndarray | None
 
     @classmethod
     def from_lists(cls, probs, states: Sequence[DensityLike]) -> "Ensemble":
+        """The one density check of each raw member; a DensityOperator is copied into its row."""
         p = as_prob_vector(probs, "ensemble probabilities")
         rhos = tuple(as_density(s, f"ensemble state {i}") for i, s in enumerate(states))
         if len(rhos) != p.size:
@@ -80,15 +86,35 @@ class Ensemble:
         dims = {r.dim for r in rhos}
         if len(dims) > 1:
             raise DimensionMismatch(f"ensemble states have mixed dimensions {sorted(dims)}")
-        p.setflags(write=False)
-        return cls(rhos, p)
+        return cls._of(p, np.stack([r.matrix for r in rhos]),
+                       np.array([r.is_diagonal for r in rhos]), *_kept_pairs(rhos))
+
+    @classmethod
+    def _of(cls, probs: np.ndarray, matrices: np.ndarray, diagonal: np.ndarray | None = None,
+            kept=None, values=None, vectors=None) -> "Ensemble":
+        """The ensemble of a stack valid by construction, unchecked: diagonal tests run unless
+        given, and no row keeps eigenpairs unless given, as ``qmat._kept_pairs`` writes them."""
+        if diagonal is None:
+            diagonal = np.array([is_diagonal(x) for x in matrices])
+        obj = object.__new__(cls)
+        for name, value in zip(("probs", "matrices", "diagonal", "kept", "values", "vectors"),
+                               (probs, matrices, diagonal, kept, values, vectors)):
+            object.__setattr__(obj, name, None if value is None else _readonly(value))
+        return obj
+
+    @cached_property
+    def states(self) -> tuple[DensityOperator, ...]:
+        """DensityOperator views on the rows, built once, each with the eigenpairs its row kept."""
+        kept = [None] * len(self) if self.kept is None else [
+            (self.values[i], self.vectors[i]) if k else None for i, k in enumerate(self.kept)]
+        return tuple(map(DensityOperator._wrap, self.matrices, kept))
 
     @property
     def dim(self) -> int:
-        return self.states[0].dim
+        return int(self.matrices.shape[-1])
 
     def __len__(self) -> int:
-        return len(self.states)
+        return len(self.matrices)
 
     def average(self) -> DensityOperator:
         """The mean state sum_i p_i rho_i (valid by convexity), built once.
@@ -102,14 +128,38 @@ class Ensemble:
     @cached_property
     def _mean(self) -> DensityOperator:
         acc = np.zeros((self.dim, self.dim), dtype=complex)
-        for p, rho in zip(self.probs, self.states):
-            acc += p * rho.matrix
+        for p, x in zip(self.probs, self.matrices):
+            acc += p * x
         acc = (acc + dagger(acc)) / 2.0
         return _MeanState._wrap(acc)
 
-    def stack(self) -> tuple[np.ndarray, np.ndarray]:
-        """(m, d, d) stack of the members and their diagonal tests, built afresh on each call."""
-        return _stack(self.states)
+    def _spectra(self) -> np.ndarray:
+        """Descending eigenvalues of the mean state (row 0) and each member: one (m + 1, d) array.
+
+        Kept rows read theirs and diagonal ones their sorted diagonals, as
+        eig_hermitian does; the other rows share one stacked eigvalsh call.
+        """
+        mean, vals = self.average(), np.empty((len(self) + 1, self.dim))
+        read = np.append(mean.is_diagonal, self.diagonal)
+        solve = ~read if self.kept is None else ~(read | np.append(False, self.kept))
+        if read.any():
+            diagonals = np.vstack((mean.matrix.diagonal(), self.matrices.diagonal(0, -2, -1)))
+            vals[read] = np.sort(diagonals[read].real, axis=-1)[:, ::-1]
+        if self.kept is not None:
+            vals[1:][self.kept] = self.values[self.kept]
+        if solve.any():
+            rows = np.concatenate((mean.matrix[None][solve[:1]], self.matrices[solve[1:]]))
+            vals[solve] = np.sort(np.linalg.eigvalsh(rows), axis=-1)[:, ::-1]
+        return vals
+
+    def _roots(self) -> np.ndarray:
+        """Each member's matrix_sqrt_psd, bit for bit: kept rows read, the others one ``_eig``."""
+        if self.kept is None:
+            return _spectrum_root(*_eig(self.matrices, self.diagonal))
+        vals, vecs, solve = self.values.copy(), self.vectors.copy(), ~self.kept
+        if solve.any():
+            vals[solve], vecs[solve] = _eig(self.matrices[solve], self.diagonal[solve])
+        return _spectrum_root(vals, vecs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -259,13 +309,13 @@ def classical_fidelity(p, q) -> float:
 
 
 def _entropy_bracket(ensemble: Ensemble) -> tuple[float, float]:
-    """(S(mean state), chi): the two ends of the rate bracket, from one ``qmat._spectra`` call.
+    """(S(mean state), chi): the two ends of the rate bracket, from ``Ensemble._spectra``.
 
-    The mean state and the members that kept nothing and are not diagonal
-    share one eigvalsh call, so the mean state is solved once for both ends;
-    the other members are read.  Every entropy is at least 0, so 0 <= chi <= S.
+    Its one eigvalsh call solves the mean state once for both ends, with the
+    members that kept nothing and are not diagonal; the other members are
+    read.  Every entropy is at least 0, so 0 <= chi <= S.
     """
-    s = _entropies(_spectra((ensemble.average(), *ensemble.states)))
+    s = _entropies(ensemble._spectra())
     return float(s[0]), max(0.0, float(s[0] - ensemble.probs @ s[1:]))
 
 
@@ -295,15 +345,14 @@ def avg_ensemble_fidelity(a: Ensemble, b: Ensemble) -> float:
     """Average fidelity sum_i p_i F(rho_i, sigma_i) between same-shape ensembles.
 
     Every pair is scored at once: one ``sqrt_fidelity_from_roots`` call on
-    the two stacks, so the cost is two eigvalsh calls whatever m is.  The
-    roots come from the members' ``eigenpairs`` (``qmat._roots``): validated
-    members kept their check's and diagonal ones need none, so only a member
-    that kept nothing costs an eigh call.  Each term is the pairwise
+    the two held stacks, two eigvalsh calls whatever m is.  The roots come
+    from ``Ensemble._roots``: kept and diagonal rows cost no solve, and the
+    other rows of each ensemble one eigh call.  Each term is the pairwise
     ``fidelity`` up to rounding.
     """
     _check_same_shape(a, b)
-    (sa, da), (sb, db) = a.stack(), b.stack()
-    g = sqrt_fidelity_from_roots(sa, _roots(a.states), sb, _roots(b.states), da & db)
+    g = sqrt_fidelity_from_roots(a.matrices, a._roots(), b.matrices, b._roots(),
+                                 a.diagonal & b.diagonal)
     return float(a.probs @ (g * g))
 
 

@@ -18,17 +18,16 @@ every pair rate reads; three or more states take the Gram matrix's eigvalsh.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .errors import DimensionOverflow, DomainError, NotCommuting, ValidationError
 from .measures import Ensemble, _entropy_bracket, entropy_of_spectrum
-from .qmat import DensityLike, DensityOperator, PureState, _roots, as_density, commuting, kron
+from .qmat import DensityLike, DensityOperator, PureState, as_density, commuting, kron
 from .tolerance import PHASE_FLOOR, STRUCTURE_TOL, max_abs
 
-#: Largest d of the hole-pattern ensemble: its d states of d x d complex
-#: entries take 268 MB at d = 256, and the memory grows as d^3.
+#: Largest d of the hole-pattern ensemble.  What bounds d is the ensemble itself: its
+#: one (d, d, d) complex stack takes 256 MiB at d = 256, and its reports copy none of it.
 HOLE_DIM_CAP = 256
 
 
@@ -74,22 +73,20 @@ def canonical_purification(rho: DensityLike) -> Purification:
     return Purification(PureState.from_vector(psi / nrm), r, d)
 
 
-def _root_overlaps(states: Sequence[DensityOperator]) -> np.ndarray:
-    """Matrix of tr(sqrt(rho_i) sqrt(rho_j)), the purification overlaps, of the states.
+def _root_overlaps(ensemble: Ensemble) -> np.ndarray:
+    """Matrix of tr(sqrt(rho_i) sqrt(rho_j)), the purification overlaps, of an ensemble's members.
 
     For commuting states these are the overlaps of the purifications
     sum_k sqrt(p_k) |k> x |k> written in any common eigenbasis {|k>}: the sum
     sum_k sqrt(p_k q_k) does not depend on which common eigenbasis is used.
-    The roots come from the states' ``eigenpairs`` (``qmat._roots``), each
-    bit for bit the root ``matrix_sqrt_psd`` gives.
+    The roots are ``Ensemble._roots``, read from the held stack.
     """
-    if all(s.is_diagonal for s in states):
-        # Diagonal roots: the trace is sum_k sqrt(p_ik p_jk), read from each
-        # state's diagonal, with no stack and no d x d products.
-        diagonals = np.real([np.diagonal(s.matrix) for s in states])
-        roots = np.sqrt(np.maximum(diagonals, 0.0))
+    if ensemble.diagonal.all():
+        # Diagonal roots: the trace is sum_k sqrt(p_ik p_jk), read from the
+        # stack's diagonals, with no d x d products.
+        roots = np.sqrt(np.maximum(ensemble.matrices.diagonal(0, -2, -1).real, 0.0))
         return roots @ roots.T
-    roots = _roots(states)
+    roots = ensemble._roots()
     return np.real(np.einsum("iab,jba->ij", roots, roots))
 
 
@@ -100,7 +97,7 @@ def _purification_spectrum(ensemble: Ensemble) -> np.ndarray:
     G_ij = sqrt(p_i p_j) <psi_i|psi_j>, so no d^2-dimensional state is built.
     """
     w = np.sqrt(ensemble.probs)
-    gram = np.outer(w, w) * _root_overlaps(ensemble.states)
+    gram = np.outer(w, w) * _root_overlaps(ensemble)
     return np.clip(np.linalg.eigvalsh(gram)[::-1], 0.0, None)
 
 
@@ -111,11 +108,11 @@ def _diagonal_gap(p: np.ndarray, q: np.ndarray) -> float:
     return 0.5 * float(t @ t)
 
 
-def _root_gap(states: Sequence[DensityOperator]) -> float:
-    """1 - tr(sqrt(rho1) sqrt(rho2)) of two states, as (1/2) ||sqrt(rho1) - sqrt(rho2)||_F^2."""
-    if all(s.is_diagonal for s in states):
-        return _diagonal_gap(*(np.maximum(np.real(np.diagonal(s.matrix)), 0.0) for s in states))
-    r1, r2 = _roots(states)
+def _root_gap(pair: Ensemble) -> float:
+    """1 - tr(sqrt(rho1) sqrt(rho2)) of a pair, as (1/2) ||sqrt(rho1) - sqrt(rho2)||_F^2."""
+    if pair.diagonal.all():
+        return _diagonal_gap(*np.maximum(pair.matrices.diagonal(0, -2, -1).real, 0.0))
+    r1, r2 = pair._roots()
     return 0.5 * float(np.sum(np.abs(r1 - r2) ** 2))
 
 
@@ -134,8 +131,8 @@ def _pair_entropy(w1: float, w2: float, gap: float) -> float:
     return float(-(small * np.log(small) + big * np.log1p(-small)) / np.log(2.0))
 
 
-def _require_commuting(states) -> None:
-    if not commuting(states):
+def _require_commuting(matrices) -> None:
+    if not commuting(matrices):
         raise NotCommuting(f"states do not commute: max |[rho1, rho2]| > {STRUCTURE_TOL}")
 
 
@@ -149,8 +146,8 @@ def canonical_overlap(rho1: DensityLike, rho2: DensityLike) -> float:
     state's ``eigenpairs``: no solve for a state that kept its check's.
     """
     r1, r2 = as_density(rho1), as_density(rho2)
-    _require_commuting((r1, r2))
-    c = _root_overlaps((r1, r2))[0, 1]
+    _require_commuting((r1.matrix, r2.matrix))
+    c = _root_overlaps(Ensemble.from_lists([0.5, 0.5], (r1, r2)))[0, 1]
     return min(1.0, float(c * c))
 
 
@@ -179,8 +176,8 @@ def two_state_purification_rate(ensemble: Ensemble) -> float:
     """
     if len(ensemble) != 2:
         raise DomainError("two_state_purification_rate needs exactly two states")
-    _require_commuting(ensemble.states)
-    return _pair_entropy(*ensemble.probs, _root_gap(ensemble.states))
+    _require_commuting(ensemble.matrices)
+    return _pair_entropy(*ensemble.probs, _root_gap(ensemble))
 
 
 def photographic_negative_ensemble(d: int) -> Ensemble:
@@ -188,8 +185,8 @@ def photographic_negative_ensemble(d: int) -> Ensemble:
 
     State i is uniform weight 1/(d-1) on every basis index except i; the mean
     state is maximally mixed.  The states and the prior are valid by
-    construction, so they are wrapped without validation; they equal what
-    ``Ensemble.from_lists`` builds from them, bit for bit.
+    construction, so their one (d, d, d) stack is held without validation;
+    it equals what ``Ensemble.from_lists`` builds from them, bit for bit.
     """
     if d < 3:
         raise DomainError(f"photographic negative ensemble needs d >= 3, got {d}")
@@ -200,14 +197,11 @@ def photographic_negative_ensemble(d: int) -> Ensemble:
         raise DimensionOverflow(f"photographic negative ensemble d = {d} exceeds HOLE_DIM_CAP "
                                 f"{HOLE_DIM_CAP}")
     d = int(d)
-    states = []
-    for i in range(d):
-        diag = np.full(d, 1.0 / (d - 1))
-        diag[i] = 0.0
-        states.append(DensityOperator._wrap(np.diag(diag).astype(complex)))
-    probs = np.full(d, 1.0 / d)
-    probs.setflags(write=False)
-    return Ensemble(tuple(states), probs)
+    i = np.arange(d)
+    stack = np.zeros((d, d, d), dtype=complex)
+    stack[:, i, i] = 1.0 / (d - 1)
+    stack[i, i, i] = 0.0
+    return Ensemble._of(np.full(d, 1.0 / d), stack, np.ones(d, dtype=bool))
 
 
 @dataclass(frozen=True)
@@ -228,10 +222,9 @@ def photographic_negative_report(d: int) -> PhotographicNegativeReport:
     The spectrum comes from the d x d Gram matrix of the purification overlaps
     and is verified against the closed form {(d-1)/d, (d-1) copies of
     1/(d(d-1))}; q is its entropy and chi the Holevo quantity of the source
-    ensemble.  The states are diagonal, so the Gram matrix comes from their
-    diagonals and chi from ``_entropy_bracket``, which reads them too:
-    no stack of the d states is built, and no eigensolve is made but the
-    d x d Gram matrix's.
+    ensemble.  The states are diagonal, so the Gram matrix and chi
+    (``_entropy_bracket``) read the held stack's diagonals: no eigensolve is
+    made but the d x d Gram matrix's.
     """
     ensemble = photographic_negative_ensemble(d)
     spec = _purification_spectrum(ensemble)

@@ -4,7 +4,8 @@ Everything here is a pure function on immutable values: density operators and
 pure states are frozen dataclasses wrapping read-only numpy arrays, so all
 operations are safe to call concurrently.  Matrices are always dense; the
 dimensions this package targets are small by design, and no dense operator
-the package builds exceeds the fixed ``DIM_CAP``.
+the package builds exceeds the fixed ``DIM_CAP``.  The one solve routine,
+``_eig``, takes a matrix or a stack (..., d, d), such as an ensemble's.
 """
 
 from __future__ import annotations
@@ -62,10 +63,11 @@ def _as_square_complex(m, name: str = "matrix") -> np.ndarray:
 
 def _hermitian_part(a: np.ndarray, name: str) -> np.ndarray:
     """(A + A^dag) / 2 of a raw matrix that is Hermitian within HERMITIAN_TOL."""
-    defect = max_abs(a - dagger(a))
+    h = dagger(a)
+    defect = max_abs(a - h)
     if not HERMITIAN_TOL.admits(defect):
         raise NotHermitian(f"{name}: max |A - A^dag| = {defect:.3e} exceeds {HERMITIAN_TOL}")
-    return (a + dagger(a)) / 2.0
+    return (a + h) / 2.0
 
 
 def is_diagonal(m: np.ndarray) -> bool:
@@ -88,11 +90,11 @@ def commutator_norm(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a @ b - b @ a)))
 
 
-def commuting(states: Sequence["DensityOperator"]) -> bool:
+def commuting(matrices: Sequence[np.ndarray]) -> bool:
     """The package's one commuting test: every pair's commutator within STRUCTURE_TOL."""
     return all(
-        STRUCTURE_TOL.admits(commutator_norm(a.matrix, b.matrix))
-        for a, b in itertools.combinations(states, 2)
+        STRUCTURE_TOL.admits(commutator_norm(a, b))
+        for a, b in itertools.combinations(matrices, 2)
     )
 
 
@@ -117,18 +119,28 @@ class Spectrum:
         return (v * self.eigenvalues) @ dagger(v)
 
 
-def _eig(a: np.ndarray, diagonal: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (descending, stable ties) and eigenvectors as plain arrays; see Spectrum."""
-    if diagonal:
-        vals = np.real(np.diagonal(a)).copy()
-        vecs = np.eye(a.shape[0], dtype=complex)
-    else:
-        try:
+def _eig(a: np.ndarray, diagonal) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (descending, stable ties) and eigenvectors of a matrix or a stack (..., d, d).
+
+    See Spectrum.  Matrices that pass their ``diagonal`` test read their
+    diagonal and the identity; the others share one eigh call.
+    """
+    d, solve = a.shape[-1], np.logical_not(diagonal)
+    try:
+        if solve.all():
             vals, vecs = np.linalg.eigh(a)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy rarely fails
-            raise NoConvergence(f"eigensolver did not converge: {exc}") from exc
-    order = np.argsort(-vals, kind="stable")
-    return vals[order], np.ascontiguousarray(vecs[:, order])
+        else:
+            vals, vecs = a.diagonal(0, -2, -1).real.copy(), np.zeros(a.shape, dtype=complex)
+            vecs.reshape(-1, d * d)[:, :: d + 1] = 1.0
+            if solve.any():
+                vals[solve], vecs[solve] = np.linalg.eigh(a[solve])
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy rarely fails
+        raise NoConvergence(f"eigensolver did not converge: {exc}") from exc
+    order = (-vals).argsort(kind="stable")
+    if vals.ndim == 1:
+        return vals[order], np.ascontiguousarray(vecs[:, order])
+    return (np.take_along_axis(vals, order, axis=-1),
+            np.ascontiguousarray(np.take_along_axis(vecs, order[..., None, :], axis=-1)))
 
 
 def eig_hermitian(m) -> Spectrum:
@@ -167,11 +179,13 @@ class DensityOperator:
         return int(self.matrix.shape[0])
 
     @classmethod
-    def _wrap(cls, matrix: np.ndarray) -> "DensityOperator":
+    def _wrap(cls, matrix: np.ndarray, spectrum=None) -> "DensityOperator":
         # Internal fast path for matrices valid by construction.  Callers keep
         # the matrix exactly Hermitian: nothing downstream symmetrises it again.
+        # An ensemble's member views pass the eigenpairs their row kept.
         obj = object.__new__(cls)
         object.__setattr__(obj, "matrix", _readonly(matrix))
+        object.__setattr__(obj, "_spectrum", spectrum)
         return obj
 
     @classmethod
@@ -213,7 +227,10 @@ class DensityOperator:
 
     def eigenvalues(self) -> np.ndarray:
         """Eigenvalues, descending: those kept, else one eigvalsh call (none if diagonal)."""
-        return _spectra([self])[0] if self._spectrum is None else self._spectrum[0]
+        if self._spectrum is not None:
+            return self._spectrum[0]
+        m = self.matrix
+        return np.sort(np.real(np.diagonal(m)) if self.is_diagonal else np.linalg.eigvalsh(m))[::-1]
 
 
 class _MeanState(DensityOperator):
@@ -289,65 +306,16 @@ def _spectrum_root(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     return (r + dagger(r)) / 2.0
 
 
-def psd_roots(stack: np.ndarray, diagonal: np.ndarray | None = None
-              ) -> tuple[np.ndarray, np.ndarray]:
-    """matrix_sqrt_psd of each density matrix in a stack (k, d, d), from one eigh call.
-
-    Each root is bit for bit the one matrix_sqrt_psd gives that matrix as a
-    DensityOperator: the same diagonal test and shortcut, the same eigenvalue
-    order, the same formula.  ``diagonal`` gives the diagonal tests when the
-    caller holds them (a DensityOperator caches its own); otherwise they are
-    run here.  Returns the roots and the diagonal tests.
-    """
-    flags = (np.array([is_diagonal(m) for m in stack], dtype=bool) if diagonal is None
-             else diagonal)
-    vals, vecs = np.linalg.eigh(stack)
-    if flags.any():
-        vals[flags] = np.real(np.diagonal(stack[flags], axis1=-2, axis2=-1))
-        vecs[flags] = np.eye(stack.shape[-1])
-    order = np.argsort(-vals, axis=-1, kind="stable")
-    vals = np.take_along_axis(vals, order, axis=-1)
-    vecs = np.take_along_axis(vecs, order[..., None, :], axis=-1)
-    return _spectrum_root(vals, vecs), flags
-
-
-def _stack(states: Sequence[DensityOperator]) -> tuple[np.ndarray, np.ndarray]:
-    """The states' matrices as one (k, d, d) stack, and their cached diagonal tests."""
-    return (np.stack([s.matrix for s in states]),
-            np.array([s.is_diagonal for s in states], dtype=bool))
-
-
-def _spectra(states: Sequence[DensityOperator]) -> np.ndarray:
-    """Eigenvalues of each state, descending, as one (k, d) array.
-
-    The one spectrum helper for several states: a state that kept its check's
-    eigenpairs is read, a diagonal state reads its diagonal, as eig_hermitian
-    does, and the others share one stacked eigvalsh call.  No stack of the
-    states that cost no solve is built.
-    """
-    vals = np.empty((len(states), states[0].dim))
-    solve = []
-    for i, s in enumerate(states):
-        if s._spectrum is not None:
-            vals[i] = s._spectrum[0]
-        elif s.is_diagonal:
-            vals[i] = np.sort(np.real(np.diagonal(s.matrix)))[::-1]
-        else:
-            solve.append(i)
-    if solve:
-        solved = np.linalg.eigvalsh(np.stack([states[i].matrix for i in solve]))
-        vals[solve] = np.sort(solved, axis=-1)[:, ::-1]
-    return vals
-
-
-def _roots(states: Sequence[DensityOperator]) -> np.ndarray:
-    """matrix_sqrt_psd of each state, as one (k, d, d) array, from the states' ``eigenpairs``.
-
-    A state that kept its check's eigenpairs, or is diagonal, costs no solve;
-    any other costs one eigh call.  Each root is bit for bit the one
-    matrix_sqrt_psd gives the state.
-    """
-    return _spectrum_root(*map(np.stack, zip(*(s.eigenpairs() for s in states))))
+def _kept_pairs(states: Sequence[DensityOperator]) -> tuple:
+    """The mask of the states whose check kept eigenpairs, and those pairs as rows of (m, d)
+    and (m, d, d) arrays allocated once, as ``measures.Ensemble`` holds them; or three Nones."""
+    kept = np.array([s._spectrum is not None for s in states])
+    if not kept.any():
+        return None, None, None
+    m, d = len(states), states[0].dim
+    values, vectors = np.zeros((m, d)), np.zeros((m, d, d), dtype=complex)
+    values[kept], vectors[kept] = map(np.stack, zip(*(s._spectrum for s in states if s._spectrum)))
+    return kept, values, vectors
 
 
 def kron(factors: Sequence[np.ndarray]) -> np.ndarray:

@@ -155,8 +155,8 @@ def example11_rate(block: BlockDiagonalEnsemble) -> Example11Rate:
                 f"tau blocks must coincide: state {i} deviates by {defect:.3e}"
             )
     eps = block.epsilon
-    sigma_bar = Ensemble(block.sigma_states, block.probs).average()
-    tau_bar = Ensemble(block.tau_states, block.probs).average()
+    sigma_bar, tau_bar = (Ensemble._of(block.probs, np.stack([b.matrix for b in blocks])).average()
+                          for blocks in (block.sigma_states, block.tau_states))
     scheme_rate = _example11_scheme_rate(eps, sigma_bar)
     s_tau = vn_entropy(tau_bar)
     # The mean of the full states, built from the block means: exactly
@@ -213,8 +213,8 @@ def _detect_block_split(members: np.ndarray, probs: np.ndarray) -> float | None:
         tau = members[:, m:, m:] / (1.0 - w)
         if not STRUCTURE_TOL.admits(np.abs(tau[1:] - tau[0])):
             continue
-        sigma = tuple(DensityOperator._wrap(b) for b in members[:, :m, :m] / w)
-        rate = _example11_scheme_rate(eps, Ensemble(sigma, probs).average())
+        sigma = Ensemble._of(probs, members[:, :m, :m] / w)
+        rate = _example11_scheme_rate(eps, sigma.average())
         if best is None or rate < best:
             best = rate
     return best
@@ -238,12 +238,10 @@ def rate_report(ensemble: Ensemble, label: str = "ensemble") -> RateReport:
     """Bounds plus scheme rates for every recognised special ensemble shape.
 
     Recognition is structural with tolerance 1e-8; anything unrecognised
-    degrades gracefully to a bounds-only report.  The members are stacked once
-    (``Ensemble.stack``), and every recogniser reads that stack; the bracket
-    and the purification entry read the members' kept eigenpairs instead.
+    degrades gracefully to a bounds-only report.  The bracket and every
+    recogniser read the ensemble's held arrays; nothing of the members is copied.
     """
-    members, diagonal = ensemble.stack()
-    probs = ensemble.probs
+    members, diagonal, probs = ensemble.matrices, ensemble.diagonal, ensemble.probs
     s_bar, chi = _entropy_bracket(ensemble)
     entries = [
         RateEntry("mean-state entropy S", s_bar, "upper_bound"),
@@ -253,7 +251,7 @@ def rate_report(ensemble: Ensemble, label: str = "ensemble") -> RateReport:
         RateEntry("visible state-identity coding H(p)", entropy_of_spectrum(probs), "scheme_rate"),
     ]
 
-    pair = len(ensemble) == 2 and commuting(ensemble.states)
+    pair = len(ensemble) == 2 and commuting(members)
     if pair and ensemble.dim == 2:
         # The coin source of a commuting qubit pair.  The top eigenvector of
         # rho1 - rho2 is a common eigenvector when rho1 != rho2; when they are equal
@@ -270,7 +268,7 @@ def rate_report(ensemble: Ensemble, label: str = "ensemble") -> RateReport:
     # has no block entry, and the one purification entry precedes that entry either way.
     if pair:
         entries.append(RateEntry("canonical purification scheme",
-                                 _pair_entropy(*probs, _root_gap(ensemble.states)), "scheme_rate"))
+                                 _pair_entropy(*probs, _root_gap(ensemble)), "scheme_rate"))
     elif _detect_photographic_negative(members, diagonal, probs):
         entries.append(RateEntry("photographic-negative purification mixture",
                                  entropy_of_spectrum(_purification_spectrum(ensemble)),

@@ -68,10 +68,8 @@ def random_ensemble(
 
 def perturbed_ensemble(base: Ensemble, strength: float, rng: np.random.Generator) -> Ensemble:
     """Same probabilities, each state mixed with a random state at weight ``strength``."""
-    states = []
-    for rho in base.states:
-        noise = random_density(base.dim, rng)
-        states.append((1.0 - strength) * rho.matrix + strength * noise.matrix)
+    states = [(1.0 - strength) * x + strength * random_density(base.dim, rng).matrix
+              for x in base.matrices]
     return Ensemble.from_lists(base.probs.copy(), states)
 
 

@@ -90,7 +90,7 @@ def density_from_json(payload: dict, name: str = "state") -> DensityOperator:
 def ensemble_to_json(e: Ensemble) -> dict:
     return {
         "probs": e.probs.tolist(),
-        "states": [matrix_to_json(s) for s in e.states],
+        "states": [matrix_to_json(x) for x in e.matrices],
     }
 
 

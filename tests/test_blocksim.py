@@ -1,3 +1,4 @@
+import concurrent.futures
 import itertools
 import math
 import tracemalloc
@@ -351,7 +352,7 @@ class TestScores:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(blocksim, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
         monkeypatch.setattr(blocksim.os, "cpu_count", lambda: cpus)
         source = dense_pair(rng, n=3)
         scheme = project_patch_scheme(source, 0.6)
@@ -977,7 +978,7 @@ class TestMonteCarloDistinctStrings:
                 created.append(max_workers)
                 super().__init__(max_workers=max_workers)
 
-        monkeypatch.setattr(blocksim, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
         monkeypatch.setattr(blocksim.os, "cpu_count", lambda: 4)
         source = dense_pair(rng, n=3)
         scheme = project_patch_scheme(source, 0.6)
@@ -1041,9 +1042,9 @@ class TestStackedLocalStep:
             source = BlockSource.build(Ensemble.from_lists([0.4, 0.6], states), n)
             scheme = project_patch_scheme(source, rate)
             framed = blocksim._in_frame(source, scheme.frame)
-            base = blocksim._base_roots(framed)
+            roots = framed.base._roots()
             for string in itertools.product(range(2), repeat=n):
-                _, loc = blocksim._score_string(framed, scheme, string, True, base)
+                _, loc = blocksim._score_string(framed, scheme, string, True, roots)
                 assert abs(loc - per_marginal_local(framed, scheme, string)) <= 1e-12
 
     def test_bell_output(self, rng, bell_state):
@@ -1127,8 +1128,8 @@ class TestExactSweep:
         if method == "exact-diagonal":
             return lambda s: tuple(t.item() for t in engine_scores(source, scheme, s))
         framed = blocksim._in_frame(source, scheme.frame)
-        base = blocksim._base_roots(framed)
-        return lambda s: blocksim._score_string(framed, scheme, s, True, base)
+        roots = framed.base._roots()
+        return lambda s: blocksim._score_string(framed, scheme, s, True, roots)
 
     def test_equals_per_string_loop(self, rng):
         for source, method in self._sources(rng):
@@ -1151,7 +1152,7 @@ class TestExactSweep:
                 created.append(max_workers)
                 super().__init__(max_workers=max_workers)
 
-        monkeypatch.setattr(blocksim, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
         monkeypatch.setattr(blocksim.os, "cpu_count", lambda: 2)
         source, _ = self._sources(rng)[0]
         scheme = project_patch_scheme(source, 0.6)

@@ -22,3 +22,5 @@ def test_demo_runs(demo):
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip()
+    # Numbers print as numbers, not as numpy reprs such as np.float64(0.98).
+    assert "np.float64(" not in result.stdout

@@ -29,7 +29,14 @@ from mixcomp.measures import (
     sqrt_fidelity_from_roots,
     vn_entropy,
 )
-from mixcomp.qmat import as_density, matrix_sqrt_psd, maximally_mixed, psd_roots
+from mixcomp.qmat import (
+    _eig,
+    _spectrum_root,
+    as_density,
+    is_diagonal,
+    matrix_sqrt_psd,
+    maximally_mixed,
+)
 
 from conftest import diag_state
 
@@ -144,7 +151,9 @@ class TestSqrtFidelity:
         b = [sampling.random_density(3, rng), sampling.random_density(3, rng),
              sampling.random_density(3, rng), *diagonal[20:]]
         a_mats, b_mats = (np.stack([s.matrix for s in x]) for x in (a, b))
-        (a_roots, a_diag), (b_roots, b_diag) = psd_roots(a_mats), psd_roots(b_mats)
+        a_diag, b_diag = (np.array([is_diagonal(x) for x in m]) for m in (a_mats, b_mats))
+        a_roots, b_roots = (_spectrum_root(*_eig(m, f))
+                            for m, f in ((a_mats, a_diag), (b_mats, b_diag)))
         got = sqrt_fidelity_from_roots(a_mats, a_roots, b_mats, b_roots, a_diag & b_diag)
         assert (a_diag & b_diag).tolist() == [False] * 3 + [True] * 20
         assert got.tolist() == [sqrt_fidelity(x, y) for x, y in zip(a, b)]

@@ -22,8 +22,10 @@ from mixcomp.qmat import (
     matrix_sqrt_psd,
     maximally_mixed,
     partial_trace,
+    _eig,
+    _spectrum_root,
+    is_diagonal,
     projector,
-    psd_roots,
     tensor,
     tensor_many,
     trace_out,
@@ -95,7 +97,9 @@ class TestMatrixSqrt:
                       sampling.random_pure_state(d, rng).projector(),
                       DensityOperator.from_matrix(np.diag(sampling.random_prob_vector(d, rng))),
                       maximally_mixed(d)]
-            roots, flags = psd_roots(np.stack([s.matrix for s in states]))
+            stack = np.stack([s.matrix for s in states])
+            flags = np.array([is_diagonal(x) for x in stack])
+            roots = _spectrum_root(*_eig(stack, flags))
             assert flags.tolist() == [s.is_diagonal for s in states] == [False, False, True, True]
             for root, s in zip(roots, states):
                 assert root.tobytes() == matrix_sqrt_psd(s).tobytes()

@@ -467,9 +467,8 @@ def sliced_block_search(ensemble: Ensemble) -> tuple[list[int], float | None]:
         tau = mats[:, m:, m:] / (1.0 - w)
         if not STRUCTURE_TOL.admits(np.abs(tau[1:] - tau[0])):
             continue
-        sigma = tuple(qmat.DensityOperator._wrap(b) for b in mats[:, :m, :m] / w)
-        rate = (shannon_entropy([eps, 1.0 - eps])
-                + eps * vn_entropy(Ensemble(sigma, ensemble.probs).average()))
+        sigma = Ensemble._of(ensemble.probs, mats[:, :m, :m] / w)
+        rate = shannon_entropy([eps, 1.0 - eps]) + eps * vn_entropy(sigma.average())
         if best is None or rate < best:
             best = rate
     return admitted, best
@@ -525,7 +524,7 @@ def test_zero_pattern_search_admits_the_sliced_splits():
     @given(split_candidates())
     def check(ens):
         admitted, want = sliced_block_search(ens)
-        members = qmat._stack(ens.states)[0]
+        members = ens.matrices
         assert _zero_block_splits(members).tolist() == admitted
         assert repr(_detect_block_split(members, ens.probs)) == repr(want)
         assert repr(report_rate(ens, BLOCK)) == repr(want)

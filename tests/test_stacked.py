@@ -10,6 +10,7 @@ solver-count tests pin what is solved by counting ``np.linalg.eigh`` and
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -43,12 +44,11 @@ from mixcomp.purify import (
 )
 from mixcomp.qmat import (
     DensityOperator,
-    _roots,
-    _spectra,
+    _spectrum_root,
+    as_density,
     eig_hermitian,
     is_diagonal,
     matrix_sqrt_psd,
-    psd_roots,
 )
 from mixcomp.rates import rate_report
 from mixcomp.tolerance import DIAGONAL_TOL, LOG_FLOOR, STRUCTURE_TOL, max_abs
@@ -121,46 +121,88 @@ def test_holevo_and_the_report_bracket_equal_per_state_entropies(pair):
 @settings(max_examples=80)
 @given(ensemble_pairs())
 def test_root_overlaps_equal_per_state_square_roots(pair):
-    states = pair[0].states
-    roots = [matrix_sqrt_psd(s) for s in states]
+    ensemble = pair[0]
+    roots = [matrix_sqrt_psd(s) for s in ensemble.states]
     oracle = np.array([[np.real(np.trace(x @ y)) for y in roots] for x in roots])
-    assert max_abs(_root_overlaps(states) - oracle) <= AGREE
+    assert max_abs(_root_overlaps(ensemble) - oracle) <= AGREE
 
 
 KEPT_KINDS = ("validated", "wrapped", "clamped", "diagonal")
 
 
-def kept_member(kind: str, d: int, rng) -> DensityOperator:
-    """One member of a kind: validated keeps its check's eigenpairs, wrapped and
-    clamped (lowest eigenvalue in [-PSD_TOL, 0), rebuilt) keep none, diagonal needs none."""
+def kept_member(kind: str, d: int, rng):
+    """The input of one member of a kind.  Validated is a raw matrix whose check
+    keeps its eigenpairs; clamped a raw matrix whose lowest eigenvalue lies in
+    [-PSD_TOL, 0), rebuilt by its check, which keeps none; diagonal a raw
+    matrix, which needs none; wrapped a DensityOperator that kept none."""
     if kind == "diagonal" or (kind == "clamped" and d == 1):
-        return DensityOperator.from_matrix(np.diag(sampling.random_prob_vector(d, rng)))
+        return np.diag(sampling.random_prob_vector(d, rng)).astype(complex)
     if kind == "clamped":
         u = sampling.random_unitary(d, rng)
         spectrum = np.append(sampling.random_prob_vector(d - 1, rng) * (1.0 + 5e-10), -5e-10)
         raw = (u * spectrum) @ u.conj().T
-        rho = DensityOperator.from_matrix((raw + raw.conj().T) / 2.0)
+        raw = (raw + raw.conj().T) / 2.0
+        rho = DensityOperator.from_matrix(raw)
         assert rho._spectrum is None and not rho.is_diagonal  # rebuilt by the clamp
-        return rho
+        return raw
     rho = sampling.random_density(d, rng)
-    return rho if kind == "validated" else DensityOperator._wrap(rho.matrix)
+    return np.array(rho.matrix) if kind == "validated" else DensityOperator._wrap(rho.matrix)
 
 
 @st.composite
 def kept_ensembles(draw) -> tuple:
-    """(d, kinds, seed): an ensemble of one kind, or of mixed kinds, d <= 16 and m <= 8."""
+    """(d, kinds, checked, seed): members of one kind, or of mixed kinds, d <= 16 and
+    m <= 8; ``checked`` passes the raw members as checked DensityOperators."""
     d, m = draw(st.integers(1, 16)), draw(st.integers(1, 8))
     kind = draw(st.sampled_from(KEPT_KINDS + ("mixed",)))
     kinds = [draw(st.sampled_from(KEPT_KINDS)) if kind == "mixed" else kind for _ in range(m)]
-    return d, kinds, draw(st.integers(0, 2**32 - 1))
+    return d, kinds, draw(st.booleans()), draw(st.integers(0, 2**32 - 1))
 
 
-def fresh_pair(d: int, kinds: list, seed: int) -> tuple[Ensemble, Ensemble]:
-    """Two ensembles of the same kinds sharing one prior, built afresh from the seed."""
+def fresh_inputs(d: int, kinds: list, checked: bool, seed: int) -> tuple:
+    """A prior and two member lists of the same kinds, built afresh from the seed."""
     rng = sampling.generator(seed)
     probs = sampling.random_prob_vector(len(kinds), rng)
-    return tuple(Ensemble.from_lists(probs, [kept_member(k, d, rng) for k in kinds])
-                 for _ in range(2))
+    inputs = [[kept_member(k, d, rng) for k in kinds] for _ in range(2)]
+    return probs, [[as_density(x) for x in xs] if checked else xs for xs in inputs]
+
+
+def fresh_pair(*drawn) -> tuple[Ensemble, Ensemble]:
+    """Two ensembles of the same kinds sharing one prior, built afresh from the seed."""
+    probs, inputs = fresh_inputs(*drawn)
+    return tuple(Ensemble.from_lists(probs, xs) for xs in inputs)
+
+
+def spectra_oracle(states) -> np.ndarray:
+    """The member spectra as the per-state loop computed them: a kept spectrum
+    is read, a diagonal state's sorted diagonal too, the rest is one eigvalsh call."""
+    vals = np.empty((len(states), states[0].dim))
+    solve = []
+    for i, s in enumerate(states):
+        if s._spectrum is not None:
+            vals[i] = s._spectrum[0]
+        elif s.is_diagonal:
+            vals[i] = np.sort(np.real(np.diagonal(s.matrix)))[::-1]
+        else:
+            solve.append(i)
+    if solve:
+        solved = np.linalg.eigvalsh(np.stack([states[i].matrix for i in solve]))
+        vals[solve] = np.sort(solved, axis=-1)[:, ::-1]
+    return vals
+
+
+def roots_oracle(stack: np.ndarray) -> np.ndarray:
+    """The roots of a stack as one eigh call on every matrix computed them, with
+    the diagonal ones replaced by their diagonals and the identity."""
+    flags = np.array([is_diagonal(m) for m in stack], dtype=bool)
+    vals, vecs = np.linalg.eigh(stack)
+    if flags.any():
+        vals[flags] = np.real(np.diagonal(stack[flags], axis1=-2, axis2=-1))
+        vecs[flags] = np.eye(stack.shape[-1])
+    order = np.argsort(-vals, axis=-1, kind="stable")
+    vals = np.take_along_axis(vals, order, axis=-1)
+    vecs = np.take_along_axis(vecs, order[..., None, :], axis=-1)
+    return _spectrum_root(vals, vecs)
 
 
 def entry_results(ensemble: Ensemble, other: Ensemble, order) -> dict:
@@ -181,22 +223,54 @@ def entry_results(ensemble: Ensemble, other: Ensemble, order) -> dict:
     return {name: repr(entries[name]()) for name in order}
 
 
+def assert_read_only(*arrays) -> None:
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[(0,) * a.ndim] = 0.0
+
+
 @settings(max_examples=100)
 @given(kept_ensembles())
 def test_member_spectra_and_roots_read_what_the_members_kept(drawn):
-    ensemble, other = fresh_pair(*drawn)
+    probs, (inputs, _) = fresh_inputs(*drawn)
+    ensemble = Ensemble.from_lists(probs, inputs)
+    # The checked members, each from its own from_matrix call (or the wrapped input).
+    checked = [as_density(x) for x in inputs]
+    m, d = len(checked), checked[0].dim
+    assert ensemble.matrices.shape == (m, d, d) and len(ensemble) == m and ensemble.dim == d
+    assert_read_only(ensemble.matrices, ensemble.diagonal, ensemble.probs)
+    kept = [s._spectrum is not None for s in checked]
+    if any(kept):
+        assert ensemble.kept.tolist() == kept
+        assert ensemble.values.shape == (m, d) and ensemble.vectors.shape == (m, d, d)
+        assert_read_only(ensemble.kept, ensemble.values, ensemble.vectors)
+    else:
+        assert ensemble.kept is ensemble.values is ensemble.vectors is None
+    # Each member is a view on its row, with from_matrix's bits, diagonal test
+    # and kept eigenpairs; the views are built once.
+    assert ensemble.states is ensemble.states and len(ensemble.states) == m
+    for i, (view, want) in enumerate(zip(ensemble.states, checked)):
+        assert np.shares_memory(view.matrix, ensemble.matrices)
+        assert view.matrix.tobytes() == want.matrix.tobytes()
+        assert view.is_diagonal is want.is_diagonal is bool(ensemble.diagonal[i])
+        if want._spectrum is None:
+            assert view._spectrum is None
+        else:
+            for got, kept, held in zip(view._spectrum, want._spectrum,
+                                       (ensemble.values, ensemble.vectors)):
+                assert got.tobytes() == kept.tobytes() and np.shares_memory(got, held)
+        assert_read_only(view.matrix, *(view._spectrum or ()))
+    # Member spectra and roots: the per-state rule's bits, and one eigh call's.
     mean = ensemble.average()
-    spectra, roots = _spectra((mean, *ensemble.states)), _roots(ensemble.states)
-    assert spectra.shape == (len(ensemble) + 1, ensemble.dim)
+    spectra, roots = ensemble._spectra(), ensemble._roots()
+    assert spectra.tobytes() == spectra_oracle((mean, *checked)).tobytes()
     assert spectra[0].tobytes() == mean.eigenvalues().tobytes()
-    for row, s in zip(spectra[1:], ensemble.states):
+    for row, s in zip(spectra[1:], checked):
         assert max_abs(row - np.linalg.eigvalsh(s.matrix)[::-1]) <= 1e-15
-    assert roots.tobytes() == psd_roots(np.stack([s.matrix for s in ensemble.states]))[0].tobytes()
+    assert roots.tobytes() == roots_oracle(np.stack([s.matrix for s in checked])).tobytes()
     # The ensemble keeps its mean state, and the mean state its eigenpairs.
     assert ensemble.average() is mean and mean.eigenpairs() is mean.eigenpairs()
-    for kept in (mean.matrix, *mean.eigenpairs()):
-        with pytest.raises(ValueError, match="read-only"):
-            kept[(0,) * kept.ndim] = 0.0
+    assert_read_only(mean.matrix, *mean.eigenpairs())
     # Two fresh copies, the entry points called in two orders: the same bits.
     order = ["holevo", "report", "avg fidelity", "holevo bound", "entropy bound",
              "mean entropy", "ceiling", "scheme"]
@@ -327,16 +401,15 @@ def test_holevo_solves_only_the_mean_of_a_validated_ensemble(monkeypatch, rng):
 
 
 def wrapped_copy(ensemble: Ensemble) -> Ensemble:
-    """The same members wrapped, so that none keeps its check's eigenpairs."""
-    return Ensemble(tuple(DensityOperator._wrap(s.matrix) for s in ensemble.states),
-                    ensemble.probs)
+    """The same stack held without its kept eigenpairs, as a stack valid by construction is."""
+    return Ensemble._of(ensemble.probs, ensemble.matrices)
 
 
 @pytest.mark.parametrize("m", [1, 3, 8])
 def test_avg_ensemble_fidelity_solves_roots_only_for_wrapped_members(monkeypatch, rng, m):
     # Validated members root from their kept eigenpairs: only the two
-    # orientations are solved.  A wrapped member costs one eigh call, on each
-    # call, since nothing is kept across calls.
+    # orientations are solved.  The wrapped members of an ensemble share one
+    # eigh call, on each call, since nothing is kept across calls.
     a, b = dense_ensemble(rng, 3, m), dense_ensemble(rng, 3, m)
     b = Ensemble.from_lists(a.probs, b.states)
     wa, wb = wrapped_copy(a), wrapped_copy(b)
@@ -347,11 +420,13 @@ def test_avg_ensemble_fidelity_solves_roots_only_for_wrapped_members(monkeypatch
     avg_entropy_continuity_bound(a, b)
     assert counter.calls == {"eigh": 0, "eigvalsh": 6}
     counter.calls.update(eigh=0, eigvalsh=0)
+    counter.inputs.clear()
     avg_ensemble_fidelity(wa, wb)
-    assert counter.calls == {"eigh": 2 * m, "eigvalsh": 2}
+    assert counter.calls == {"eigh": 2, "eigvalsh": 2}
+    assert all(counter.calls_with(x) == 1 for x in (*wa.matrices, *wb.matrices))
     holevo_continuity_bound(wa, wb)
     avg_entropy_continuity_bound(wa, wb)
-    assert counter.calls == {"eigh": 6 * m, "eigvalsh": 6}
+    assert counter.calls == {"eigh": 6, "eigvalsh": 6}
 
 
 def test_blocksim_run_solves_the_base_mean_once(monkeypatch, rng, tmp_path):
@@ -382,10 +457,11 @@ def test_rate_report_solves_the_mean_state_once(monkeypatch, rng):
         assert counter.calls_with(ensemble.average().matrix) == solves
 
 
-def test_rate_report_stacks_its_members_once(monkeypatch, rng):
+def test_rate_report_reads_the_held_stack(monkeypatch, rng):
     # A generic ensemble, a commuting non-diagonal qubit pair (coin and canonical
-    # purification entries), a block ensemble and a hole pattern: each report
-    # stacks the members once, for the bracket and every recogniser.
+    # purification entries), a block ensemble and a hole pattern: the bracket
+    # and every recogniser read the ensemble's held stack, and no report
+    # stacks its members again.
     u = sampling.random_unitary(2, rng)
     pair = Ensemble.from_lists([0.3, 0.7], [u @ diag_state(a, 1.0 - a) @ u.conj().T
                                            for a in (0.2, 0.9)])
@@ -399,8 +475,13 @@ def test_rate_report_stacks_its_members_once(monkeypatch, rng):
     block = Ensemble.from_lists([0.2, 0.3, 0.5], blocks)
     stacked = []
     original = np.stack
-    monkeypatch.setattr(np, "stack", lambda arrays, *a, **k: (
-        stacked.append([id(x) for x in arrays]) or original(arrays, *a, **k)))
+
+    def recording_stack(arrays, *args, **kwargs):
+        arrays = list(arrays)
+        stacked.extend(arrays)
+        return original(arrays, *args, **kwargs)
+
+    monkeypatch.setattr(np, "stack", recording_stack)
     for ensemble, entry in ((dense_ensemble(rng, 3, 4), None),
                             (pair, "three-message protocol Xi"),
                             (block, "block-diagonal scheme (shared tau)"),
@@ -409,8 +490,22 @@ def test_rate_report_stacks_its_members_once(monkeypatch, rng):
         stacked.clear()
         names = [e.name for e in rate_report(ensemble).entries]
         assert entry is None or entry in names
-        first = id(ensemble.states[0].matrix)
-        assert sum(first in ids for ids in stacked) == 1
+        assert not any(np.shares_memory(x, ensemble.matrices) for x in stacked)
+
+
+def test_hole_pattern_report_copies_no_stack():
+    # The ensemble's one (d, d, d) stack takes 256 MiB at d = 256; building it
+    # and reporting on it take less than 16 MiB more.
+    tracemalloc.start()
+    try:
+        ensemble = photographic_negative_ensemble(256)
+        names = [e.name for e in rate_report(ensemble).entries]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "photographic-negative purification mixture" in names
+    assert ensemble.matrices.nbytes == 256 * 2**20
+    assert peak - ensemble.matrices.nbytes < 16 * 2**20
 
 
 def raw_operands(rng, d: int = 4):
