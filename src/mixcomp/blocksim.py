@@ -353,7 +353,7 @@ def _in_frame(source: BlockSource, frame: np.ndarray | None) -> BlockSource:
 
 
 def _plan(source: BlockSource, keeps_coordinates: bool, mode: str,
-          n_samples: int) -> tuple[bool, bool, bool]:
+          n_samples: int, workers: int) -> tuple[bool, bool, bool]:
     """Scoring path of a source written in the scheme's frame: (diagonal, tabled, exact).
 
     ``diagonal``: the diagonal engine applies, because every base state is
@@ -368,6 +368,8 @@ def _plan(source: BlockSource, keeps_coordinates: bool, mode: str,
         raise DomainError(f"mode must be auto|exact|mc, got {mode!r}")
     if not n_samples >= 1:
         raise DomainError(f"n_samples must be >= 1, got {n_samples}")
+    if not workers >= 1:
+        raise DomainError(f"workers must be >= 1, got {workers}")
     elements = max(len(source.base), source.base.dim) ** source.n_blocks * source.base.dim
     diagonal = keeps_coordinates and bool(source.base.diagonal.all())
     tabled = diagonal and elements <= DIAGONAL_TABLE_BUDGET
@@ -400,15 +402,16 @@ def _plan(source: BlockSource, keeps_coordinates: bool, mode: str,
     return diagonal, tabled, exact
 
 
-def project_patch_plan(source: BlockSource, mode: str,
-                       n_samples: int = DEFAULT_MC_SAMPLES) -> tuple[bool, bool, bool]:
+def project_patch_plan(source: BlockSource, mode: str, n_samples: int = DEFAULT_MC_SAMPLES,
+                       workers: int = 1) -> tuple[bool, bool, bool]:
     """How the project-and-patch scheme of this source would be scored in a mode.
 
     It needs only the base states, so a request no path can score, or one with
-    a sample count below 1, is refused before the scheme's d^N weights are built.
+    a sample or worker count below 1, is refused before the scheme's d^N
+    weights are built.
     """
     _, frame = _weights_and_frame(source.base.average(), source.base.diagonal.all())
-    return _plan(_in_frame(source, frame), True, mode, n_samples)
+    return _plan(_in_frame(source, frame), True, mode, n_samples, workers)
 
 
 # Global and local score of every string; local is None when not wanted.
@@ -619,7 +622,7 @@ def _scores(source: BlockSource, scheme: Scheme, want_local: bool, mode: str,
     source = _in_frame(source, scheme.frame)
     keeps_coordinates = (isinstance(scheme, ProjectPatchScheme)
                          and scheme.subspace.full_dim == source.full_dim)
-    diagonal, tabled, exact = _plan(source, keeps_coordinates, mode, n_samples)
+    diagonal, tabled, exact = _plan(source, keeps_coordinates, mode, n_samples, workers)
     tables = None
     if diagonal:
         P, mask, x0 = _diagonal_inputs(source, scheme)
@@ -658,9 +661,9 @@ def global_fidelity_score(source: BlockSource, scheme: Scheme, mode: str = "auto
     least 1) strings with standard error.  Monte Carlo draws all its strings
     first, at most ``DIAGONAL_TABLE_BUDGET`` picks in all.  A path that scores
     one string at a time, exact or Monte Carlo, scores each distinct string
-    once, split over ``workers`` threads, with the value of scoring every
-    string in order.  Each refusal comes before the first string is drawn or
-    scored.
+    once, split over ``workers`` (at least 1) threads, with the value of
+    scoring every string in order.  Each refusal comes before the first
+    string is drawn or scored.
     """
     g, _ = _scores(source, scheme, False, mode, n_samples, seed, workers)
     return g

@@ -150,10 +150,9 @@ def cmd_blocksim_run(args) -> None:
     ensemble = wire.load_ensemble(args.ensemble)
     source = blocksim.BlockSource.build(ensemble, args.n_blocks)
     # Refuse an unscorable request before the scheme's d^N weights are built.
-    blocksim.project_patch_plan(source, args.mode, args.samples)
+    blocksim.project_patch_plan(source, args.mode, args.samples, args.workers)
     scheme = blocksim.project_patch_scheme(source, args.rate)
-    kwargs = dict(mode=args.mode, n_samples=args.samples, seed=args.seed,
-                  workers=max(1, args.workers))
+    kwargs = dict(mode=args.mode, n_samples=args.samples, seed=args.seed, workers=args.workers)
     g = blocksim.global_fidelity_score(source, scheme, **kwargs)
     loc = blocksim.local_fidelity_score(source, scheme, **kwargs)
     ceiling, _ = blocksim.lemma_a1_ceiling(source, args.rate)

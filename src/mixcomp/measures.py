@@ -2,8 +2,10 @@
 
 All logarithms are base 2, so entropies and rates come out in bits (qubits per
 signal).  The convention 0*log(0) = 0 is implemented by zeroing eigenvalues
-below 1e-15 before taking logs.  Ensemble-level measures read the members'
-kept eigenpairs and solve the rest in one stacked call (see ``Ensemble``).
+below 1e-15 before taking logs.  Every spectrum but the fidelity
+orientations' (``_sqrt_fid_oriented``) comes from one eigh route,
+``qmat._eig``.  Ensemble-level measures read the eigenpairs the members and
+the mean state keep and solve the rest in one stacked call (see ``Ensemble``).
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from .errors import (
 from .qmat import (
     DensityLike,
     DensityOperator,
-    _MeanState,
     _eig,
     _kept_pairs,
     _readonly,
@@ -63,8 +64,9 @@ class Ensemble:
     ``matrices`` (m, d, d) holds the members, ``diagonal`` their diagonal
     tests and ``probs`` the prior.  Rows marked in ``kept`` hold the
     eigenpairs their check kept in ``values`` (m, d) and ``vectors`` (m, d, d),
-    all three None if none did.  Measures read these arrays and solve only the
-    mean state (``average``, kept) and the other rows, in one stacked call.
+    all three None if none did.  Measures read these arrays and the mean
+    state's kept eigenpairs (``average``), and solve the other rows in one
+    stacked ``_eig`` call.
     """
 
     matrices: np.ndarray
@@ -119,9 +121,10 @@ class Ensemble:
     def average(self) -> DensityOperator:
         """The mean state sum_i p_i rho_i (valid by convexity), built once.
 
-        It keeps the eigenpairs of its first ``eigenpairs`` call, so routines
-        that take its eigenbasis share one eigh call; its ``eigenvalues`` are
-        one eigvalsh call on each ask, as in ``_entropy_bracket``.
+        It keeps the eigenpairs of one ``_eig`` call, made when it is built:
+        the routines that take its eigenbasis and both ends of the rate
+        bracket (``_entropy_bracket``) share one eigh call, none if the mean
+        state is diagonal.
         """
         return self._mean
 
@@ -131,26 +134,23 @@ class Ensemble:
         for p, x in zip(self.probs, self.matrices):
             acc += p * x
         acc = (acc + dagger(acc)) / 2.0
-        return _MeanState._wrap(acc)
+        return DensityOperator._wrap(acc, tuple(map(_readonly, _eig(acc, is_diagonal(acc)))))
 
     def _spectra(self) -> np.ndarray:
         """Descending eigenvalues of the mean state (row 0) and each member: one (m + 1, d) array.
 
-        Kept rows read theirs and diagonal ones their sorted diagonals, as
-        eig_hermitian does; the other rows share one stacked eigvalsh call.
+        The mean state's are those it keeps.  Kept rows read theirs and
+        diagonal ones their sorted diagonals, as ``_eig`` does; the other rows
+        share one ``_eig`` call, as in ``_roots``.
         """
-        mean, vals = self.average(), np.empty((len(self) + 1, self.dim))
-        read = np.append(mean.is_diagonal, self.diagonal)
-        solve = ~read if self.kept is None else ~(read | np.append(False, self.kept))
-        if read.any():
-            diagonals = np.vstack((mean.matrix.diagonal(), self.matrices.diagonal(0, -2, -1)))
-            vals[read] = np.sort(diagonals[read].real, axis=-1)[:, ::-1]
+        vals = np.sort(self.matrices.diagonal(0, -2, -1).real)[:, ::-1]
+        solve = ~self.diagonal
         if self.kept is not None:
-            vals[1:][self.kept] = self.values[self.kept]
+            vals[self.kept] = self.values[self.kept]
+            solve &= ~self.kept
         if solve.any():
-            rows = np.concatenate((mean.matrix[None][solve[:1]], self.matrices[solve[1:]]))
-            vals[solve] = np.sort(np.linalg.eigvalsh(rows), axis=-1)[:, ::-1]
-        return vals
+            vals[solve] = _eig(self.matrices[solve], False)[0]
+        return np.vstack((self._mean.eigenvalues(), vals))
 
     def _roots(self) -> np.ndarray:
         """Each member's matrix_sqrt_psd, bit for bit: kept rows read, the others one ``_eig``."""
@@ -187,7 +187,7 @@ class Povm:
             if not STRUCTURE_TOL.admits(max_abs(a - dagger(a))):
                 raise InvalidPovm(f"POVM element {i} is not Hermitian within {STRUCTURE_TOL}")
             a = (a + dagger(a)) / 2.0
-            lo = float(np.min(np.linalg.eigvalsh(a)))
+            lo = float(_eig(a, is_diagonal(a))[0][-1])
             if not STRUCTURE_TOL.admits(-lo):
                 raise InvalidPovm(f"POVM element {i} has negative eigenvalue {lo:.3e}")
             a.setflags(write=False)
@@ -240,8 +240,9 @@ def entropy_of_spectrum(vals: np.ndarray) -> float:
 def vn_entropy(rho: DensityLike) -> float:
     """Von Neumann entropy -tr(rho log2 rho) in bits, from the state's ``eigenvalues``.
 
-    A state that kept its check's eigenpairs, a raw array's included, costs no
-    further solve; any other costs one eigvalsh call.  Diagonal states cost none.
+    A state that kept eigenpairs, a raw array's check's or an ensemble's mean
+    state's, costs no further solve; any other costs one eigh call.  Diagonal
+    states cost none.
     """
     return float(_entropies(as_density(rho).eigenvalues()))
 
@@ -311,8 +312,8 @@ def classical_fidelity(p, q) -> float:
 def _entropy_bracket(ensemble: Ensemble) -> tuple[float, float]:
     """(S(mean state), chi): the two ends of the rate bracket, from ``Ensemble._spectra``.
 
-    Its one eigvalsh call solves the mean state once for both ends, with the
-    members that kept nothing and are not diagonal; the other members are
+    Both ends read the eigenvalues the mean state keeps.  The members that
+    kept nothing and are not diagonal share one eigh call; the others are
     read.  Every entropy is at least 0, so 0 <= chi <= S.
     """
     s = _entropies(ensemble._spectra())
@@ -322,9 +323,10 @@ def _entropy_bracket(ensemble: Ensemble) -> tuple[float, float]:
 def holevo(ensemble: Ensemble) -> float:
     """Holevo quantity chi = S(mean state) - sum_i p_i S(rho_i), in bits.
 
-    It costs one eigvalsh call (see ``_entropy_bracket``), none at all when
-    the mean state and every member are diagonal.  A member's entropy is that
-    of its ``eigenvalues``, as in ``vn_entropy``.
+    Past the mean state's one eigh call, made once per ensemble (see
+    ``average``), it costs one eigh call if some member kept no eigenpairs
+    and is not diagonal, else none (see ``_entropy_bracket``).  A member's
+    entropy is that of its ``eigenvalues``, as in ``vn_entropy``.
     """
     return _entropy_bracket(ensemble)[1]
 

@@ -12,7 +12,8 @@ same in every common eigenbasis, so no code picks one.  A mixture
 sum_i p_i |psi_i><psi_i| has the nonzero spectrum of its Gram matrix
 G_ij = sqrt(p_i p_j) <psi_i|psi_j>.  A pair's 2 x 2 Gram spectrum has a closed
 form (``_pair_entropy``), written without cancelling subtractions, which
-every pair rate reads; three or more states take the Gram matrix's eigvalsh.
+every pair rate reads; three or more states take the Gram matrix's spectrum
+from ``qmat._eig``, the one eigh route.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from .errors import DimensionOverflow, DomainError, NotCommuting, ValidationError
 from .measures import Ensemble, _entropy_bracket, entropy_of_spectrum
-from .qmat import DensityLike, DensityOperator, PureState, as_density, commuting, kron
+from .qmat import DensityLike, DensityOperator, PureState, _eig, as_density, commuting, kron
 from .tolerance import PHASE_FLOOR, STRUCTURE_TOL, max_abs
 
 #: Largest d of the hole-pattern ensemble.  What bounds d is the ensemble itself: its
@@ -98,7 +99,7 @@ def _purification_spectrum(ensemble: Ensemble) -> np.ndarray:
     """
     w = np.sqrt(ensemble.probs)
     gram = np.outer(w, w) * _root_overlaps(ensemble)
-    return np.clip(np.linalg.eigvalsh(gram)[::-1], 0.0, None)
+    return np.clip(_eig(gram, False)[0], 0.0, None)
 
 
 def _diagonal_gap(p: np.ndarray, q: np.ndarray) -> float:

@@ -171,7 +171,8 @@ class DensityOperator:
 
     matrix: np.ndarray
     # The read-only (eigenvalues, eigenvectors) of from_matrix's PSD check, kept
-    # on non-diagonal states it did not rebuild; not a field, so not a parameter.
+    # on non-diagonal states it did not rebuild, or those ``_wrap`` was given;
+    # not a field, so not a parameter.
     _spectrum = None
 
     @property
@@ -182,7 +183,8 @@ class DensityOperator:
     def _wrap(cls, matrix: np.ndarray, spectrum=None) -> "DensityOperator":
         # Internal fast path for matrices valid by construction.  Callers keep
         # the matrix exactly Hermitian: nothing downstream symmetrises it again.
-        # An ensemble's member views pass the eigenpairs their row kept.
+        # An ensemble's member views pass the eigenpairs their row kept, and its
+        # mean state those of its one ``_eig``.
         obj = object.__new__(cls)
         object.__setattr__(obj, "matrix", _readonly(matrix))
         object.__setattr__(obj, "_spectrum", spectrum)
@@ -226,29 +228,14 @@ class DensityOperator:
         return _eig(self.matrix, self.is_diagonal) if self._spectrum is None else self._spectrum
 
     def eigenvalues(self) -> np.ndarray:
-        """Eigenvalues, descending: those kept, else one eigvalsh call (none if diagonal)."""
-        if self._spectrum is not None:
-            return self._spectrum[0]
-        m = self.matrix
-        return np.sort(np.real(np.diagonal(m)) if self.is_diagonal else np.linalg.eigvalsh(m))[::-1]
+        """Eigenvalues, descending: those of ``eigenpairs``.
 
-
-class _MeanState(DensityOperator):
-    """A wrapped state that keeps the eigenpairs of its first ``eigenpairs`` call.
-
-    An ensemble's mean state is one: several routines take its eigenbasis as
-    their frame, and the first of them solves it for all.  ``eigenvalues``
-    stays one eigvalsh call, so S(mean) has the same bits in whatever order
-    the two are asked for.
-    """
-
-    @cached_property
-    def _solved(self) -> tuple[np.ndarray, np.ndarray]:
-        return tuple(map(_readonly, _eig(self.matrix, self.is_diagonal)))
-
-    def eigenpairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenvalues (descending, stable ties) and eigenvectors, read-only: one ``_eig``, kept."""
-        return self._solved
+        A diagonal state that kept none reads its sorted diagonal, the values
+        ``_eig`` gives, without building the d x d identity of its eigenvectors.
+        """
+        if self._spectrum is None and self.is_diagonal:
+            return np.sort(self.matrix.diagonal().real)[::-1]
+        return self.eigenpairs()[0]
 
 
 DensityLike = Union[DensityOperator, np.ndarray, Sequence]

@@ -346,6 +346,8 @@ class TestCliCommands:
         (["--rate", "inf"], "rate must be finite"),
         (["--rate", "0.8", "--mode", "mc", "--samples", "0"], "n_samples must be >= 1"),
         (["--rate", "0.8", "--mode", "mc", "--samples", "-3"], "n_samples must be >= 1"),
+        (["--rate", "0.8", "--workers", "0"], "workers must be >= 1, got 0"),
+        (["--rate", "0.8", "--workers", "-3"], "workers must be >= 1, got -3"),
     ])
     def test_blocksim_run_rejects_bad_rates_and_sample_counts(self, tmp_path, capsys,
                                                               option, message):

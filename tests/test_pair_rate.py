@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from mixcomp import sampling
 from mixcomp.classical import CoinSource
-from mixcomp.measures import Ensemble, entropy_of_spectrum
+from mixcomp.measures import Ensemble, entropy_of_spectrum, holevo, vn_entropy
 from mixcomp.purify import _purification_spectrum, two_state_purification_rate, upsilon_rate
 from mixcomp.qmat import DensityOperator
 from mixcomp.rates import rate_report
@@ -105,3 +105,66 @@ def commuting_pairs(draw) -> Ensemble:
 def test_pair_formula_matches_the_gram_route(ens):
     gram = entropy_of_spectrum(_purification_spectrum(ens))
     assert abs(two_state_purification_rate(ens) - gram) <= 1e-14
+
+
+def reference_entropy(matrix: mpmath.matrix) -> mpmath.mpf:
+    """Entropy in bits of a Hermitian matrix from mpmath's eigh, in 40 digits; 0 log 0 = 0."""
+    values = mpmath.mp.eigh(matrix, eigvals_only=True)
+    return -sum(v * mpmath.log(v, 2) for v in values if v > 0)
+
+
+def reference_bracket(ensemble: Ensemble) -> tuple[mpmath.mpf, mpmath.mpf]:
+    """(S(mean state), chi) of the held prior and members, each float entry taken exactly."""
+    probs = [mpmath.mpf(float(p)) for p in ensemble.probs]
+    mats = [mpmath.matrix(x.tolist()) for x in ensemble.matrices]
+    mean = mpmath.zeros(ensemble.dim)
+    for p, x in zip(probs, mats):
+        mean += p * x
+    s = reference_entropy(mean)
+    return s, s - sum(p * reference_entropy(x) for p, x in zip(probs, mats))
+
+
+def rotated(u: np.ndarray, *diagonal) -> np.ndarray:
+    return u @ np.diag(diagonal).astype(complex) @ u.conj().T
+
+
+def bracket_cases():
+    """Fixed ensembles at d = 2, 3, 4: dense, diagonal, rank-deficient and clamped members."""
+    rng = sampling.generator(2027)
+    u2, u3, u4 = (sampling.random_unitary(d, rng) for d in (2, 3, 4))
+    # A raw member whose lowest eigenvalue lies in [-PSD_TOL, 0): its check clamps it.
+    clamped = rotated(u3, 0.7, 0.3 + 1e-11, -1e-11)
+    return {
+        "d2-dense": ([0.3, 0.7], [sampling.random_density(2, rng), rotated(u2, 0.9, 0.1)]),
+        "d2-pure-and-diagonal": ([0.5, 0.5], [rotated(u2, 1.0, 0.0), diag_state(0.25, 0.75)]),
+        "d2-diagonal": ([0.4, 0.6], [diag_state(1.0, 0.0), diag_state(0.2, 0.8)]),
+        "d3-clamped": ([0.2, 0.3, 0.5], [(clamped + clamped.conj().T) / 2.0,
+                                         diag_state(0.5, 0.5, 0.0), rotated(u3, 0.0, 1.0, 0.0)]),
+        "d3-rank-two": ([0.6, 0.4], [rotated(u3, 0.5, 0.5, 0.0), sampling.random_density(3, rng)]),
+        "d4-mixed": ([0.1, 0.2, 0.3, 0.4],
+                     [rotated(u4, 0.4, 0.3, 0.3, 0.0), diag_state(0.1, 0.2, 0.3, 0.4),
+                      rotated(u4, 1.0, 0.0, 0.0, 0.0), sampling.random_density(4, rng)]),
+        "d4-one-member": ([1.0], [rotated(u4, 0.5, 0.25, 0.25, 0.0)]),
+    }
+
+
+#: Absolute budget, in bits, for S and chi against the 40-digit reference.
+BRACKET_BUDGET = 1e-14
+
+
+@pytest.mark.parametrize("held", ["checked", "wrapped"])
+@pytest.mark.parametrize("case", sorted(bracket_cases()))
+def test_entropy_bracket_against_a_40_digit_reference(case, held):
+    # Checked members read the eigenpairs their check kept; wrapped ones (a
+    # stack valid by construction) are solved by the stacked eigh.
+    probs, states = bracket_cases()[case]
+    ensemble = Ensemble.from_lists(probs, states)
+    if held == "wrapped":
+        ensemble = Ensemble._of(ensemble.probs, ensemble.matrices)
+    s_want, chi_want = reference_bracket(ensemble)
+    report = {e.name: e.rate for e in rate_report(ensemble).entries}
+    for got, want in ((holevo(ensemble), chi_want),
+                      (report["Holevo quantity chi"], chi_want),
+                      (vn_entropy(ensemble.average()), s_want),
+                      (report["mean-state entropy S"], s_want)):
+        assert float(abs(mpmath.mpf(got) - want)) <= BRACKET_BUDGET

@@ -56,6 +56,10 @@ CASES = [
      DimensionOverflow, "coordinates exceed DIAGONAL_TABLE_BUDGET"),
     ("scoring-mode", lambda tmp: blocksim.project_patch_plan(qubit_source(), "fast", 10),
      DomainError, "mode must be auto|exact|mc, got 'fast'"),
+    ("workers-below-one",
+     lambda tmp: blocksim.global_fidelity_score(
+         qubit_source(), blocksim.project_patch_scheme(qubit_source(), 0.5), workers=0),
+     DomainError, "workers must be >= 1, got 0"),
     ("typical-weights-nan", lambda tmp: blocksim.typical_subspace_from_weights([np.nan, 1.0], 1),
      ValidationError, "typical subspace weights must be finite"),
     ("typical-weights-inf", lambda tmp: blocksim.typical_subspace_from_weights([np.inf, 1.0], 1),

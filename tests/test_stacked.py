@@ -175,7 +175,7 @@ def fresh_pair(*drawn) -> tuple[Ensemble, Ensemble]:
 
 def spectra_oracle(states) -> np.ndarray:
     """The member spectra as the per-state loop computed them: a kept spectrum
-    is read, a diagonal state's sorted diagonal too, the rest is one eigvalsh call."""
+    is read, a diagonal state's sorted diagonal too, the rest is one eigh call."""
     vals = np.empty((len(states), states[0].dim))
     solve = []
     for i, s in enumerate(states):
@@ -186,7 +186,7 @@ def spectra_oracle(states) -> np.ndarray:
         else:
             solve.append(i)
     if solve:
-        solved = np.linalg.eigvalsh(np.stack([states[i].matrix for i in solve]))
+        solved = np.linalg.eigh(np.stack([states[i].matrix for i in solve]))[0]
         vals[solve] = np.sort(solved, axis=-1)[:, ::-1]
     return vals
 
@@ -388,16 +388,19 @@ def test_holevo_is_one_solver_call_or_none(monkeypatch, rng):
 
 def test_holevo_solves_only_the_mean_of_a_validated_ensemble(monkeypatch, rng):
     # Validated members kept their check's eigenpairs, so holevo solves only
-    # the mean state; wrapped members join it in the one stacked call.
+    # the mean state, which keeps its eigenpairs; wrapped members share one
+    # stacked call of their own.
     ensemble = dense_ensemble(rng, 4, 6)
     counter = SolverCounter(monkeypatch)
     holevo(ensemble)
-    assert counter.calls == {"eigh": 0, "eigvalsh": 1}
-    assert counter.inputs[0].shape == (1, 4, 4)
+    assert counter.calls == {"eigh": 1, "eigvalsh": 0}
+    assert counter.inputs[0].shape == (4, 4)
     assert counter.calls_with(ensemble.average().matrix) == 1
+    holevo(ensemble)
+    assert counter.calls == {"eigh": 1, "eigvalsh": 0}
     holevo(wrapped_copy(ensemble))
-    assert counter.calls == {"eigh": 0, "eigvalsh": 2}
-    assert counter.inputs[1].shape == (7, 4, 4)
+    assert counter.calls == {"eigh": 3, "eigvalsh": 0}
+    assert sorted(x.shape for x in counter.inputs[1:]) == [(4, 4), (6, 4, 4)]
 
 
 def wrapped_copy(ensemble: Ensemble) -> Ensemble:
@@ -551,17 +554,17 @@ def test_clamped_raw_operand_is_solved_again(monkeypatch, rng):
     assert not np.array_equal(rebuilt, clamped)
     counter = SolverCounter(monkeypatch)
     vn_entropy(clamped)
-    assert counter.calls == {"eigh": 1, "eigvalsh": 1}
+    assert counter.calls == {"eigh": 2, "eigvalsh": 0}
     assert counter.calls_with(rebuilt) == 1
     counter.inputs.clear()
     fidelity(clamped, b)
-    assert counter.calls == {"eigh": 4, "eigvalsh": 3}
+    assert counter.calls == {"eigh": 5, "eigvalsh": 2}
     assert counter.calls_with(rebuilt) == 1
 
 
 @pytest.mark.parametrize("entry, wrapped_calls", [
     ("fidelity", {"eigh": 2, "eigvalsh": 2}),
-    ("vn_entropy", {"eigh": 0, "eigvalsh": 1}),
+    ("vn_entropy", {"eigh": 1, "eigvalsh": 0}),
     ("canonical_purification", {"eigh": 1, "eigvalsh": 0}),
     ("typical_subspace", {"eigh": 1, "eigvalsh": 0}),
     ("power_spectrum_top_sum", {"eigh": 1, "eigvalsh": 0}),

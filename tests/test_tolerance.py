@@ -75,16 +75,30 @@ def test_no_size_bound_is_a_parameter():
 def test_one_route_to_a_state_spectrum():
     # Guard: a state's kept eigenpairs are read and set only in qmat.py, behind
     # DensityOperator.eigenpairs and eigenvalues; a ``pairs`` parameter would
-    # thread them around the state again.
+    # thread them around the state again.  Every spectrum is solved by eigh,
+    # through qmat._eig: only the fidelity orientations
+    # (measures._sqrt_fid_oriented) call eigvalsh, and no state class keeps a
+    # second route to its eigenvalues, as _MeanState did.
     problems = []
     for path in sorted(SRC.glob("*.py")):
-        for node in ast.walk(_tree(path)):
+        text = path.read_text(encoding="utf-8")
+        if "_MeanState" in text:
+            problems.append(f"{path.name} names _MeanState")
+        tree = ast.parse(text, filename=str(path))
+        oriented = {id(node) for f in tree.body if path.name == "measures.py"
+                    and isinstance(f, ast.FunctionDef) and f.name == "_sqrt_fid_oriented"
+                    for node in ast.walk(f)}
+        for node in ast.walk(tree):
             if isinstance(node, ast.arg) and node.arg == "pairs":
                 problems.append(f"{path.name}:{node.lineno} has a pairs parameter")
-            touched = (node.attr if isinstance(node, ast.Attribute)
-                       else node.value if isinstance(node, ast.Constant) else None)
-            if touched == "_spectrum" and path.name != "qmat.py":
+            named = (node.attr if isinstance(node, ast.Attribute)
+                     else node.id if isinstance(node, ast.Name)
+                     else node.name if isinstance(node, ast.alias)
+                     else node.value if isinstance(node, ast.Constant) else None)
+            if named == "_spectrum" and path.name != "qmat.py":
                 problems.append(f"{path.name}:{node.lineno} reads or sets _spectrum")
+            if named == "eigvalsh" and id(node) not in oriented:
+                problems.append(f"{path.name}:{node.lineno} calls eigvalsh")
     assert problems == []
 
 
