@@ -44,8 +44,9 @@ from .qmat import (
 from .sampling import block_generator
 from .tolerance import PARAM_EPS
 
-# Strings in a per-string exact sweep.
-EXACT_SWEEP_CAP = 1024
+# Work one scoring call may ask for (see _plan), in steps of about 1 ns of
+# one call on one core: 2^36 steps, about 70 s.
+WORK_BUDGET = 2**36
 # Elements in the largest array the diagonal engine builds (see _plan), in any
 # Kronecker-power weight vector and in the Monte Carlo draws (n_samples x N
 # picks, also checked in _plan): 2^22 values of 8 bytes, 32 MiB.
@@ -91,10 +92,6 @@ class BlockSource:
     @property
     def full_dim(self) -> int:
         return self.base.dim**self.n_blocks
-
-    @property
-    def n_strings(self) -> int:
-        return len(self.base) ** self.n_blocks
 
     def string_prob(self, string: tuple[int, ...]) -> float:
         return float(np.prod([self.base.probs[i] for i in string]))
@@ -362,7 +359,11 @@ def _plan(source: BlockSource, keeps_coordinates: bool, mode: str,
     the largest max(m, d)^N * d elements, fit the budget.  ``exact``: the
     sweep is exact, not Monte Carlo, which draws all its n_samples x N picks
     first.  Every refusal of a scoring request is made here, before any
-    string is drawn or scored.
+    string is drawn or scored: memory (DIAGONAL_TABLE_BUDGET) first, then
+    WORK_BUDGET on the strings scored one at a time (every string of nonzero
+    probability, or at most n_samples) times 2^18 steps plus N d^N for the
+    one-row engine or 8 D^3 for a dense string's five D x D solves.  Tables
+    are within it by their memory bound.
     """
     if mode not in ("auto", "exact", "mc"):
         raise DomainError(f"mode must be auto|exact|mc, got {mode!r}")
@@ -370,34 +371,31 @@ def _plan(source: BlockSource, keeps_coordinates: bool, mode: str,
         raise DomainError(f"n_samples must be >= 1, got {n_samples}")
     if not workers >= 1:
         raise DomainError(f"workers must be >= 1, got {workers}")
-    elements = max(len(source.base), source.base.dim) ** source.n_blocks * source.base.dim
+    n, D = source.n_blocks, source.full_dim
+    elements = max(len(source.base), source.base.dim) ** n * source.base.dim
     diagonal = keeps_coordinates and bool(source.base.diagonal.all())
     tabled = diagonal and elements <= DIAGONAL_TABLE_BUDGET
     reason = (f"the diagonal tables need {elements} elements, over the budget "
               f"{DIAGONAL_TABLE_BUDGET}" if diagonal else "no diagonal fast path applies")
-    # The engine builds a d^N kept-set mask (smaller than its tables); the
-    # dense per-string path builds d^N x d^N string states.
-    if diagonal and source.full_dim > DIAGONAL_TABLE_BUDGET:
+    # The engine builds a d^N kept-set mask (smaller than its tables).
+    if diagonal and D > DIAGONAL_TABLE_BUDGET:
         raise DimensionOverflow(
-            f"kept-set mask of {source.full_dim} elements exceeds DIAGONAL_TABLE_BUDGET "
+            f"kept-set mask of {D} elements exceeds DIAGONAL_TABLE_BUDGET "
             f"{DIAGONAL_TABLE_BUDGET} and {reason}"
         )
-    if not diagonal and source.full_dim > DIM_CAP:
+    strings = int(np.count_nonzero(source.base.probs)) ** n
+    per_string = 2**18 + (n * D if diagonal else 8 * D**3)
+    exact = mode == "exact" or (mode == "auto" and (tabled or strings * per_string <= WORK_BUDGET))
+    if not exact and n_samples * n > DIAGONAL_TABLE_BUDGET:
         raise DimensionOverflow(
-            f"block dimension {source.full_dim} exceeds DIM_CAP {DIM_CAP} and {reason}"
-        )
-    exact_ok = tabled or source.n_strings <= EXACT_SWEEP_CAP
-    if mode == "exact" and not exact_ok:
-        raise DimensionOverflow(
-            f"exact sweep over {source.n_strings} strings exceeds cap {EXACT_SWEEP_CAP} "
-            f"and {reason}"
-        )
-    exact = mode == "exact" or (mode == "auto" and exact_ok)
-    draws = n_samples * source.n_blocks
-    if not exact and draws > DIAGONAL_TABLE_BUDGET:
-        raise DimensionOverflow(
-            f"Monte Carlo draws of {n_samples} samples x {source.n_blocks} picks exceed "
+            f"Monte Carlo draws of {n_samples} samples x {n} picks exceed "
             f"DIAGONAL_TABLE_BUDGET {DIAGONAL_TABLE_BUDGET}"
+        )
+    scored = strings if exact else min(n_samples, strings)
+    if not tabled and scored * per_string > WORK_BUDGET:
+        raise DimensionOverflow(
+            f"{'exact sweep' if exact else 'Monte Carlo'} work of {scored} strings x "
+            f"{per_string} steps exceeds WORK_BUDGET {WORK_BUDGET} and {reason}"
         )
     return diagonal, tabled, exact
 
@@ -406,9 +404,9 @@ def project_patch_plan(source: BlockSource, mode: str, n_samples: int = DEFAULT_
                        workers: int = 1) -> tuple[bool, bool, bool]:
     """How the project-and-patch scheme of this source would be scored in a mode.
 
-    It needs only the base states, so a request no path can score, or one with
-    a sample or worker count below 1, is refused before the scheme's d^N
-    weights are built.
+    It needs only the base states, so a request over the memory or work
+    bounds of ``_plan``, or one with a sample or worker count below 1, is
+    refused before the scheme's d^N weights are built.
     """
     _, frame = _weights_and_frame(source.base.average(), source.base.diagonal.all())
     return _plan(_in_frame(source, frame), True, mode, n_samples, workers)
@@ -654,16 +652,16 @@ def global_fidelity_score(source: BlockSource, scheme: Scheme, mode: str = "auto
     while its tables fit ``DIAGONAL_TABLE_BUDGET`` elements, otherwise one
     sampled or swept string at a time, which needs its d^N kept-set mask to
     fit the budget.  Other schemes and sources are scored one string at a
-    time from its dense d^N state, which needs d^N <= ``DIM_CAP``.  An exact
-    sweep one string at a time covers at most ``EXACT_SWEEP_CAP`` strings.
-    Where no exact sweep fits, ``mode="exact"`` raises ``DimensionOverflow``
-    and ``"auto"`` returns a seeded Monte Carlo estimate of ``n_samples`` (at
-    least 1) strings with standard error.  Monte Carlo draws all its strings
-    first, at most ``DIAGONAL_TABLE_BUDGET`` picks in all.  A path that scores
-    one string at a time, exact or Monte Carlo, scores each distinct string
-    once, split over ``workers`` (at least 1) threads, with the value of
-    scoring every string in order.  Each refusal comes before the first
-    string is drawn or scored.
+    time from its dense d^N state.  Work scored one string at a time is
+    bounded by ``WORK_BUDGET`` (see ``_plan``).  Where no exact sweep fits it,
+    ``mode="exact"`` raises ``DimensionOverflow`` and ``"auto"`` returns a
+    seeded Monte Carlo estimate of ``n_samples`` (at least 1) strings with
+    standard error.  Monte Carlo draws all its strings first, at most
+    ``DIAGONAL_TABLE_BUDGET`` picks in all.  A path that scores one string at
+    a time, exact or Monte Carlo, scores each distinct string once, split
+    over ``workers`` (at least 1) threads, with the value of scoring every
+    string in order.  Each refusal comes before the first string is drawn or
+    scored.
     """
     g, _ = _scores(source, scheme, False, mode, n_samples, seed, workers)
     return g

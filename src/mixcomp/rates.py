@@ -188,6 +188,9 @@ def _zero_block_splits(members: np.ndarray) -> np.ndarray:
     0..i, a running maximum over the members' zero pattern; k passes iff reach[k - 1] < k.
     """
     d = members.shape[-1]
+    # Row 0 reaching the last column gives reach[k - 1] >= d - 1 >= k for every k.
+    if (np.abs(members[:, 0, -1]) > STRUCTURE_TOL).any():
+        return np.empty(0, dtype=np.intp)
     pattern = np.zeros((d, d), dtype=bool)
     for x in members:  # one member at a time: |entries| of the whole stack would be m d^2 floats
         pattern |= np.abs(x) > STRUCTURE_TOL

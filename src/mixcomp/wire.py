@@ -70,12 +70,10 @@ def _as_grid(obj, d: int, key: str) -> np.ndarray:
 def matrix_from_json(payload: dict, name: str = "matrix") -> np.ndarray:
     if not isinstance(payload, dict):
         raise ParseError(f"{name}: expected a JSON object with dim/re/im")
-    try:
-        d = int(payload["dim"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"{name}: missing or invalid 'dim' field") from exc
-    if d <= 0:
-        raise ParseError(f"{name}: 'dim' must be a positive integer, got {d}")
+    d = payload.get("dim")
+    # A JSON integer: 2.5, true, Infinity and a missing field are not dimensions.
+    if isinstance(d, bool) or not isinstance(d, int) or d < 1:
+        raise ParseError(f"{name}: 'dim' must be a positive integer, got {d!r}")
     if "re" not in payload:
         raise ParseError(f"{name}: missing 're' field")
     re = _as_grid(payload["re"], d, "re")
@@ -99,10 +97,14 @@ def ensemble_from_json(payload: dict) -> Ensemble:
         raise ParseError("ensemble: expected a JSON object with probs/states")
     if "probs" not in payload or "states" not in payload:
         raise ParseError("ensemble: must carry 'probs' and 'states' fields")
-    states = [
-        matrix_from_json(s, f"ensemble state {i}") for i, s in enumerate(payload["states"])
-    ]
-    return Ensemble.from_lists(payload["probs"], states)
+    probs, states = payload["probs"], payload["states"]
+    if not (isinstance(probs, list) and all(
+            isinstance(p, (int, float)) and not isinstance(p, bool) for p in probs)):
+        raise ParseError("ensemble: 'probs' must be a list of numbers")
+    if not isinstance(states, list):
+        raise ParseError("ensemble: 'states' must be a list of state objects")
+    return Ensemble.from_lists(
+        probs, [matrix_from_json(s, f"ensemble state {i}") for i, s in enumerate(states)])
 
 
 def load_json(path: str) -> dict:

@@ -592,16 +592,29 @@ class TestTheorem7Demo:
 
     @pytest.mark.parametrize("mode", ["exact", "mc", "auto"])
     def test_dense_block_over_dim_cap_refused_before_scoring(self, rng, mode):
-        # D = 2^13 = 8192 > DIM_CAP: every dense path builds D x D string states.
+        # D = 2^13 = 8192 > DIM_CAP: one dense string's 8 D^3 steps alone are
+        # over WORK_BUDGET, so every dense path refuses before any string.
         base = Ensemble.from_lists([0.5, 0.5], [sampling.random_density(2, rng) for _ in range(2)])
         source = BlockSource.build(base, 13)
         scheme = project_patch_scheme(source, 0.8)
         with mock.patch.object(blocksim, "_score_string") as score:
-            with pytest.raises(DimensionOverflow, match="DIM_CAP"):
+            with pytest.raises(DimensionOverflow, match="x 4398046773248 steps exceeds WORK_BUDGET"):
                 global_fidelity_score(source, scheme, mode=mode, n_samples=10)
-            with pytest.raises(DimensionOverflow, match="DIM_CAP"):
+            with pytest.raises(DimensionOverflow, match="x 4398046773248 steps exceeds WORK_BUDGET"):
                 local_fidelity_score(source, scheme, mode=mode, n_samples=10)
         score.assert_not_called()
+
+    def test_one_dense_string_at_dim_cap_over_the_work_budget(self, rng):
+        # The dense path needs no DIM_CAP check of its own: one string at
+        # D = DIM_CAP is over WORK_BUDGET, and so is one at DIM_CAP / 2.  The
+        # largest qubit block that one sampled string may have is D = 1024.
+        n = round(math.log2(qmat.DIM_CAP))
+        for mode in ("mc", "auto"):
+            for m in (n, n - 1):
+                with pytest.raises(DimensionOverflow, match="work of 1 strings x .* WORK_BUDGET"):
+                    blocksim.project_patch_plan(dense_pair(rng, n=m), mode, 1)
+            assert blocksim.project_patch_plan(dense_pair(rng, n=n - 2), mode, 1) == (
+                False, False, False)
 
 
 @st.composite
@@ -1143,6 +1156,22 @@ class TestExactSweep:
                 for result, want in zip(got, (g, loc)):
                     assert (result.method, result.n_terms) == (method, count)
                     assert result.value == min(1.0, max(0.0, want))
+
+    def test_more_than_1024_cheap_strings_swept_exactly(self, rng):
+        # 11 dense qubit states at N = 3: 1331 strings at D = 8, well inside
+        # WORK_BUDGET, so auto sweeps them all exactly.
+        probs = rng.uniform(0.2, 1.0, 11)
+        base = Ensemble.from_lists(probs / probs.sum(),
+                                   [sampling.random_density(2, rng) for _ in range(11)])
+        source = BlockSource.build(base, 3)
+        scheme = project_patch_scheme(source, 0.6)
+        g, loc, count = per_string_sweep(source, scheme,
+                                         self._score(source, scheme, "exact-dense"))
+        assert count == 1331
+        for score, want in ((global_fidelity_score, g), (local_fidelity_score, loc)):
+            result = score(source, scheme)
+            assert (result.method, result.n_terms) == ("exact-dense", count)
+            assert result.value == min(1.0, max(0.0, want))
 
     def test_workers_give_equal_scores_and_a_pool(self, rng, monkeypatch):
         created = []

@@ -44,6 +44,27 @@ class TestWireFormats:
             wire.matrix_from_json({"dim": 2, "re": [[1.0]]})
         with pytest.raises(ParseError, match="probs"):
             wire.ensemble_from_json({"states": []})
+        # dim must be a JSON integer >= 1: not Infinity, not 2.5, not true.
+        for text in ("Infinity", "2.5", "true"):
+            with pytest.raises(ParseError, match="'dim' must be a positive integer, got "):
+                wire.matrix_from_json(json.loads(f'{{"dim": {text}, "re": [[1.0]]}}'))
+        with pytest.raises(ParseError, match="'probs' must be a list of numbers"):
+            wire.ensemble_from_json({"probs": ["a", "b"], "states": []})
+        with pytest.raises(ParseError, match="'states' must be a list"):
+            wire.ensemble_from_json({"probs": [1.0], "states": 7})
+
+    @pytest.mark.parametrize("argv, text, field", [
+        (["entropy"], '{"dim": Infinity, "re": [[1.0]], "im": [[0.0]]}', "'dim'"),
+        (["holevo", "--ensemble"], '{"probs": ["a", "b"], "states": []}', "'probs'"),
+        (["holevo", "--ensemble"], '{"probs": [1.0], "states": 7}', "'states'"),
+    ])
+    def test_malformed_field_exits_2(self, tmp_path, capsys, argv, text, field):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        assert main(argv + [str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ParseError: ") and field in captured.err
 
     def test_validation_names_invariant(self):
         payload = {"dim": 2, "re": [[0.6, 0.0], [0.0, 0.6]], "im": [[0.0, 0.0]] * 2}
@@ -267,38 +288,59 @@ class TestCliCommands:
         assert "finite" in capsys.readouterr().err
 
     def test_dim_cap_flag(self, tmp_path, capsys, rng):
-        # A dense source at N = 13 (D = 8192) is over the fixed DIM_CAP.
+        # A dense source at N = 13 (D = 8192 > DIM_CAP): one string's 8 D^3
+        # steps are over WORK_BUDGET, so it exits 2 before the scheme is built.
         ens = Ensemble.from_lists(
             [0.5, 0.5], [sampling.random_density(2, rng) for _ in range(2)]
         )
         path = write_ensemble(tmp_path / "e.json", ens)
-        assert main([
-            "blocksim", "run", "--ensemble", path, "--N", "13", "--rate", "0.8",
-        ]) == 2
-        err = capsys.readouterr().err
-        assert "DimensionOverflow" in err and "DIM_CAP" in err
+        with contextlib.ExitStack() as stack:
+            mocks = [stack.enter_context(mock.patch.object(blocksim, name))
+                     for name in ("project_patch_scheme", "_score_string")]
+            code = main(["blocksim", "run", "--ensemble", path, "--N", "13", "--rate", "0.8"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: DimensionOverflow: Monte Carlo work of 2000 strings x 4398046773248 steps "
+            f"exceeds WORK_BUDGET {blocksim.WORK_BUDGET} and no diagonal fast path applies\n"
+        )
+        for m in mocks:
+            m.assert_not_called()
 
     def test_unscorable_blocksim_run_refused_before_the_scheme(self, tmp_path, capsys):
-        # N = 22: tables of 2^23 elements exceed the budget, and an exact sweep
-        # one string at a time would cover 2^22 strings, so no exact path can
-        # score; the 2^22 weights are never built.
+        # N = 22: tables of 2^23 elements exceed their budget, so each string
+        # is one engine call of 2^18 + 22 * 2^22 steps.  Neither the exact
+        # sweep of 2^22 strings nor auto's fallback to Monte Carlo over 2000
+        # fits WORK_BUDGET; the 2^22 weights are never built.
         ens = Ensemble.from_lists(
             [0.5, 0.5], [diag_state(0.9, 0.1), diag_state(0.1, 0.9)]
         )
         path = write_ensemble(tmp_path / "e.json", ens)
-        tracemalloc.start()
-        try:
-            code = main(["blocksim", "run", "--ensemble", path, "--N", "22",
-                         "--rate", "0.8", "--mode", "exact"])
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert code == 2
-        assert capsys.readouterr().err == (
-            "error: DimensionOverflow: exact sweep over 4194304 strings exceeds cap 1024 "
-            "and the diagonal tables need 8388608 elements, over the budget 4194304\n"
-        )
-        assert peak < 2**20
+        for mode, label, scored in (("exact", "exact sweep", 4194304),
+                                    ("auto", "Monte Carlo", 2000)):
+            tracemalloc.start()
+            try:
+                with contextlib.ExitStack() as stack:
+                    mocks = [stack.enter_context(mock.patch.object(blocksim, name)) for name in (
+                        "project_patch_scheme", "block_generator", "_score_string",
+                        "_diagonal_tables")]
+                    code = main(["blocksim", "run", "--ensemble", path, "--N", "22",
+                                 "--rate", "0.8", "--mode", mode])
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                f"error: DimensionOverflow: {label} work of {scored} strings x 92536832 steps "
+                f"exceeds WORK_BUDGET {blocksim.WORK_BUDGET} and the diagonal tables need "
+                "8388608 elements, over the budget 4194304\n"
+            )
+            assert peak < 2**20
+            for m in mocks:
+                m.assert_not_called()
 
     @pytest.mark.parametrize("dense, n, mode", [(True, 3, "mc"), (True, 11, "auto"),
                                                 (False, 6, "mc")])

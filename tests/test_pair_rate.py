@@ -2,9 +2,9 @@
 
 ``upsilon_rate``, ``two_state_purification_rate`` and ``rate_report``'s pair
 entry share one closed form for the entropy of a pair's 2 x 2 Gram spectrum.
-The reference is computed with mpmath from the states' float entries: each
-diagonal and the prior are normalised in 40 digits, so the reference is the
-rate of the states those entries stand for.
+The reference (``tests/reference.py``) is computed with mpmath from the
+states' float entries: each diagonal and the prior are normalised in 40
+digits, so the reference is the rate of the states those entries stand for.
 """
 
 import mpmath
@@ -21,20 +21,10 @@ from mixcomp.qmat import DensityOperator
 from mixcomp.rates import rate_report
 
 from conftest import diag_state
-
-mpmath.mp.dps = 40
+from reference import reference_bracket, reference_rate
 
 #: Near 1/2 the pair nears one pure state and the rate nears 0.
 NEAR_HALF = (0.39, 0.45, 0.49, 0.499, 0.4999, 0.49999)
-
-
-def reference_rate(w, p, q) -> mpmath.mpf:
-    """Entropy in bits of the Gram spectrum of priors w and diagonal states p, q, in 40 digits."""
-    w, p, q = ([mpmath.mpf(float(x)) for x in v] for v in (w, p, q))
-    w, p, q = ([x / sum(v) for x in v] for v in (w, p, q))
-    c = sum(mpmath.sqrt(a * b) for a, b in zip(p, q))
-    root = mpmath.sqrt(1 - 4 * w[0] * w[1] * (1 - c * c))
-    return -sum(lam * mpmath.log(lam, 2) for lam in ((1 + root) / 2, (1 - root) / 2) if lam > 0)
 
 
 def entries(ensemble: Ensemble):
@@ -105,23 +95,6 @@ def commuting_pairs(draw) -> Ensemble:
 def test_pair_formula_matches_the_gram_route(ens):
     gram = entropy_of_spectrum(_purification_spectrum(ens))
     assert abs(two_state_purification_rate(ens) - gram) <= 1e-14
-
-
-def reference_entropy(matrix: mpmath.matrix) -> mpmath.mpf:
-    """Entropy in bits of a Hermitian matrix from mpmath's eigh, in 40 digits; 0 log 0 = 0."""
-    values = mpmath.mp.eigh(matrix, eigvals_only=True)
-    return -sum(v * mpmath.log(v, 2) for v in values if v > 0)
-
-
-def reference_bracket(ensemble: Ensemble) -> tuple[mpmath.mpf, mpmath.mpf]:
-    """(S(mean state), chi) of the held prior and members, each float entry taken exactly."""
-    probs = [mpmath.mpf(float(p)) for p in ensemble.probs]
-    mats = [mpmath.matrix(x.tolist()) for x in ensemble.matrices]
-    mean = mpmath.zeros(ensemble.dim)
-    for p, x in zip(probs, mats):
-        mean += p * x
-    s = reference_entropy(mean)
-    return s, s - sum(p * reference_entropy(x) for p, x in zip(probs, mats))
 
 
 def rotated(u: np.ndarray, *diagonal) -> np.ndarray:

@@ -56,6 +56,11 @@ CASES = [
      DimensionOverflow, "coordinates exceed DIAGONAL_TABLE_BUDGET"),
     ("scoring-mode", lambda tmp: blocksim.project_patch_plan(qubit_source(), "fast", 10),
      DomainError, "mode must be auto|exact|mc, got 'fast'"),
+    ("work-budget",
+     lambda tmp: blocksim.project_patch_plan(
+         blocksim.BlockSource.build(uniform_ensemble(diag_state(0.9, 0.1), QUBIT), 22), "exact"),
+     DimensionOverflow, "exact sweep work of 4194304 strings x 92536832 steps exceeds "
+     f"WORK_BUDGET {blocksim.WORK_BUDGET}"),
     ("workers-below-one",
      lambda tmp: blocksim.global_fidelity_score(
          qubit_source(), blocksim.project_patch_scheme(qubit_source(), 0.5), workers=0),
