@@ -64,15 +64,22 @@ def _check_rate(rate: float) -> None:
 def scheme_subspace_dim(rate: float, n_blocks: int, full_dim: int) -> int:
     """Channel dimension of a scheme using whole qubits: 2^ceil(rate*N), capped."""
     _check_rate(rate)
-    qubits = math.ceil(rate * n_blocks - PARAM_EPS)
-    return int(min(2 ** max(qubits, 0), full_dim))
+    qubits = rate * n_blocks - PARAM_EPS
+    # 2^ceil(qubits) reaches d^N once ceil(qubits) >= ceil(log2 d^N): the whole space.
+    if qubits > (full_dim - 1).bit_length() - 1:
+        return int(full_dim)
+    return 2 ** max(math.ceil(qubits), 0)
 
 
 def ceiling_subspace_dim(rate: float, n_blocks: int, full_dim: int) -> int:
     """Retained-eigenvalue count for the fidelity ceiling: ceil(2^(rate*N)), capped."""
     _check_rate(rate)
-    raw = 2.0 ** (rate * n_blocks)
-    return int(min(max(1, math.ceil(raw * (1.0 - PARAM_EPS))), full_dim))
+    bits = rate * n_blocks
+    if bits >= math.log2(full_dim):
+        return int(full_dim)
+    # 2.0 ** bits overflows from 2^1024 on: scale by 2^-s and shift the count back.
+    s = max(0, math.floor(bits) - 1023)
+    return int(min(max(1, math.ceil(2.0 ** (bits - s) * (1.0 - PARAM_EPS)) << s), full_dim))
 
 
 @dataclass(frozen=True, eq=False)
@@ -349,6 +356,11 @@ def _in_frame(source: BlockSource, frame: np.ndarray | None) -> BlockSource:
                        source.n_blocks)
 
 
+def _count(x: int) -> str:
+    """A size for a message: in full below 2^64, else as a power of 2 (str refuses 4,300 digits)."""
+    return str(x) if x < 2**64 else f"2^{math.log2(x):.10g}"
+
+
 def _plan(source: BlockSource, keeps_coordinates: bool, mode: str,
           n_samples: int, workers: int) -> tuple[bool, bool, bool]:
     """Scoring path of a source written in the scheme's frame: (diagonal, tabled, exact).
@@ -375,13 +387,13 @@ def _plan(source: BlockSource, keeps_coordinates: bool, mode: str,
     elements = max(len(source.base), source.base.dim) ** n * source.base.dim
     diagonal = keeps_coordinates and bool(source.base.diagonal.all())
     tabled = diagonal and elements <= DIAGONAL_TABLE_BUDGET
-    reason = (f"the diagonal tables need {elements} elements, over the budget "
-              f"{DIAGONAL_TABLE_BUDGET}" if diagonal else "no diagonal fast path applies")
+    reason = lambda: (f"the diagonal tables need {_count(elements)} elements, over the budget "
+                      f"{DIAGONAL_TABLE_BUDGET}" if diagonal else "no diagonal fast path applies")
     # The engine builds a d^N kept-set mask (smaller than its tables).
     if diagonal and D > DIAGONAL_TABLE_BUDGET:
         raise DimensionOverflow(
-            f"kept-set mask of {D} elements exceeds DIAGONAL_TABLE_BUDGET "
-            f"{DIAGONAL_TABLE_BUDGET} and {reason}"
+            f"kept-set mask of {_count(D)} elements exceeds DIAGONAL_TABLE_BUDGET "
+            f"{DIAGONAL_TABLE_BUDGET} and {reason()}"
         )
     strings = int(np.count_nonzero(source.base.probs)) ** n
     per_string = 2**18 + (n * D if diagonal else 8 * D**3)
@@ -394,8 +406,8 @@ def _plan(source: BlockSource, keeps_coordinates: bool, mode: str,
     scored = strings if exact else min(n_samples, strings)
     if not tabled and scored * per_string > WORK_BUDGET:
         raise DimensionOverflow(
-            f"{'exact sweep' if exact else 'Monte Carlo'} work of {scored} strings x "
-            f"{per_string} steps exceeds WORK_BUDGET {WORK_BUDGET} and {reason}"
+            f"{'exact sweep' if exact else 'Monte Carlo'} work of {_count(scored)} strings x "
+            f"{_count(per_string)} steps exceeds WORK_BUDGET {WORK_BUDGET} and {reason()}"
         )
     return diagonal, tabled, exact
 
@@ -685,10 +697,6 @@ class Theorem7Row:
     scheme_dim: int
     eta_plus: float
     achieved: float
-
-    @property
-    def patch_lower_bound(self) -> float:
-        return (1.0 - self.eta_plus) ** 2
 
 
 def theorem7_demo(base: Ensemble, delta: float, n_list, seed: int = 0) -> list[Theorem7Row]:

@@ -18,7 +18,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import (
-    DegenerateProtocol,
     DimensionMismatch,
     DimensionOverflow,
     DomainError,
@@ -136,24 +135,6 @@ def example9_message_distribution(src: CoinSource) -> np.ndarray:
 def xi_rate(src: CoinSource) -> float:
     """Protocol rate Xi: entropy of the three-message distribution, bits/coin toss."""
     return shannon_entropy(example9_message_distribution(src))
-
-
-def is_degenerate(src: CoinSource) -> bool:
-    """True when the shared message is never sent (alpha1 = 0 and alpha2 = 1)."""
-    s, _ = orient_coins(src)
-    return s.alpha2 - s.alpha1 >= 1.0
-
-
-def m0_output_law(src: CoinSource) -> np.ndarray:
-    """(P(heads), P(tails)) the receiver uses on the shared message."""
-    s, _ = orient_coins(src)
-    m0 = 1.0 - s.alpha2 + s.alpha1
-    if m0 <= 0.0:
-        raise DegenerateProtocol(
-            "shared message has probability 0 (alpha1 = 0, alpha2 = 1); its "
-            "output law is undefined and the protocol reduces to sending coin identity"
-        )
-    return np.array([s.alpha1 / m0, (1.0 - s.alpha2) / m0])
 
 
 def analytic_output_law(src: CoinSource) -> np.ndarray:

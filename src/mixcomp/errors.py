@@ -61,9 +61,5 @@ class TauMismatch(ValidationError):
     """Block-diagonal ensemble's lower blocks differ where they must coincide."""
 
 
-class DegenerateProtocol(MixcompError):
-    """Coin protocol corner case: the shared message is never sent."""
-
-
 class ParseError(MixcompError):
     """Input file could not be parsed into the expected JSON schema."""

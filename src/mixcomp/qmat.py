@@ -377,21 +377,6 @@ def partial_trace(s: DensityLike, dims: Sequence[int], keep: int) -> DensityOper
     return DensityOperator._wrap(_marginals(rho.matrix, dims)[keep])
 
 
-def trace_out(s: DensityLike, dims: Sequence[int], drop: int) -> DensityOperator:
-    """Discard one named factor, keeping the rest in order."""
-    rho = as_density(s)
-    dims = _check_dims(rho.dim, dims)
-    n = len(dims)
-    if not (0 <= drop < n):
-        raise DimensionMismatch(f"drop index {drop} outside [0, {n - 1}]")
-    if n == 1:
-        raise DimensionMismatch("cannot discard the only factor")
-    t = rho.matrix.reshape(dims + dims)
-    t = np.trace(t, axis1=drop, axis2=n + drop)
-    kept = int(np.prod([d for j, d in enumerate(dims) if j != drop]))
-    return DensityOperator._wrap(np.ascontiguousarray(t.reshape(kept, kept)))
-
-
 def projector(basis_vectors: Sequence[PureState | np.ndarray]) -> np.ndarray:
     """Orthogonal projector onto the span of orthonormal vectors."""
     if not len(basis_vectors):
@@ -411,15 +396,6 @@ def projector(basis_vectors: Sequence[PureState | np.ndarray]) -> np.ndarray:
         )
     p = v @ dagger(v)
     return (p + dagger(p)) / 2.0
-
-
-def basis_state(dim: int, index: int) -> PureState:
-    """Computational basis vector |index> in the given dimension."""
-    if not (0 <= index < dim):
-        raise DimensionMismatch(f"basis index {index} outside [0, {dim - 1}]")
-    v = np.zeros(dim, dtype=complex)
-    v[index] = 1.0
-    return PureState(_readonly(v))
 
 
 def maximally_mixed(dim: int) -> DensityOperator:

@@ -30,7 +30,7 @@ from .purify import _pair_entropy, _purification_spectrum, _root_gap
 from .qmat import DensityLike, DensityOperator, _eig, as_density, commuting, is_diagonal
 from .tolerance import STRUCTURE_TOL
 
-Kind = Literal["upper_bound", "lower_bound", "scheme_rate", "conjecture"]
+Kind = Literal["upper_bound", "lower_bound", "scheme_rate"]
 
 
 @dataclass(frozen=True)

@@ -98,12 +98,6 @@ def random_povm(dim: int, n_elements: int, rng: np.random.Generator) -> Povm:
     return Povm.from_elements(elements)
 
 
-def random_projective_povm(dim: int, rng: np.random.Generator) -> Povm:
-    """Rank-one projective measurement in a Haar-random basis."""
-    u = random_unitary(dim, rng)
-    return Povm.from_elements([np.outer(u[:, i], u[:, i].conj()) for i in range(dim)])
-
-
 def random_subspace(dim: int, rank: int, rng: np.random.Generator) -> np.ndarray:
     """Orthonormal basis (columns) of a Haar-random ``rank``-dimensional subspace."""
     return random_unitary(dim, rng)[:, :rank]

@@ -64,6 +64,9 @@ def _as_grid(obj, d: int, key: str) -> np.ndarray:
             f"matrix field '{key}' has shape {grid.shape}, expected ({d}, {d}); "
             "entry count must equal dim x dim"
         )
+    # np.asarray reads "1" and true as 1.0: each entry must be a JSON number.
+    if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for row in obj for x in row):
+        raise ParseError(f"matrix field '{key}' is not a numeric grid: entries must be numbers")
     return grid
 
 

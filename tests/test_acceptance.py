@@ -226,7 +226,7 @@ def test_criterion_09_measurement_bound(rng):
     worst_eq = 0.0
     for _ in range(200):
         r1, r2, basis = sampling.random_commuting_pair(2, rng)
-        povm = sampling.random_projective_povm(2, rng)
+        sampling.random_unitary(2, rng)
         # Equality case: measure in the shared eigenbasis.
         from mixcomp.measures import Povm
 

@@ -69,6 +69,22 @@ class TestRateQuantisation:
         assert scheme_subspace_dim(0.0, 8, 256) == 1
         assert ceiling_subspace_dim(0.0, 8, 256) == 1
 
+    @pytest.mark.parametrize("rate", [100.0, 1e308])
+    def test_rates_past_log2_d_keep_the_whole_space(self, rate):
+        # q N >= log2(d^N): both counts are d^N, and 2^(qN) is never formed
+        # (at 1e308, q N is inf).
+        for n, full_dim in ((12, 4096), (7, 3**7)):
+            assert scheme_subspace_dim(rate, n, full_dim) == full_dim
+            assert ceiling_subspace_dim(rate, n, full_dim) == full_dim
+
+    def test_ceiling_past_a_float_is_counted_then_refused_by_the_budget(self):
+        # 2^(0.6 * 2000) = 2^1200 is past the largest float, not past d^N = 2^2000.
+        k = ceiling_subspace_dim(0.6, 2000, 2**2000)
+        assert abs(k / 2**1200 - (1.0 - 1e-9)) <= 1e-15
+        assert scheme_subspace_dim(0.6, 2000, 2**2000) == 2**1200
+        with pytest.raises(DimensionOverflow, match=r"2\^2000 weights exceed DIAGONAL_TABLE"):
+            lemma_a1_ceiling(BlockSource.build(two_coin_base(), 2000), 0.6)
+
     @pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf, -0.1])
     def test_rejects_non_finite_and_negative_rates(self, rate):
         for dim in (scheme_subspace_dim, ceiling_subspace_dim):

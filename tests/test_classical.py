@@ -15,12 +15,10 @@ from mixcomp.classical import (
     apply_channel,
     example9_message_distribution,
     example9_simulate,
-    is_degenerate,
-    m0_output_law,
     orient_coins,
     xi_rate,
 )
-from mixcomp.errors import DegenerateProtocol, DimensionMismatch, ValidationError
+from mixcomp.errors import DimensionMismatch, ValidationError
 from mixcomp.measures import shannon_entropy, vn_entropy
 from mixcomp.purify import two_state_purification_rate, upsilon_rate
 from mixcomp.rates import rate_report
@@ -160,13 +158,10 @@ class TestSimulation:
 
     def test_degenerate_runs_on_identity_branch(self):
         src = CoinSource(0.5, 0.5, 0.0, 1.0)
-        assert is_degenerate(src)
         trace = example9_simulate(src, 1000, seed=5)
         assert not np.any(trace.message_sequence == M0)
         law = analytic_output_law(src)
         np.testing.assert_allclose(law[:, 0], [0.0, 1.0], atol=1e-15)
-        with pytest.raises(DegenerateProtocol):
-            m0_output_law(src)
 
     def test_swapped_source_relabels_its_coins_back(self):
         # alpha1 > alpha2: the protocol runs on the relabelled source and the
@@ -185,15 +180,6 @@ class TestSimulation:
         for coin, alpha in ((1, 0.9), (2, 0.2)):
             count = int(np.sum(trace.coin_sequence == coin))
             assert abs(emp[coin] - alpha) <= 4 * math.sqrt(alpha * (1 - alpha) / count)
-
-    @pytest.mark.parametrize("src", [CoinSource(0.4, 0.6, 0.2, 0.6),
-                                     CoinSource(0.6, 0.4, 0.6, 0.2)])
-    def test_m0_output_law_non_degenerate(self, src):
-        # m0 = 1 - 0.6 + 0.2 = 0.6 in either labelling: (P(heads), P(tails)) =
-        # (0.2, 0.4) / 0.6, and the shared branch reproduces the lower coin's heads.
-        law = m0_output_law(src)
-        np.testing.assert_allclose(law, [1 / 3, 2 / 3], atol=1e-15)
-        assert abs(0.6 * law[0] - 0.2) <= 1e-15
 
     def test_trace_length_invariant(self):
         with pytest.raises(ValidationError):

@@ -1,6 +1,10 @@
 import contextlib
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -14,6 +18,8 @@ from mixcomp.measures import Ensemble
 from mixcomp.purify import photographic_negative_ensemble, two_state_purification_rate
 
 from conftest import diag_state, top_product_sum_oracle
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def write_state(path, matrix):
@@ -52,11 +58,16 @@ class TestWireFormats:
             wire.ensemble_from_json({"probs": ["a", "b"], "states": []})
         with pytest.raises(ParseError, match="'states' must be a list"):
             wire.ensemble_from_json({"probs": [1.0], "states": 7})
+        # Each matrix entry must be a JSON number: not "1", not true.
+        for re in ([["1"]], [[True, False], [False, False]]):
+            with pytest.raises(ParseError, match="matrix field 're' is not a numeric grid"):
+                wire.matrix_from_json({"dim": len(re), "re": re})
 
     @pytest.mark.parametrize("argv, text, field", [
         (["entropy"], '{"dim": Infinity, "re": [[1.0]], "im": [[0.0]]}', "'dim'"),
         (["holevo", "--ensemble"], '{"probs": ["a", "b"], "states": []}', "'probs'"),
         (["holevo", "--ensemble"], '{"probs": [1.0], "states": 7}', "'states'"),
+        (["entropy"], '{"dim": 2, "re": [[true, false], [false, false]]}', "'re'"),
     ])
     def test_malformed_field_exits_2(self, tmp_path, capsys, argv, text, field):
         path = tmp_path / "bad.json"
@@ -204,6 +215,38 @@ class TestCliCommands:
         assert payload["global_fid"] >= 1 - 2 * payload["eta"] - 1e-9
         assert 0.0 <= payload["ceiling"] <= 1.0
 
+    @pytest.mark.parametrize("rate", ["100", "1e308"])
+    def test_blocksim_run_past_log2_d_keeps_the_whole_space(self, tmp_path, capsys, rate):
+        ens = Ensemble.from_lists([0.5, 0.5], [diag_state(0.9, 0.1), diag_state(0.1, 0.9)])
+        path = write_ensemble(tmp_path / "e.json", ens)
+        assert main(["blocksim", "run", "--ensemble", path, "--N", "12", "--rate", rate]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["eta"] == 0.0 and payload["realized_rate"] == 1.0
+        assert abs(payload["ceiling"] - 1.0) <= 1e-12
+
+    def test_rate_1e300_runs_in_bounded_memory(self, tmp_path):
+        # At rate 1e300 a count of 2 ** ceil(4e300) would exhaust memory, so the
+        # run is a child process under a 2 GiB address-space limit and a timeout.
+        ens = Ensemble.from_lists([0.5, 0.5], [diag_state(0.9, 0.1), diag_state(0.1, 0.9)])
+        path = write_ensemble(tmp_path / "e.json", ens)
+        script = f"""
+import json, resource
+resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31))
+from mixcomp import blocksim, wire
+from mixcomp.cli import main
+[row] = blocksim.theorem7_demo(wire.load_ensemble({path!r}), 1e300, [4])
+print(json.dumps([row.rate_up, row.scheme_dim, row.eta_plus, row.achieved]))
+raise SystemExit(main(["blocksim", "run", "--ensemble", {path!r}, "--N", "12", "--rate", "1e300"]))
+"""
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(SRC))
+        result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                                text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
+        row, payload = result.stdout.split("\n", 1)
+        assert json.loads(row) == [1e300, 16, 0.0, 1.0]
+        payload = json.loads(payload)
+        assert payload["eta"] == 0.0 and abs(payload["ceiling"] - 1.0) <= 1e-12
+
     def test_blocksim_run_commuting_past_dim_cap(self, tmp_path, capsys):
         # d^N = 65536 > DIM_CAP: the diagonal tables fit their budget, so the
         # sweep is exact and no block-sized matrix is built.
@@ -341,6 +384,28 @@ class TestCliCommands:
             assert peak < 2**20
             for m in mocks:
                 m.assert_not_called()
+
+    @pytest.mark.parametrize("second, options, message", [
+        ([[0.9, 0.2], [0.2, 0.1]], ["--N", "1000", "--mode", "mc", "--samples", "1"],
+         "Monte Carlo work of 1 strings x 2^3003 steps exceeds WORK_BUDGET"),
+        ([[0.9, 0.2], [0.2, 0.1]], ["--N", "5000", "--mode", "mc", "--samples", "1"],
+         "Monte Carlo work of 1 strings x 2^15003 steps exceeds WORK_BUDGET"),
+        (diag_state(0.1, 0.9), ["--N", "20000"],
+         "kept-set mask of 2^20000 elements exceeds DIAGONAL_TABLE_BUDGET"),
+    ], ids=["dense-1000", "dense-5000", "diagonal-20000"])
+    def test_refusals_at_any_block_length_name_sizes_by_exponent(self, tmp_path, capsys,
+                                                               second, options, message):
+        # At N = 5000 and 20000, d^N has more digits than str() converts (4,300).
+        ens = Ensemble.from_lists([0.5, 0.5], [diag_state(0.9, 0.1), second])
+        path = write_ensemble(tmp_path / "e.json", ens)
+        with mock.patch.object(blocksim, "project_patch_scheme") as build:
+            code = main(["blocksim", "run", "--ensemble", path, "--rate", "0.6", *options])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: DimensionOverflow: ") and message in captured.err
+        assert len(captured.err) < 300
+        build.assert_not_called()
 
     @pytest.mark.parametrize("dense, n, mode", [(True, 3, "mc"), (True, 11, "auto"),
                                                 (False, 6, "mc")])

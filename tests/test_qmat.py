@@ -17,7 +17,6 @@ from mixcomp.measures import fidelity, vn_entropy
 from mixcomp.qmat import (
     DensityOperator,
     PureState,
-    basis_state,
     eig_hermitian,
     matrix_sqrt_psd,
     maximally_mixed,
@@ -28,7 +27,6 @@ from mixcomp.qmat import (
     projector,
     tensor,
     tensor_many,
-    trace_out,
 )
 
 from conftest import diag_state
@@ -239,14 +237,6 @@ class TestPartialTrace:
         assert abs(np.real(np.trace(out.matrix)) - 1.0) <= 1e-10
         assert eig_hermitian(out.matrix).eigenvalues.min() >= -1e-9
 
-    def test_trace_out_variant(self, rng):
-        a = sampling.random_density(2, rng)
-        b = sampling.random_density(2, rng)
-        c = sampling.random_density(2, rng)
-        full = tensor_many([a, b, c])
-        out = trace_out(full, [2, 2, 2], drop=1)
-        np.testing.assert_allclose(out.matrix, tensor(a, c).matrix, atol=1e-10)
-
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             partial_trace(maximally_mixed(4), [3, 2], keep=0)
@@ -254,11 +244,11 @@ class TestPartialTrace:
 
 class TestProjector:
     def test_single_basis_vector(self):
-        pi = projector([basis_state(3, 0)])
+        pi = projector([np.eye(3)[0]])
         np.testing.assert_allclose(pi, diag_state(1.0, 0.0, 0.0), atol=1e-14)
 
     def test_full_basis(self):
-        pi = projector([basis_state(3, i) for i in range(3)])
+        pi = projector(list(np.eye(3)))
         np.testing.assert_allclose(pi, np.eye(3), atol=1e-14)
 
     def test_spectral_weight(self, rng):

@@ -132,14 +132,8 @@ CASES = [
      DimensionMismatch, "factor dimensions must be positive, got (-2, -2)"),
     ("keep-index", lambda tmp: qmat.partial_trace(TWO_QUBITS, [2, 2], 2),
      DimensionMismatch, "keep index 2 outside [0, 1]"),
-    ("drop-index", lambda tmp: qmat.trace_out(TWO_QUBITS, [2, 2], 5),
-     DimensionMismatch, "drop index 5 outside [0, 1]"),
-    ("drop-only-factor", lambda tmp: qmat.trace_out(QUBIT, [2], 0),
-     DimensionMismatch, "cannot discard the only factor"),
     ("projector-empty", lambda tmp: qmat.projector([]),
      ValidationError, "projector: need at least one basis vector"),
-    ("basis-index", lambda tmp: qmat.basis_state(3, 3),
-     DimensionMismatch, "basis index 3 outside [0, 2]"),
     # rates
     ("block-epsilon",
      lambda tmp: rates.BlockDiagonalEnsemble.build(0.0, [1.0], [QUBIT], [QUBIT]),
