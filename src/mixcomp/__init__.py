@@ -15,7 +15,6 @@ from .blocksim import (
     ProjectPatchScheme,
     Theorem7Row,
     TypicalSubspace,
-    fidelity_subspace_upper_bound,
     global_fidelity_score,
     lemma_a1_ceiling,
     local_fidelity_score,
@@ -66,16 +65,13 @@ from .qmat import (
     matrix_sqrt_psd,
     partial_trace,
     projector,
-    tensor,
 )
 from .rates import (
     BlockDiagonalEnsemble,
     RateEntry,
     RateReport,
     example11_rate,
-    lower_bound_rate,
     rate_report,
-    upper_bound_rate,
 )
 
 __version__ = "0.1.0"

@@ -42,7 +42,7 @@ from .qmat import (
     kron,
 )
 from .sampling import block_generator
-from .tolerance import PARAM_EPS
+from .tolerance import PARAM_EPS, whole_number
 
 # Work one scoring call may ask for (see _plan), in steps of about 1 ns of
 # one call on one core: 2^36 steps, about 70 s.
@@ -91,10 +91,7 @@ class BlockSource:
 
     @classmethod
     def build(cls, base: Ensemble, n_blocks: int) -> "BlockSource":
-        # Written so that NaN and inf fail; 2.0 is a block length, 2.5 is not.
-        if not (1 <= n_blocks < math.inf and n_blocks == math.floor(n_blocks)):
-            raise DomainError(f"n_blocks must be a whole number >= 1, got {n_blocks}")
-        return cls(base, int(n_blocks))
+        return cls(base, whole_number(n_blocks, "n_blocks", 1))
 
     @property
     def full_dim(self) -> int:
@@ -106,7 +103,7 @@ class BlockSource:
 
 def kron_power_vector(v: np.ndarray, n: int) -> np.ndarray:
     """n-fold Kronecker power of a vector (qmat.kron), at most DIAGONAL_TABLE_BUDGET elements."""
-    v = np.asarray(v, dtype=float)
+    v, n = np.asarray(v, dtype=float), whole_number(n, "n", 1)
     if v.size**n > DIAGONAL_TABLE_BUDGET:
         raise DimensionOverflow(
             f"{v.size}^{n} weights exceed DIAGONAL_TABLE_BUDGET {DIAGONAL_TABLE_BUDGET}"
@@ -184,11 +181,11 @@ def typical_subspace_from_weights(weights: np.ndarray, subspace_dim: int) -> Typ
     w = np.asarray(weights, dtype=float)
     if not np.isfinite(w).all():
         raise ValidationError("typical subspace weights must be finite")
-    if not (1 <= subspace_dim <= w.size):
-        raise DomainError(f"subspace_dim must lie in [1, {w.size}], got {subspace_dim}")
+    subspace_dim = whole_number(subspace_dim, "subspace_dim", 1, w.size)
     order = np.argsort(-w, kind="stable")
     kept = order[:subspace_dim]
-    eta = float(max(0.0, 1.0 - w[kept].sum()))
+    # Keeping every coordinate loses nothing; the sum would only add rounding.
+    eta = 0.0 if subspace_dim == w.size else float(max(0.0, 1.0 - w[kept].sum()))
     kept = np.ascontiguousarray(kept)
     kept.setflags(write=False)
     return TypicalSubspace(full_dim=int(w.size), eta=eta, coordinates=kept)
@@ -232,24 +229,17 @@ def project_and_patch_diagonal(diag: np.ndarray, subspace: TypicalSubspace) -> n
     return out
 
 
-def fidelity_subspace_upper_bound(rho: DensityLike, subspace_dim: int) -> float:
-    """Largest fidelity any state supported on ``subspace_dim`` dimensions can reach.
-
-    Equals the sum of the state's ``subspace_dim`` largest eigenvalues.
-    """
-    return power_spectrum_top_sum(rho, 1, subspace_dim)
-
-
 def power_spectrum_top_sum(base_avg: DensityLike, n_blocks: int, retained: int) -> float:
     """Sum of the ``retained`` largest eigenvalues of the N-fold power of a state.
 
-    The eigenvalues of the power are N-fold products of the base eigenvalues,
-    so no block-sized matrix is ever materialised; their d^N vector is bounded
-    by DIAGONAL_TABLE_BUDGET, like the scheme's (see kron_power_vector).
+    At N = 1 it is the largest fidelity with the state that a state supported
+    on ``retained`` dimensions can reach.  The eigenvalues of the power are
+    N-fold products of the base eigenvalues, so no block-sized matrix is ever
+    materialised; their d^N vector is bounded by DIAGONAL_TABLE_BUDGET, like
+    the scheme's (see kron_power_vector).
     """
     w = kron_power_vector(as_density(base_avg).eigenpairs()[0], n_blocks)
-    if not (1 <= retained <= w.size):
-        raise DomainError(f"retained count {retained} outside [1, {w.size}]")
+    retained = whole_number(retained, "retained count", 1, w.size)
     top = np.partition(w, -retained)[-retained:]
     return float(min(1.0, top.sum()))
 
@@ -308,7 +298,7 @@ class IdentityScheme(ProjectPatchScheme):
     """
 
     def __init__(self, full_dim: int):
-        full_dim = int(full_dim)
+        full_dim = whole_number(full_dim, "full_dim", 1)
         if full_dim > DIAGONAL_TABLE_BUDGET:
             raise DimensionOverflow(
                 f"{full_dim} coordinates exceed DIAGONAL_TABLE_BUDGET {DIAGONAL_TABLE_BUDGET}"
@@ -362,8 +352,10 @@ def _count(x: int) -> str:
 
 
 def _plan(source: BlockSource, keeps_coordinates: bool, mode: str,
-          n_samples: int, workers: int) -> tuple[bool, bool, bool]:
-    """Scoring path of a source written in the scheme's frame: (diagonal, tabled, exact).
+          n_samples: int, workers: int) -> tuple[bool, bool, bool, int, int]:
+    """Scoring path of a source written in the scheme's frame, and the checked counts.
+
+    It returns (diagonal, tabled, exact, n_samples, workers).
 
     ``diagonal``: the diagonal engine applies, because every base state is
     diagonal and the scheme keeps coordinates of this source
@@ -379,10 +371,8 @@ def _plan(source: BlockSource, keeps_coordinates: bool, mode: str,
     """
     if mode not in ("auto", "exact", "mc"):
         raise DomainError(f"mode must be auto|exact|mc, got {mode!r}")
-    if not n_samples >= 1:
-        raise DomainError(f"n_samples must be >= 1, got {n_samples}")
-    if not workers >= 1:
-        raise DomainError(f"workers must be >= 1, got {workers}")
+    n_samples = whole_number(n_samples, "n_samples", 1)
+    workers = whole_number(workers, "workers", 1)
     n, D = source.n_blocks, source.full_dim
     elements = max(len(source.base), source.base.dim) ** n * source.base.dim
     diagonal = keeps_coordinates and bool(source.base.diagonal.all())
@@ -409,7 +399,7 @@ def _plan(source: BlockSource, keeps_coordinates: bool, mode: str,
             f"{'exact sweep' if exact else 'Monte Carlo'} work of {_count(scored)} strings x "
             f"{_count(per_string)} steps exceeds WORK_BUDGET {WORK_BUDGET} and {reason()}"
         )
-    return diagonal, tabled, exact
+    return diagonal, tabled, exact, n_samples, workers
 
 
 def project_patch_plan(source: BlockSource, mode: str, n_samples: int = DEFAULT_MC_SAMPLES,
@@ -417,11 +407,11 @@ def project_patch_plan(source: BlockSource, mode: str, n_samples: int = DEFAULT_
     """How the project-and-patch scheme of this source would be scored in a mode.
 
     It needs only the base states, so a request over the memory or work
-    bounds of ``_plan``, or one with a sample or worker count below 1, is
-    refused before the scheme's d^N weights are built.
+    bounds of ``_plan``, or one whose sample or worker count is not a whole
+    number >= 1, is refused before the scheme's d^N weights are built.
     """
     _, frame = _weights_and_frame(source.base.average(), source.base.diagonal.all())
-    return _plan(_in_frame(source, frame), True, mode, n_samples, workers)
+    return _plan(_in_frame(source, frame), True, mode, n_samples, workers)[:3]
 
 
 # Global and local score of every string; local is None when not wanted.
@@ -632,7 +622,8 @@ def _scores(source: BlockSource, scheme: Scheme, want_local: bool, mode: str,
     source = _in_frame(source, scheme.frame)
     keeps_coordinates = (isinstance(scheme, ProjectPatchScheme)
                          and scheme.subspace.full_dim == source.full_dim)
-    diagonal, tabled, exact = _plan(source, keeps_coordinates, mode, n_samples, workers)
+    diagonal, tabled, exact, n_samples, workers = _plan(source, keeps_coordinates, mode,
+                                                        n_samples, workers)
     tables = None
     if diagonal:
         P, mask, x0 = _diagonal_inputs(source, scheme)

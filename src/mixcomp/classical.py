@@ -17,15 +17,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    DimensionOverflow,
-    DomainError,
-    ValidationError,
-)
+from .errors import DimensionMismatch, ValidationError
 from .measures import Ensemble, as_prob_vector, shannon_entropy
 from .sampling import block_generator
-from .tolerance import UNIT_TOL
+from .tolerance import UNIT_TOL, whole_number
 
 #: Message codes in protocol traces.
 M0, M1, M2 = 0, 1, 2
@@ -195,14 +190,7 @@ def example9_simulate(src: CoinSource, n_tosses: int, seed: int = 0) -> Protocol
     alpha2 = 1 runs through the identity messages only (the shared message
     has probability zero).
     """
-    if n_tosses < 1:
-        raise DomainError(f"n_tosses must be >= 1, got {n_tosses}")
-    # Written so that NaN fails; 10.0 is a toss count, 10.5 is not.
-    if not n_tosses == np.floor(n_tosses):
-        raise DomainError(f"n_tosses must be a whole number, got {n_tosses}")
-    if n_tosses > TOSS_CAP:
-        raise DimensionOverflow(f"n_tosses {n_tosses} exceeds TOSS_CAP {TOSS_CAP}")
-    n_tosses = int(n_tosses)
+    n_tosses = whole_number(n_tosses, "n_tosses", 1, cap=("TOSS_CAP", TOSS_CAP))
     s, swapped = orient_coins(src)
     m0_prob = 1.0 - s.alpha2 + s.alpha1
     heads_if_m0 = s.alpha1 / m0_prob if m0_prob > 0.0 else 0.0

@@ -17,9 +17,10 @@ import sys
 
 import numpy as np
 
-from . import blocksim, classical, purify, rates, wire
+from . import blocksim, classical, purify, rates, sampling, wire
 from .errors import DimensionOverflow, DomainError, MixcompError
 from .measures import fidelity, holevo, vn_entropy
+from .tolerance import whole_number
 
 #: Most rows ``classical compare`` takes a --grid-step for: steps down to 1e-4,
 #: at about 0.5 ms a row.
@@ -277,6 +278,9 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
+        # Echoed or drawn from, a seed no Philox stream could take is refused before any work.
+        if "seed" in vars(args):
+            whole_number(args.seed, "seed", 0, sampling.SEED_MAX)
         result = args.func(args)
     except MixcompError as exc:
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")

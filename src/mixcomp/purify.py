@@ -22,10 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionOverflow, DomainError, NotCommuting, ValidationError
+from .errors import DomainError, NotCommuting, ValidationError
 from .measures import Ensemble, _entropy_bracket, entropy_of_spectrum
 from .qmat import DensityLike, DensityOperator, PureState, _eig, as_density, commuting, kron
-from .tolerance import PHASE_FLOOR, STRUCTURE_TOL, max_abs
+from .tolerance import PHASE_FLOOR, STRUCTURE_TOL, max_abs, whole_number
 
 #: Largest d of the hole-pattern ensemble.  What bounds d is the ensemble itself: its
 #: one (d, d, d) complex stack takes 256 MiB at d = 256, and its reports copy none of it.
@@ -189,15 +189,7 @@ def photographic_negative_ensemble(d: int) -> Ensemble:
     construction, so their one (d, d, d) stack is held without validation;
     it equals what ``Ensemble.from_lists`` builds from them, bit for bit.
     """
-    if d < 3:
-        raise DomainError(f"photographic negative ensemble needs d >= 3, got {d}")
-    # Written so that NaN fails; 4.0 is a dimension, 4.5 is not.
-    if not d == np.floor(d):
-        raise DomainError(f"photographic negative ensemble needs a whole number d, got {d}")
-    if d > HOLE_DIM_CAP:
-        raise DimensionOverflow(f"photographic negative ensemble d = {d} exceeds HOLE_DIM_CAP "
-                                f"{HOLE_DIM_CAP}")
-    d = int(d)
+    d = whole_number(d, "photographic negative ensemble d", 3, cap=("HOLE_DIM_CAP", HOLE_DIM_CAP))
     i = np.arange(d)
     stack = np.zeros((d, d, d), dtype=complex)
     stack[:, i, i] = 1.0 / (d - 1)
@@ -228,7 +220,7 @@ def photographic_negative_report(d: int) -> PhotographicNegativeReport:
     made but the d x d Gram matrix's.
     """
     ensemble = photographic_negative_ensemble(d)
-    spec = _purification_spectrum(ensemble)
+    d, spec = ensemble.dim, _purification_spectrum(ensemble)
 
     expected = np.concatenate([[(d - 1) / d], np.full(d - 1, 1.0 / (d * (d - 1)))])
     defect = max_abs(spec - expected)

@@ -34,6 +34,7 @@ from .tolerance import (
     STRUCTURE_TOL,
     UNIT_TOL,
     max_abs,
+    whole_number,
 )
 
 #: Largest dimension of any dense operator the package builds: tensor
@@ -319,11 +320,6 @@ def kron(factors: Sequence[np.ndarray]) -> np.ndarray:
     return out.transpose((*range(0, 2 * n, 2), *range(1, 2 * n, 2))).reshape(dim, dim)
 
 
-def tensor(a: DensityLike, b: DensityLike) -> DensityOperator:
-    """Kronecker product of two density operators, at most DIM_CAP dimensions."""
-    return tensor_many([a, b])
-
-
 def tensor_many(states: Sequence[DensityLike]) -> DensityOperator:
     """Kronecker product of a sequence of density operators, left to right, at most DIM_CAP."""
     if not states:
@@ -371,8 +367,8 @@ def partial_trace(s: DensityLike, dims: Sequence[int], keep: int) -> DensityOper
     ``dims`` lists the factor dimensions whose product matches dim(s).
     """
     rho = as_density(s)
-    dims = _check_dims(rho.dim, dims)
-    if not (0 <= keep < len(dims)):
+    dims, keep = _check_dims(rho.dim, dims), whole_number(keep, "keep index")
+    if keep >= len(dims):
         raise DimensionMismatch(f"keep index {keep} outside [0, {len(dims) - 1}]")
     return DensityOperator._wrap(_marginals(rho.matrix, dims)[keep])
 
@@ -399,4 +395,5 @@ def projector(basis_vectors: Sequence[PureState | np.ndarray]) -> np.ndarray:
 
 
 def maximally_mixed(dim: int) -> DensityOperator:
+    dim = whole_number(dim, "dim", 1, cap=("DIM_CAP", DIM_CAP))
     return DensityOperator._wrap(np.eye(dim, dtype=complex) / dim)

@@ -22,7 +22,6 @@ from .measures import (
     _entropy_bracket,
     as_prob_vector,
     entropy_of_spectrum,
-    holevo,
     shannon_entropy,
     vn_entropy,
 )
@@ -76,16 +75,6 @@ class RateReport:
 
     def scheme_rates(self) -> list[RateEntry]:
         return [e for e in self.entries if e.kind == "scheme_rate"]
-
-
-def upper_bound_rate(ensemble: Ensemble) -> float:
-    """Mean-state entropy S(sum_i p_i rho_i): always achievable, in bits/signal."""
-    return vn_entropy(ensemble.average())
-
-
-def lower_bound_rate(ensemble: Ensemble) -> float:
-    """Holevo quantity chi: no scheme can beat it."""
-    return holevo(ensemble)
 
 
 @dataclass(frozen=True, eq=False)

@@ -11,10 +11,15 @@ import numpy as np
 
 from .measures import Ensemble, Povm
 from .qmat import DensityOperator, PureState, dagger
+from .tolerance import whole_number
+
+#: Largest seed: a seed is one 64-bit Philox key word.
+SEED_MAX = 2**64 - 1
 
 
 def generator(seed: int) -> np.random.Generator:
-    """Generator on the counter-based Philox stream for a run seed."""
+    """Generator on the counter-based Philox stream for a run seed, a whole number in [0, 2^64)."""
+    seed = whole_number(seed, "seed", 0, SEED_MAX)
     return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
 
 
@@ -24,6 +29,7 @@ def block_generator(seed: int, block: int) -> np.random.Generator:
     Streams are keyed by (seed, block), so the sequence drawn for a block does
     not depend on how many workers consume the blocks.
     """
+    seed = whole_number(seed, "seed", 0, SEED_MAX)
     return np.random.Generator(
         np.random.Philox(key=np.array([seed, block], dtype=np.uint64))
     )

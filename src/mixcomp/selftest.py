@@ -46,7 +46,7 @@ def qmat_suite(seed: int = 0, trials: int = 20) -> SuiteResult:
         res.check(float(np.max(np.abs(root @ root - rho.matrix))) <= 1e-8,
                   "matrix square root squares back")
         other = sampling.random_density(int(rng.integers(2, 5)), rng)
-        prod = qmat.tensor(rho, other)
+        prod = qmat.tensor_many([rho, other])
         res.check(abs(float(np.real(np.trace(prod.matrix))) - 1.0) <= 1e-10,
                   "tensor product preserves unit trace")
         back = qmat.partial_trace(prod, [rho.dim, other.dim], keep=0)
@@ -180,7 +180,7 @@ def blocksim_suite(seed: int = 4, trials: int = 15) -> SuiteResult:
         dim = int(rng.integers(2, 9))
         rho = sampling.random_density(dim, rng)
         k = int(rng.integers(1, dim + 1))
-        bound = blocksim.fidelity_subspace_upper_bound(rho, k)
+        bound = blocksim.power_spectrum_top_sum(rho, 1, k)
         supported = sampling.random_state_on_subspace(
             sampling.random_subspace(dim, k, rng), rng
         )
@@ -231,8 +231,8 @@ def rates_suite(seed: int = 5, trials: int = 25) -> SuiteResult:
     for _ in range(trials):
         dim = int(rng.integers(2, 7))
         ens = sampling.random_ensemble(dim, int(rng.integers(1, 6)), rng)
-        lo = rates.lower_bound_rate(ens)
-        hi = rates.upper_bound_rate(ens)
+        lo = measures.holevo(ens)
+        hi = measures.vn_entropy(ens.average())
         res.check(lo <= hi + 1e-8, "Holevo bound below mean-state entropy")
         res.check(hi <= np.log2(dim) + 1e-9, "mean-state entropy below log2(dim)")
         report = rates.rate_report(ens)

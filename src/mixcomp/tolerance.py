@@ -7,11 +7,19 @@ written ``defect <= tolerance``, which NaN fails; the form ``defect > tolerance`
 would let NaN through.  A float defect is compared directly and an array
 elementwise, so the common scalar gate costs no array round trip.  No
 function takes a tolerance argument: a check picks its role here.
+
+Every count, size, index and seed a caller gives passes ``whole_number``, the
+one whole-number rule.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
+
 import numpy as np
+
+from .errors import DimensionOverflow, DomainError
 
 
 class Tolerance(float):
@@ -60,3 +68,24 @@ PHASE_FLOOR = Tolerance(1e-12)
 #: Rounding slack on real parameters a caller gives: the rate 0.1 * 3 at N = 10
 #: gives rate * N = 3.0000000000000004, whose ceil must be 3, not 4.
 PARAM_EPS = Tolerance(1e-9)
+
+
+def whole_number(value, name: str, low: int = 0, high: float = math.inf,
+                 cap: tuple[str, int] | None = None) -> int:
+    """A count, size, index or seed as an int, refused unless it is a whole number in [low, high].
+
+    Python and numpy integers pass, and so do integral floats such as 2.0.
+    NaN, the infinities, bools, fractions, non-numbers and values outside
+    [low, high] raise DomainError.  ``cap`` is one of the package's named size
+    bounds, as (name, value); a value above it raises DimensionOverflow.
+    """
+    # Written so that NaN and the infinities fail before floor is taken.
+    whole = isinstance(value, numbers.Integral) or (
+        isinstance(value, numbers.Real) and abs(value) < math.inf and value == math.floor(value))
+    if not whole or isinstance(value, bool) or not low <= int(value) <= high:
+        within = f">= {low}" if high == math.inf else f"in [{low}, {high}]"
+        raise DomainError(f"{name} must be a whole number {within}, got {value}")
+    value = int(value)
+    if cap is not None and value > cap[1]:
+        raise DimensionOverflow(f"{name} = {value} exceeds {cap[0]} {cap[1]}")
+    return value

@@ -17,10 +17,10 @@ from mixcomp.blocksim import (
     FixedOutputScheme,
     IdentityScheme,
     ceiling_subspace_dim,
-    fidelity_subspace_upper_bound,
     global_fidelity_score,
     lemma_a1_ceiling,
     local_fidelity_score,
+    power_spectrum_top_sum,
     project_and_patch,
     project_patch_scheme,
     scheme_subspace_dim,
@@ -181,10 +181,10 @@ class TestProjectAndPatch:
 class TestLemmaA1Bound:
     def test_full_dimension(self, rng):
         rho = sampling.random_density(4, rng)
-        assert abs(fidelity_subspace_upper_bound(rho, 4) - 1.0) <= 1e-10
+        assert abs(power_spectrum_top_sum(rho, 1, 4) - 1.0) <= 1e-10
 
     def test_flat_spectrum(self):
-        assert abs(fidelity_subspace_upper_bound(maximally_mixed(4), 1) - 0.25) <= 1e-12
+        assert abs(power_spectrum_top_sum(maximally_mixed(4), 1, 1) - 0.25) <= 1e-12
 
     def test_random_supported_states(self, rng):
         for _ in range(60):
@@ -193,7 +193,7 @@ class TestLemmaA1Bound:
             k = int(rng.integers(1, d + 1))
             basis = sampling.random_subspace(d, k, rng)
             supported = sampling.random_state_on_subspace(basis, rng)
-            assert fidelity(rho, supported) <= fidelity_subspace_upper_bound(rho, k) + 1e-8
+            assert fidelity(rho, supported) <= power_spectrum_top_sum(rho, 1, k) + 1e-8
 
 
 class TestScores:
@@ -402,7 +402,8 @@ def dense_basis_oracle(source: BlockSource, rate: float):
         reduce(np.kron, [spec.eigenvectors[:, j] for j in np.unravel_index(flat, (d,) * n)])
         for flat in order
     ])
-    eta = float(max(0.0, 1.0 - w[order].sum()))
+    # Keeping the whole space loses nothing: eta is 0, not the sum's rounding.
+    eta = 0.0 if k == w.size else float(max(0.0, 1.0 - w[order].sum()))
     scores = {}
     for string in itertools.product(range(len(base)), repeat=n):
         sigma = reduce(np.kron, [base.states[i].matrix for i in string])
@@ -508,6 +509,23 @@ class TestEigenframeSubspace:
         assert scheme.frame.shape == (2, 2)
         np.testing.assert_array_equal(np.sort(scheme.subspace.coordinates), np.arange(4096))
         assert scheme.subspace.eta <= 1e-12
+
+
+class TestWholeSpaceEta:
+    """Keeping every coordinate leaves no tail: eta is exactly 0, not the rounding of a sum."""
+
+    @pytest.mark.parametrize("first", [[[0.9, 0.2], [0.2, 0.1]], diag_state(0.9, 0.1)],
+                             ids=["dense", "diagonal"])
+    def test_whole_space_rate(self, first):
+        base = Ensemble.from_lists([0.5, 0.5], [first, diag_state(0.3, 0.7)])
+        scheme = project_patch_scheme(BlockSource.build(base, 6), 100.0)
+        assert scheme.channel_dim == 64
+        assert scheme.subspace.eta == 0.0
+
+    def test_all_weights_kept(self):
+        # 0.6 + 0.3 + 0.1 sums to 0.9999999999999999 in floating point.
+        assert typical_subspace_from_weights([0.6, 0.3, 0.1], 3).eta == 0.0
+        assert typical_subspace_from_weights([0.6, 0.3, 0.1], 2).eta > 0.0
 
 
 class TestBlockLength:
@@ -661,8 +679,8 @@ def untabled_plan():
     plan = blocksim._plan
 
     def untabled(*args):
-        diagonal, _, exact = plan(*args)
-        return diagonal, False, exact
+        diagonal, _, exact, *counts = plan(*args)
+        return diagonal, False, exact, *counts
 
     return mock.patch.object(blocksim, "_plan", untabled)
 

@@ -149,9 +149,9 @@ class TestCliCommands:
         (["classical", "compare", "--grid-step=5e-324"],
          "--grid-step 5e-324 gives more than GRID_ROW_CAP 5001 grid rows"),
         (["classical", "simulate", "--n", "10000001"],
-         "n_tosses 10000001 exceeds TOSS_CAP 10000000"),
+         "n_tosses = 10000001 exceeds TOSS_CAP 10000000"),
         (["classical", "simulate", "--n", "10000000000"],
-         "n_tosses 10000000000 exceeds TOSS_CAP 10000000"),
+         "n_tosses = 10000000000 exceeds TOSS_CAP 10000000"),
         (["purify", "report", "--dim", "257"],
          "photographic negative ensemble d = 257 exceeds HOLE_DIM_CAP 256"),
         (["purify", "report", "--dim", "1024"],
@@ -199,6 +199,26 @@ class TestCliCommands:
         assert payload["n_tosses"] == 2000
         counts = payload["message_counts"]
         assert counts["M0"] + counts["M1"] + counts["M2"] == 2000
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    @pytest.mark.parametrize("command", ["blocksim", "blocksim-exact", "classical", "selftest",
+                                         "rates"])
+    def test_seed_outside_a_philox_key_exits_2(self, tmp_path, capsys, command, seed):
+        # A seed is a 64-bit Philox key word: one outside [0, 2^64) is refused,
+        # also where it is only echoed, and before the scheme is built.
+        ens = write_ensemble(tmp_path / "e.json", Ensemble.from_lists(
+            [0.5, 0.5], [diag_state(0.9, 0.1), diag_state(0.1, 0.9)]))
+        run = ["blocksim", "run", "--ensemble", ens, "--N", "4", "--rate", "0.5", "--mode"]
+        argv = {"blocksim": [*run, "mc"], "blocksim-exact": [*run, "exact"],
+                "classical": ["classical", "simulate", "--n", "100"],
+                "selftest": ["selftest"], "rates": ["rates", "report", "--ensemble", ens]}[command]
+        with mock.patch.object(blocksim, "project_patch_scheme") as scheme:
+            assert main([*argv, "--seed", seed]) == 2
+        scheme.assert_not_called()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: DomainError: seed must be a whole number in [0, {2**64 - 1}], got {seed}\n")
 
     def test_blocksim_run(self, tmp_path, capsys):
         ens = Ensemble.from_lists(
@@ -445,16 +465,18 @@ raise SystemExit(main(["blocksim", "run", "--ensemble", {path!r}, "--N", "12", "
                          "--mode", mode, "--samples", samples])
         assert code == 2
         assert capsys.readouterr().err == (
-            f"error: DomainError: n_samples must be >= 1, got {samples}\n")
+            f"error: DomainError: n_samples must be a whole number >= 1, got {samples}\n")
         scheme.assert_not_called()
 
     @pytest.mark.parametrize("option, message", [
         (["--rate", "nan"], "rate must be finite"),
         (["--rate", "inf"], "rate must be finite"),
-        (["--rate", "0.8", "--mode", "mc", "--samples", "0"], "n_samples must be >= 1"),
-        (["--rate", "0.8", "--mode", "mc", "--samples", "-3"], "n_samples must be >= 1"),
-        (["--rate", "0.8", "--workers", "0"], "workers must be >= 1, got 0"),
-        (["--rate", "0.8", "--workers", "-3"], "workers must be >= 1, got -3"),
+        (["--rate", "0.8", "--mode", "mc", "--samples", "0"],
+         "n_samples must be a whole number >= 1, got 0"),
+        (["--rate", "0.8", "--mode", "mc", "--samples", "-3"],
+         "n_samples must be a whole number >= 1, got -3"),
+        (["--rate", "0.8", "--workers", "0"], "workers must be a whole number >= 1, got 0"),
+        (["--rate", "0.8", "--workers", "-3"], "workers must be a whole number >= 1, got -3"),
     ])
     def test_blocksim_run_rejects_bad_rates_and_sample_counts(self, tmp_path, capsys,
                                                               option, message):

@@ -25,7 +25,6 @@ from mixcomp.qmat import (
     _spectrum_root,
     is_diagonal,
     projector,
-    tensor,
     tensor_many,
 )
 
@@ -198,23 +197,23 @@ class TestDensityOperator:
 
 class TestTensor:
     def test_mixed_pair(self):
-        out = tensor(maximally_mixed(2), maximally_mixed(2))
+        out = tensor_many([maximally_mixed(2), maximally_mixed(2)])
         np.testing.assert_allclose(out.matrix, np.eye(4) / 4, atol=1e-14)
 
     def test_basis_product(self):
-        out = tensor(diag_state(1.0, 0.0), diag_state(0.0, 1.0))
+        out = tensor_many([diag_state(1.0, 0.0), diag_state(0.0, 1.0)])
         np.testing.assert_allclose(out.matrix, diag_state(0.0, 1.0, 0.0, 0.0), atol=1e-14)
 
     def test_trace_multiplicative(self, rng):
         for _ in range(5):
             a = sampling.random_density(3, rng)
             b = sampling.random_density(2, rng)
-            assert abs(np.real(np.trace(tensor(a, b).matrix)) - 1.0) <= 1e-12
+            assert abs(np.real(np.trace(tensor_many([a, b]).matrix)) - 1.0) <= 1e-12
 
     def test_dimension_cap(self):
         # 65 * 64 = 4160 > DIM_CAP = 4096.
         with pytest.raises(DimensionOverflow, match="DIM_CAP"):
-            tensor(maximally_mixed(65), maximally_mixed(64))
+            tensor_many([maximally_mixed(65), maximally_mixed(64)])
 
 
 class TestPartialTrace:
@@ -226,9 +225,9 @@ class TestPartialTrace:
     def test_product_state_exact(self, rng):
         a = sampling.random_density(3, rng)
         b = sampling.random_density(2, rng)
-        out = partial_trace(tensor(a, b), [3, 2], keep=0)
+        out = partial_trace(tensor_many([a, b]), [3, 2], keep=0)
         assert np.max(np.abs(out.matrix - a.matrix)) <= 1e-10
-        out = partial_trace(tensor(a, b), [3, 2], keep=1)
+        out = partial_trace(tensor_many([a, b]), [3, 2], keep=1)
         assert np.max(np.abs(out.matrix - b.matrix)) <= 1e-10
 
     def test_three_qubit_marginal_valid(self, rng):

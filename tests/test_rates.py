@@ -23,9 +23,7 @@ from mixcomp.rates import (
     _detect_block_split,
     _zero_block_splits,
     example11_rate,
-    lower_bound_rate,
     rate_report,
-    upper_bound_rate,
 )
 from mixcomp.tolerance import STRUCTURE_TOL
 
@@ -47,41 +45,41 @@ def block_states(epsilons, sigmas, tau) -> list[np.ndarray]:
 class TestBounds:
     def test_single_maximally_mixed(self):
         ens = Ensemble.from_lists([1.0], [maximally_mixed(2)])
-        assert abs(upper_bound_rate(ens) - 1.0) <= 1e-12
-        assert lower_bound_rate(ens) <= 1e-12
+        assert abs(vn_entropy(ens.average()) - 1.0) <= 1e-12
+        assert holevo(ens) <= 1e-12
 
     def test_single_pure_state(self, rng):
         psi = sampling.random_pure_state(3, rng).projector()
         ens = Ensemble.from_lists([1.0], [psi])
-        assert upper_bound_rate(ens) <= 1e-9
-        assert lower_bound_rate(ens) <= 1e-9
+        assert vn_entropy(ens.average()) <= 1e-9
+        assert holevo(ens) <= 1e-9
 
     def test_orthogonal_supports(self, rng):
         ens = orthogonally_supported_ensemble(rng)
-        assert abs(lower_bound_rate(ens) - shannon_entropy(ens.probs)) <= 1e-8
+        assert abs(holevo(ens) - shannon_entropy(ens.probs)) <= 1e-8
         expected_upper = shannon_entropy(ens.probs) + sum(
             p * vn_entropy(s) for p, s in zip(ens.probs, ens.states)
         )
-        assert abs(upper_bound_rate(ens) - expected_upper) <= 1e-8
+        assert abs(vn_entropy(ens.average()) - expected_upper) <= 1e-8
 
     @pytest.mark.parametrize("d", [3, 5, 8])
     def test_hole_pattern_bounds(self, d):
         ens = photographic_negative_ensemble(d)
-        assert abs(upper_bound_rate(ens) - math.log2(d)) <= 1e-10
-        assert abs(lower_bound_rate(ens) - (-math.log2(1 - 1 / d))) <= 1e-9
+        assert abs(vn_entropy(ens.average()) - math.log2(d)) <= 1e-10
+        assert abs(holevo(ens) - (-math.log2(1 - 1 / d))) <= 1e-9
 
     def test_ordering_on_random_ensembles(self, rng):
         for _ in range(50):
             d = int(rng.integers(2, 7))
             ens = sampling.random_ensemble(d, int(rng.integers(1, 6)), rng)
-            lo, hi = lower_bound_rate(ens), upper_bound_rate(ens)
+            lo, hi = holevo(ens), vn_entropy(ens.average())
             assert 0.0 <= lo <= hi + 1e-8
             assert hi <= math.log2(d) + 1e-9
 
     def test_pure_state_ensemble_collapse(self, rng):
         states = [sampling.random_pure_state(3, rng).projector() for _ in range(4)]
         ens = Ensemble.from_lists(sampling.random_prob_vector(4, rng), states)
-        assert abs(lower_bound_rate(ens) - upper_bound_rate(ens)) <= 1e-8
+        assert abs(holevo(ens) - vn_entropy(ens.average())) <= 1e-8
 
 
 class TestExample11:
@@ -276,7 +274,7 @@ class TestRateReport:
             d = int(rng.integers(2, 7))
             ens = sampling.random_ensemble(d, int(rng.integers(1, 6)), rng)
             report = rate_report(ens)
-            lo = lower_bound_rate(ens)
+            lo = holevo(ens)
             for entry in report.scheme_rates():
                 assert entry.rate >= lo - 1e-8
 

@@ -1,13 +1,15 @@
 """Refusals: each input check raises its own error type and names its invariant.
 
-One case per ``raise`` site that no behaviour test reaches.  Each case calls
-the public entry point with an input that breaks exactly one invariant.
+One case per ``raise`` site that no behaviour test reaches, and one per
+count, size, index or seed argument that ``tolerance.whole_number`` refuses.
+Each case calls the public entry point with an input that breaks exactly one
+invariant.
 """
 
 import numpy as np
 import pytest
 
-from mixcomp import blocksim, classical, measures, purify, qmat, rates, wire
+from mixcomp import blocksim, classical, measures, purify, qmat, rates, sampling, wire
 from mixcomp.errors import (
     DimensionMismatch,
     DimensionOverflow,
@@ -50,7 +52,7 @@ CASES = [
     ("block-length", lambda tmp: blocksim.BlockSource.build(uniform_ensemble(QUBIT), 0),
      DomainError, "n_blocks must be a whole number >= 1, got 0"),
     ("retained-count", lambda tmp: blocksim.power_spectrum_top_sum(QUBIT, 2, 5),
-     DomainError, "retained count 5 outside [1, 4]"),
+     DomainError, "retained count must be a whole number in [1, 4], got 5"),
     ("identity-scheme-budget",
      lambda tmp: blocksim.IdentityScheme(blocksim.DIAGONAL_TABLE_BUDGET + 1),
      DimensionOverflow, "coordinates exceed DIAGONAL_TABLE_BUDGET"),
@@ -64,7 +66,32 @@ CASES = [
     ("workers-below-one",
      lambda tmp: blocksim.global_fidelity_score(
          qubit_source(), blocksim.project_patch_scheme(qubit_source(), 0.5), workers=0),
-     DomainError, "workers must be >= 1, got 0"),
+     DomainError, "workers must be a whole number >= 1, got 0"),
+    ("identity-scheme-empty", lambda tmp: blocksim.IdentityScheme(0),
+     DomainError, "full_dim must be a whole number >= 1, got 0"),
+    ("identity-scheme-fraction", lambda tmp: blocksim.IdentityScheme(2.5),
+     DomainError, "full_dim must be a whole number >= 1, got 2.5"),
+    ("kron-power-zero", lambda tmp: blocksim.kron_power_vector([0.5, 0.5], 0),
+     DomainError, "n must be a whole number >= 1, got 0"),
+    ("power-spectrum-zero", lambda tmp: blocksim.power_spectrum_top_sum(QUBIT, 0, 1),
+     DomainError, "n must be a whole number >= 1, got 0"),
+    ("power-spectrum-negative", lambda tmp: blocksim.power_spectrum_top_sum(QUBIT, -1, 1),
+     DomainError, "n must be a whole number >= 1, got -1"),
+    ("retained-fraction", lambda tmp: blocksim.power_spectrum_top_sum(QUBIT, 2, 1.5),
+     DomainError, "retained count must be a whole number in [1, 4], got 1.5"),
+    ("typical-dim-fraction", lambda tmp: blocksim.typical_subspace(QUTRIT, 2.5),
+     DomainError, "subspace_dim must be a whole number in [1, 3], got 2.5"),
+    ("typical-weights-dim-fraction",
+     lambda tmp: blocksim.typical_subspace_from_weights([0.5, 0.5], 1.5),
+     DomainError, "subspace_dim must be a whole number in [1, 2], got 1.5"),
+    ("samples-fraction",
+     lambda tmp: blocksim.global_fidelity_score(
+         qubit_source(), blocksim.project_patch_scheme(qubit_source(), 0.5), "mc", 2.5),
+     DomainError, "n_samples must be a whole number >= 1, got 2.5"),
+    ("workers-fraction",
+     lambda tmp: blocksim.local_fidelity_score(
+         qubit_source(), blocksim.project_patch_scheme(qubit_source(), 0.5), workers=1.5),
+     DomainError, "workers must be a whole number >= 1, got 1.5"),
     ("typical-weights-nan", lambda tmp: blocksim.typical_subspace_from_weights([np.nan, 1.0], 1),
      ValidationError, "typical subspace weights must be finite"),
     ("typical-weights-inf", lambda tmp: blocksim.typical_subspace_from_weights([np.inf, 1.0], 1),
@@ -79,13 +106,13 @@ CASES = [
      ValidationError, "coin priors must sum to 1"),
     ("toss-count",
      lambda tmp: classical.example9_simulate(classical.CoinSource(0.5, 0.5, 0.2, 0.5), 0),
-     DomainError, "n_tosses must be >= 1, got 0"),
+     DomainError, "n_tosses must be a whole number >= 1, got 0"),
     ("toss-count-nan",
      lambda tmp: classical.example9_simulate(classical.CoinSource(0.5, 0.5, 0.2, 0.5), np.nan),
-     DomainError, "n_tosses must be a whole number, got nan"),
+     DomainError, "n_tosses must be a whole number >= 1, got nan"),
     ("toss-count-fraction",
      lambda tmp: classical.example9_simulate(classical.CoinSource(0.5, 0.5, 0.2, 0.5), 10.5),
-     DomainError, "n_tosses must be a whole number, got 10.5"),
+     DomainError, "n_tosses must be a whole number >= 1, got 10.5"),
     # measures
     ("prob-empty", lambda tmp: measures.as_prob_vector([], "p"),
      ValidationError, "p: must be non-empty"),
@@ -122,10 +149,22 @@ CASES = [
      InvalidPovm, "POVM dimension 2 does not match state dimension 3"),
     # purify
     ("hole-dim-nan", lambda tmp: purify.photographic_negative_ensemble(np.nan),
-     DomainError, "photographic negative ensemble needs a whole number d, got nan"),
+     DomainError, "photographic negative ensemble d must be a whole number >= 3, got nan"),
     ("hole-dim-fraction", lambda tmp: purify.photographic_negative_ensemble(4.5),
-     DomainError, "photographic negative ensemble needs a whole number d, got 4.5"),
+     DomainError, "photographic negative ensemble d must be a whole number >= 3, got 4.5"),
+    ("hole-report-fraction", lambda tmp: purify.photographic_negative_report(4.5),
+     DomainError, "photographic negative ensemble d must be a whole number >= 3, got 4.5"),
     # qmat
+    ("mixed-empty", lambda tmp: qmat.maximally_mixed(0),
+     DomainError, "dim must be a whole number >= 1, got 0"),
+    ("mixed-negative", lambda tmp: qmat.maximally_mixed(-1),
+     DomainError, "dim must be a whole number >= 1, got -1"),
+    ("mixed-fraction", lambda tmp: qmat.maximally_mixed(2.5),
+     DomainError, "dim must be a whole number >= 1, got 2.5"),
+    ("mixed-dim-cap", lambda tmp: qmat.maximally_mixed(100000),
+     DimensionOverflow, f"dim = 100000 exceeds DIM_CAP {qmat.DIM_CAP}"),
+    ("keep-index-fraction", lambda tmp: qmat.partial_trace(TWO_QUBITS, [2, 2], 0.5),
+     DomainError, "keep index must be a whole number >= 0, got 0.5"),
     ("tensor-empty", lambda tmp: qmat.tensor_many([]),
      ValidationError, "tensor_many: need at least one factor"),
     ("factor-dims-positive", lambda tmp: qmat.partial_trace(TWO_QUBITS, [-2, -2], 0),
@@ -150,6 +189,12 @@ CASES = [
     ("block-prior-length",
      lambda tmp: rates.BlockDiagonalEnsemble.build(0.5, [0.2, 0.3, 0.5], [QUBIT] * 2, [QUBIT] * 2),
      ValidationError, "priors length must match the number of states"),
+    # sampling: a seed is a Philox key word, a whole number in [0, 2^64)
+    *[(f"{name}-{seed}", lambda tmp, make=make, seed=seed: make(seed),
+       DomainError, f"seed must be a whole number in [0, {2**64 - 1}], got {seed}")
+      for name, make in (("seed", sampling.generator),
+                         ("block-seed", lambda seed: sampling.block_generator(seed, 0)))
+      for seed in (-1, 2**64, np.nan, 1.5)],
     # wire
     ("matrix-not-object", lambda tmp: wire.matrix_from_json([1, 2], "s"),
      ParseError, "s: expected a JSON object with dim/re/im"),
@@ -174,3 +219,26 @@ def test_refusal_names_its_invariant(tmp_path, call, error, fragment):
         call(tmp_path)
     assert info.type is error
     assert fragment in str(info.value)
+
+
+# (id, call of a whole number w, w): an integral float gives what its int gives.
+WHOLE_FLOATS = [
+    ("mixed-dim", lambda w: qmat.maximally_mixed(w).matrix, 2),
+    ("kron-power", lambda w: blocksim.kron_power_vector([0.3, 0.7], w), 2),
+    ("power-spectrum", lambda w: blocksim.power_spectrum_top_sum(QUTRIT, w, w), 2),
+    ("typical-dim", lambda w: blocksim.typical_subspace(QUTRIT, w).coordinates, 2),
+    ("typical-weights-dim",
+     lambda w: blocksim.typical_subspace_from_weights([0.2, 0.5, 0.3], w).coordinates, 2),
+    ("keep-index", lambda w: qmat.partial_trace(TWO_QUBITS, [2, 2], w).matrix, 1),
+    ("hole-report", lambda w: purify.photographic_negative_report(w).mixture_spectrum, 4),
+    ("hole-report-d", lambda w: repr(purify.photographic_negative_report(w).d), 4),
+    ("samples-seed-workers",
+     lambda w: blocksim.global_fidelity_score(
+         qubit_source(), blocksim.project_patch_scheme(qubit_source(), 0.5), "mc", w, w, w), 2),
+]
+
+
+@pytest.mark.parametrize("call, whole", [case[1:] for case in WHOLE_FLOATS],
+                         ids=[case[0] for case in WHOLE_FLOATS])
+def test_integral_floats_count_as_whole_numbers(call, whole):
+    np.testing.assert_array_equal(call(float(whole)), call(whole))

@@ -7,7 +7,8 @@ import pytest
 
 from mixcomp import errors, tolerance
 from mixcomp.cli import main
-from mixcomp.tolerance import STRUCTURE_TOL, Tolerance, max_abs
+from mixcomp.errors import DimensionOverflow, DomainError
+from mixcomp.tolerance import STRUCTURE_TOL, Tolerance, max_abs, whole_number
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "mixcomp"
 POLICY = SRC / "tolerance.py"
@@ -31,6 +32,32 @@ class TestPolicy:
         names = [n for n, v in vars(tolerance).items() if isinstance(v, Tolerance)]
         assert 1 <= len(names) <= 8
         assert f"{tolerance.PSD_TOL}" == "1e-09"
+
+
+class TestWholeNumber:
+    @pytest.mark.parametrize("value", [3, np.int64(3), np.uint8(3), 3.0, np.float32(3.0)])
+    def test_whole_numbers_pass_as_int(self, value):
+        got = whole_number(value, "n", 1, 3)
+        assert got == 3 and type(got) is int
+
+    def test_a_seed_keeps_every_bit(self):
+        assert whole_number(np.uint64(2**64 - 1), "seed", 0, 2**64 - 1) == 2**64 - 1
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 2.5, np.float64(1.5),
+                                       True, np.bool_(True), "2", None, 0, 4, 10**400])
+    def test_anything_else_is_a_domain_error(self, value):
+        with pytest.raises(DomainError, match=r"^n must be a whole number in \[1, 3\], got "):
+            whole_number(value, "n", 1, 3)
+
+    def test_no_upper_bound_by_default(self):
+        assert whole_number(10**400, "n") == 10**400
+        with pytest.raises(DomainError, match=r"^n must be a whole number >= 0, got -1$"):
+            whole_number(-1, "n")
+
+    def test_over_a_cap_is_a_dimension_overflow(self):
+        assert whole_number(4096.0, "dim", 1, cap=("DIM_CAP", 4096)) == 4096
+        with pytest.raises(DimensionOverflow, match=r"^dim = 4097 exceeds DIM_CAP 4096$"):
+            whole_number(4097, "dim", 1, cap=("DIM_CAP", 4096))
 
 
 def _tree(path: pathlib.Path) -> ast.Module:
@@ -57,6 +84,27 @@ def test_every_tolerance_lives_in_the_policy_module():
                 problems.append(f"{path.name}:{node.lineno} has a tol parameter")
             if isinstance(node, ast.keyword) and node.arg == "tol":
                 problems.append(f"{path.name}:{node.lineno} passes tol=")
+    assert problems == []
+
+
+def test_one_whole_number_rule():
+    # Guard: x == floor(x) (or int, trunc) is the whole-number test of
+    # tolerance.whole_number only; a copy elsewhere starts a second rule.
+    problems = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = _tree(path)
+        helper = {id(node) for f in tree.body if path == POLICY
+                  and isinstance(f, ast.FunctionDef) and f.name == "whole_number"
+                  for node in ast.walk(f)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Compare) or id(node) in helper:
+                continue
+            sides = [node.left, *node.comparators]
+            rounded = {ast.dump(c.args[0]) for c in sides
+                       if isinstance(c, ast.Call) and len(c.args) == 1
+                       and ast.unparse(c.func).split(".")[-1] in ("floor", "int", "trunc")}
+            if any(ast.dump(c) in rounded for c in sides):
+                problems.append(f"{path.name}:{node.lineno} tests for a whole number")
     assert problems == []
 
 

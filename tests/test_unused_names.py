@@ -6,6 +6,9 @@ The search reads every word of src/mixcomp (whose __init__ imports are the
 package's exports), demos/ and bench/, but not bench/tests/.  An import
 elsewhere is not a use, and a name used only inside unused definitions is
 unused too: the search repeats until no more names fall.
+
+No public function is a second name for another's computation either: see
+``forwarding_functions``.
 """
 
 import ast
@@ -89,3 +92,57 @@ def test_no_name_is_called_only_by_its_tests():
     assert unused_names(ALLOWED) == []
     # An allowed name that gains a use leaves the list.
     assert set(ALLOWED) <= set(unused_names())
+
+
+def _plain(node: ast.expr, params: set[str]) -> bool:
+    """A parameter, a constant, or attribute reads, method calls and lists built on them."""
+    if isinstance(node, ast.Name):
+        return node.id in params
+    if isinstance(node, ast.Constant):
+        return True
+    if isinstance(node, ast.Attribute):
+        return _plain(node.value, params)
+    if isinstance(node, (ast.List, ast.Tuple)):
+        return all(_plain(e, params) for e in node.elts)
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+        return _plain(node.func.value, params) and all(
+            _plain(a, params) for a in [*node.args, *(k.value for k in node.keywords)])
+    return False
+
+
+def forwarding_functions() -> list[str]:
+    """Public top-level functions whose body, past its docstring, only returns another's call.
+
+    The call must be to another public top-level function of the package, by
+    name or through a module, on the function's own parameters (see _plain):
+    such a function is a second public name for one computation.
+    """
+    trees = {path: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    public = {node.name for tree in trees.values() for node in tree.body
+              if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+    found = []
+    for path, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, ast.FunctionDef) or node.name not in public:
+                continue
+            body = node.body[1:] if ast.get_docstring(node) is not None else node.body
+            if len(body) != 1 or not isinstance(body[0], ast.Return):
+                continue
+            call, a = body[0].value, node.args
+            if not isinstance(call, ast.Call):
+                continue
+            params = {p.arg for p in [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg]
+                      if p is not None}
+            f = call.func
+            callee = f.id if isinstance(f, ast.Name) else None
+            if (isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name)
+                    and f.value.id not in params):
+                callee = f.attr  # module.function
+            if callee in public - {node.name} and all(
+                    _plain(x, params) for x in [*call.args, *(k.value for k in call.keywords)]):
+                found.append(f"{path.stem}.{node.name}")
+    return found
+
+
+def test_no_public_function_only_forwards_to_another():
+    assert forwarding_functions() == []
