@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionMismatch, DimensionOverflow, DomainError, ValidationError
-from .measures import Ensemble, fidelity, sqrt_fidelity_from_roots, vn_entropy
+from .measures import Ensemble, fidelity, sqrt_fidelity_from_eigenpairs, vn_entropy
 from .qmat import (
     DIM_CAP,
     DensityLike,
@@ -35,7 +35,6 @@ from .qmat import (
     _eig,
     _marginals,
     _readonly,
-    _spectrum_root,
     as_density,
     dagger,
     is_diagonal,
@@ -522,26 +521,26 @@ def _diagonal_tables(factors: list[np.ndarray], mask: np.ndarray, x0: tuple,
 
 
 def _score_string(source: BlockSource, scheme: Scheme, string, want_local: bool,
-                  roots: np.ndarray | None = None) -> tuple[float, float]:
+                  base_eig: tuple | None = None) -> tuple[float, float]:
     """Global and local score of one string from dense d^N matrices (local 0.0 unless wanted).
 
     The local score takes the N marginals of the output in one pass and
     scores them against their base states, rows of the base's held stack, as
-    one (N, d, d) stack.  ``roots`` are the base states' roots, which a scoring
-    call computes once (``Ensemble._roots``); here, when not given.
+    one (N, d, d) stack.  ``base_eig`` are the base states' eigenpairs, which
+    a scoring call reads once (``Ensemble._eigenpairs``); here, when not given.
     """
     sig = DensityOperator._wrap(kron([source.base.matrices[i] for i in string]))
     out = scheme.apply(sig)
     g = fidelity(sig, out)
     if not want_local:
         return g, 0.0
-    roots = source.base._roots() if roots is None else roots
+    vals, vecs = source.base._eigenpairs() if base_eig is None else base_eig
     idx = list(string)
     marg = np.stack(_marginals(out.matrix, (source.base.dim,) * source.n_blocks))
     marg_diagonal = np.array([is_diagonal(x) for x in marg])
-    marg_roots = _spectrum_root(*_eig(marg, marg_diagonal))
-    g_marg = sqrt_fidelity_from_roots(source.base.matrices[idx], roots[idx], marg, marg_roots,
-                                      source.base.diagonal[idx] & marg_diagonal)
+    g_marg = sqrt_fidelity_from_eigenpairs(source.base.matrices[idx], (vals[idx], vecs[idx]),
+                                           marg, _eig(marg, marg_diagonal),
+                                           source.base.diagonal[idx] & marg_diagonal)
     return g, math.prod((g_marg**2).tolist())
 
 
@@ -634,10 +633,10 @@ def _scores(source: BlockSource, scheme: Scheme, want_local: bool, mode: str,
             g, loc = _diagonal_tables([P[s:s + 1] for s in string], mask, x0, want_local)
             return g.item(), (0.0 if loc is None else loc.item())
     else:
-        roots = source.base._roots() if want_local else None
+        base_eig = source.base._eigenpairs() if want_local else None
 
         def score(string):
-            return _score_string(source, scheme, string, want_local, roots)
+            return _score_string(source, scheme, string, want_local, base_eig)
 
     if exact:
         method = "exact-diagonal" if diagonal else "exact-dense"

@@ -6,6 +6,7 @@ below 1e-15 before taking logs.  Every spectrum but the fidelity
 orientations' (``_sqrt_fid_oriented``) comes from one eigh route,
 ``qmat._eig``.  Ensemble-level measures read the eigenpairs the members and
 the mean state keep and solve the rest in one stacked call (see ``Ensemble``).
+No measure builds a square-root matrix (see ``sqrt_fidelity_from_eigenpairs``).
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .qmat import (
     _eig,
     _kept_pairs,
     _readonly,
-    _spectrum_root,
     as_density,
     dagger,
     is_diagonal,
@@ -141,7 +141,7 @@ class Ensemble:
 
         The mean state's are those it keeps.  Kept rows read theirs and
         diagonal ones their sorted diagonals, as ``_eig`` does; the other rows
-        share one ``_eig`` call, as in ``_roots``.
+        share one ``_eig`` call, as in ``_eigenpairs``.
         """
         vals = np.sort(self.matrices.diagonal(0, -2, -1).real)[:, ::-1]
         solve = ~self.diagonal
@@ -152,14 +152,14 @@ class Ensemble:
             vals[solve] = _eig(self.matrices[solve], False)[0]
         return np.vstack((self._mean.eigenvalues(), vals))
 
-    def _roots(self) -> np.ndarray:
-        """Each member's matrix_sqrt_psd, bit for bit: kept rows read, the others one ``_eig``."""
+    def _eigenpairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each member's ``eigenpairs``, bit for bit: kept rows read, the others one ``_eig``."""
         if self.kept is None:
-            return _spectrum_root(*_eig(self.matrices, self.diagonal))
+            return _eig(self.matrices, self.diagonal)
         vals, vecs, solve = self.values.copy(), self.vectors.copy(), ~self.kept
         if solve.any():
             vals[solve], vecs[solve] = _eig(self.matrices[solve], self.diagonal[solve])
-        return _spectrum_root(vals, vecs)
+        return vals, vecs
 
 
 @dataclass(frozen=True, eq=False)
@@ -254,24 +254,28 @@ def _bhattacharyya(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sum(np.sqrt(p * q), axis=-1)
 
 
-def _sqrt_fid_oriented(root: np.ndarray, other: np.ndarray) -> np.ndarray:
-    mid = root @ other @ root
+def _sqrt_fid_oriented(y: np.ndarray) -> np.ndarray:
+    mid = y @ dagger(y)
     mid = (mid + dagger(mid)) / 2.0
     return np.sum(np.sqrt(np.maximum(np.linalg.eigvalsh(mid), 0.0)), axis=-1)
 
 
-def sqrt_fidelity_from_roots(a: np.ndarray, root_a: np.ndarray, b: np.ndarray,
-                             root_b: np.ndarray, diagonal: np.ndarray | None = None) -> np.ndarray:
-    """G(a, b) of two matrices or two stacks (..., d, d), given their square roots.
+def sqrt_fidelity_from_eigenpairs(a: np.ndarray, eig_a: tuple, b: np.ndarray, eig_b: tuple,
+                                  diagonal: np.ndarray | None = None) -> np.ndarray:
+    """G(a, b) of two matrices or two stacks (..., d, d), given their eigenpairs (values, vectors).
 
-    The one fidelity formula: tr sqrt(sqrt(a) b sqrt(a)) averaged over both
-    orientations (the analytic quantity is symmetric; averaging suppresses
-    the asymmetric rounding of the square roots), at most 1.  Each orientation
-    is one ``eigvalsh`` call on the whole stack.  Pairs marked in the boolean
-    array ``diagonal`` (both pass the one diagonal test) take the classical
-    Bhattacharyya sum, which has no rounding from near-zero eigenvalues.
+    The one fidelity formula, G = ||sqrt(a) sqrt(b)||_1, in the two eigenbases.  For
+    a = U diag(lam) U^dag and b = V diag(mu) V^dag, sqrt(a) sqrt(b) = U Y V^dag, where Y is
+    W = U^dag V with rows scaled by sqrt(lam) and columns by sqrt(mu) (eigenvalues below 0
+    count as 0).  Y Y^dag and Y^dag Y are the orientations sqrt(a) b sqrt(a) and sqrt(b) a sqrt(b)
+    up to a unitary: three products, no root matrix.  G is the mean of their tr sqrt, one
+    ``eigvalsh`` call each on the whole stack (the mean suppresses asymmetric rounding), at most 1.
+    Pairs marked in the boolean array ``diagonal`` (both pass the one diagonal test) take the
+    classical Bhattacharyya sum of the diagonals of a and b, which needs no eigenpairs.
     """
-    g = 0.5 * (_sqrt_fid_oriented(root_a, b) + _sqrt_fid_oriented(root_b, a))
+    (ra, u), (rb, v) = ((np.sqrt(np.maximum(vals, 0.0)), vecs) for vals, vecs in (eig_a, eig_b))
+    y = ra[..., :, None] * (dagger(u) @ v) * rb[..., None, :]
+    g = 0.5 * (_sqrt_fid_oriented(y) + _sqrt_fid_oriented(dagger(y)))
     if diagonal is not None and diagonal.any():
         g = np.where(diagonal, _bhattacharyya(a, b), g)
     return np.minimum(g, 1.0)
@@ -280,19 +284,19 @@ def sqrt_fidelity_from_roots(a: np.ndarray, root_a: np.ndarray, b: np.ndarray,
 def sqrt_fidelity(rho1: DensityLike, rho2: DensityLike) -> float:
     """G(rho1, rho2) = tr sqrt(sqrt(rho1) rho2 sqrt(rho1)), symmetrised, at most 1.
 
-    Two diagonal states take the classical Bhattacharyya sum without square
-    roots; see ``sqrt_fidelity_from_roots`` for the formula.  Otherwise each
-    root comes from the state's ``eigenpairs``, one eigh call unless the state
-    kept its check's, and the two orientations cost two eigvalsh calls: two raw
-    arrays cost 2 + 2 in all, two validated states 0 + 2.
+    Two diagonal states take the classical Bhattacharyya sum without an
+    eigensolve; see ``sqrt_fidelity_from_eigenpairs`` for the formula.
+    Otherwise it reads each state's ``eigenpairs``, one eigh call unless the
+    state kept its check's, and the two orientations cost two eigvalsh calls:
+    two raw arrays cost 2 + 2 in all, two validated states 0 + 2.
     """
     r1, r2 = as_density(rho1), as_density(rho2)
     if r1.dim != r2.dim:
         raise DimensionMismatch(f"fidelity operands have dims {r1.dim} and {r2.dim}")
     if r1.is_diagonal and r2.is_diagonal:
         return min(float(_bhattacharyya(r1.matrix, r2.matrix)), 1.0)
-    root1, root2 = (_spectrum_root(*r.eigenpairs()) for r in (r1, r2))
-    return float(sqrt_fidelity_from_roots(r1.matrix, root1, r2.matrix, root2))
+    return float(sqrt_fidelity_from_eigenpairs(r1.matrix, r1.eigenpairs(),
+                                               r2.matrix, r2.eigenpairs()))
 
 
 def fidelity(rho1: DensityLike, rho2: DensityLike) -> float:
@@ -346,15 +350,15 @@ def _check_same_shape(a: Ensemble, b: Ensemble) -> None:
 def avg_ensemble_fidelity(a: Ensemble, b: Ensemble) -> float:
     """Average fidelity sum_i p_i F(rho_i, sigma_i) between same-shape ensembles.
 
-    Every pair is scored at once: one ``sqrt_fidelity_from_roots`` call on
-    the two held stacks, two eigvalsh calls whatever m is.  The roots come
-    from ``Ensemble._roots``: kept and diagonal rows cost no solve, and the
-    other rows of each ensemble one eigh call.  Each term is the pairwise
-    ``fidelity`` up to rounding.
+    Every pair is scored at once: one ``sqrt_fidelity_from_eigenpairs``
+    call on the two held stacks, two eigvalsh calls whatever m is.  The
+    eigenpairs come from ``Ensemble._eigenpairs``: kept and diagonal rows cost
+    no solve, and the other rows of each ensemble one eigh call.  Each term
+    is the pairwise ``fidelity`` up to rounding.
     """
     _check_same_shape(a, b)
-    g = sqrt_fidelity_from_roots(a.matrices, a._roots(), b.matrices, b._roots(),
-                                 a.diagonal & b.diagonal)
+    g = sqrt_fidelity_from_eigenpairs(a.matrices, a._eigenpairs(), b.matrices, b._eigenpairs(),
+                                      a.diagonal & b.diagonal)
     return float(a.probs @ (g * g))
 
 

@@ -8,7 +8,9 @@ limit pairwise, which is what makes them useful for visible compression.
 
 Every purification overlap and rate here comes from one formula: the overlap
 <psi_i|psi_j> = tr(sqrt(rho_i) sqrt(rho_j)), which for commuting states is the
-same in every common eigenbasis, so no code picks one.  A mixture
+same in every common eigenbasis, so no code picks one.  It is read off the two
+eigenbases, sum_kl sqrt(lam_k) |W_kl|^2 sqrt(mu_l) with W = U^dag V for
+rho_i = U diag(lam) U^dag and rho_j = V diag(mu) V^dag: no root matrix is built.  A mixture
 sum_i p_i |psi_i><psi_i| has the nonzero spectrum of its Gram matrix
 G_ij = sqrt(p_i p_j) <psi_i|psi_j>.  A pair's 2 x 2 Gram spectrum has a closed
 form (``_pair_entropy``), written without cancelling subtractions, which
@@ -24,7 +26,7 @@ import numpy as np
 
 from .errors import DomainError, NotCommuting, ValidationError
 from .measures import Ensemble, _entropy_bracket, entropy_of_spectrum
-from .qmat import DensityLike, DensityOperator, PureState, _eig, as_density, commuting, kron
+from .qmat import DensityLike, DensityOperator, PureState, _eig, as_density, commuting, dagger, kron
 from .tolerance import PHASE_FLOOR, STRUCTURE_TOL, max_abs, whole_number
 
 #: Largest d of the hole-pattern ensemble.  What bounds d is the ensemble itself: its
@@ -80,15 +82,17 @@ def _root_overlaps(ensemble: Ensemble) -> np.ndarray:
     For commuting states these are the overlaps of the purifications
     sum_k sqrt(p_k) |k> x |k> written in any common eigenbasis {|k>}: the sum
     sum_k sqrt(p_k q_k) does not depend on which common eigenbasis is used.
-    The roots are ``Ensemble._roots``, read from the held stack.
+    Eigenpairs come from ``Ensemble._eigenpairs``; W = V_i^dag V_j is built one member i at a time.
     """
     if ensemble.diagonal.all():
         # Diagonal roots: the trace is sum_k sqrt(p_ik p_jk), read from the
         # stack's diagonals, with no d x d products.
         roots = np.sqrt(np.maximum(ensemble.matrices.diagonal(0, -2, -1).real, 0.0))
         return roots @ roots.T
-    roots = ensemble._roots()
-    return np.real(np.einsum("iab,jba->ij", roots, roots))
+    vals, vecs = ensemble._eigenpairs()
+    roots = np.sqrt(np.maximum(vals, 0.0))
+    return np.array([np.einsum("k,jkl,jl->j", r, np.abs(dagger(v) @ vecs) ** 2, roots)
+                     for r, v in zip(roots, vecs)])
 
 
 def _purification_spectrum(ensemble: Ensemble) -> np.ndarray:
@@ -110,11 +114,13 @@ def _diagonal_gap(p: np.ndarray, q: np.ndarray) -> float:
 
 
 def _root_gap(pair: Ensemble) -> float:
-    """1 - tr(sqrt(rho1) sqrt(rho2)) of a pair, as (1/2) ||sqrt(rho1) - sqrt(rho2)||_F^2."""
+    """1 - tr(sqrt(rho1) sqrt(rho2)) of a pair, as (1/2) ||sqrt(rho1) - sqrt(rho2)||_F^2, that is
+    (1/2) sum_kl |W_kl|^2 (sqrt(lam_k) - sqrt(mu_l))^2: nonnegative terms, none cancelling."""
     if pair.diagonal.all():
         return _diagonal_gap(*np.maximum(pair.matrices.diagonal(0, -2, -1).real, 0.0))
-    r1, r2 = pair._roots()
-    return 0.5 * float(np.sum(np.abs(r1 - r2) ** 2))
+    vals, (v1, v2) = pair._eigenpairs()
+    r1, r2 = np.sqrt(np.maximum(vals, 0.0))
+    return 0.5 * float(np.sum(np.abs(dagger(v1) @ v2) ** 2 * (r1[:, None] - r2[None, :]) ** 2))
 
 
 def _pair_entropy(w1: float, w2: float, gap: float) -> float:
@@ -143,7 +149,7 @@ def canonical_overlap(rho1: DensityLike, rho2: DensityLike) -> float:
     Equals tr(sqrt(rho1) sqrt(rho2))^2, the same in every common eigenbasis,
     and equals the Bures-Uhlmann fidelity of the two commuting states, i.e. the
     purifications are optimally parallel.  Degenerate spectra need no special
-    treatment.  Unless both states are diagonal, each root comes from the
+    treatment.  Unless both states are diagonal, the overlap reads each
     state's ``eigenpairs``: no solve for a state that kept its check's.
     """
     r1, r2 = as_density(rho1), as_density(rho2)

@@ -164,7 +164,7 @@ class DensityOperator:
 
     Construct through :meth:`from_matrix`, which validates the three
     invariants and clamps tiny negative eigenvalues (within -1e-9) to zero;
-    fidelity formulas take matrix square roots that are undefined for the
+    fidelity formulas take square roots of eigenvalues, undefined for the
     small negatives floating point produces.  Code gets a state's spectrum
     only from :meth:`eigenpairs` and :meth:`eigenvalues`, which read the
     eigendecomposition the check kept, if any.

@@ -1,7 +1,7 @@
 """Seeded invariant suites, runnable from the CLI (`selftest`) or from tests.
 
-Each suite draws its instances from an explicit generator seed and returns
-pass/fail counts, so a selftest run is reproducible end to end.
+Each suite draws its instances from the seeded generator ``run_all`` gives it
+and returns pass/fail counts, so a selftest run is reproducible end to end.
 """
 
 from __future__ import annotations
@@ -29,10 +29,9 @@ class SuiteResult:
             self.failures.append(label)
 
 
-def qmat_suite(seed: int = 0, trials: int = 20) -> SuiteResult:
+def qmat_suite(rng: np.random.Generator) -> SuiteResult:
     res = SuiteResult("qmat")
-    rng = sampling.generator(seed)
-    for _ in range(trials):
+    for _ in range(20):
         dim = int(rng.integers(2, 7))
         rho = sampling.random_density(dim, rng)
         spec = qmat.eig_hermitian(rho.matrix)
@@ -59,10 +58,9 @@ def qmat_suite(seed: int = 0, trials: int = 20) -> SuiteResult:
     return res
 
 
-def measures_suite(seed: int = 1, trials: int = 20) -> SuiteResult:
+def measures_suite(rng: np.random.Generator) -> SuiteResult:
     res = SuiteResult("measures")
-    rng = sampling.generator(seed)
-    for _ in range(trials):
+    for _ in range(20):
         dim = int(rng.integers(2, 5))
         r1 = sampling.random_density(dim, rng)
         r2 = sampling.random_density(dim, rng)
@@ -109,10 +107,9 @@ def measures_suite(seed: int = 1, trials: int = 20) -> SuiteResult:
     return res
 
 
-def purify_suite(seed: int = 2, trials: int = 20) -> SuiteResult:
+def purify_suite(rng: np.random.Generator) -> SuiteResult:
     res = SuiteResult("purify")
-    rng = sampling.generator(seed)
-    for _ in range(trials):
+    for _ in range(20):
         dim = int(rng.integers(2, 6))
         rho = sampling.random_density(dim, rng)
         pur = purify.canonical_purification(rho)
@@ -138,10 +135,9 @@ def purify_suite(seed: int = 2, trials: int = 20) -> SuiteResult:
     return res
 
 
-def classical_suite(seed: int = 3, trials: int = 25) -> SuiteResult:
+def classical_suite(rng: np.random.Generator) -> SuiteResult:
     res = SuiteResult("classical")
-    rng = sampling.generator(seed)
-    for _ in range(trials):
+    for _ in range(25):
         n = int(rng.integers(2, 6))
         a = rng.random((n, n))
         a = classical.StochasticMatrix.from_matrix(a / a.sum(axis=0, keepdims=True))
@@ -173,10 +169,9 @@ def classical_suite(seed: int = 3, trials: int = 25) -> SuiteResult:
     return res
 
 
-def blocksim_suite(seed: int = 4, trials: int = 15) -> SuiteResult:
+def blocksim_suite(rng: np.random.Generator) -> SuiteResult:
     res = SuiteResult("blocksim")
-    rng = sampling.generator(seed)
-    for _ in range(trials):
+    for _ in range(15):
         dim = int(rng.integers(2, 9))
         rho = sampling.random_density(dim, rng)
         k = int(rng.integers(1, dim + 1))
@@ -225,10 +220,9 @@ def blocksim_suite(seed: int = 4, trials: int = 15) -> SuiteResult:
     return res
 
 
-def rates_suite(seed: int = 5, trials: int = 25) -> SuiteResult:
+def rates_suite(rng: np.random.Generator) -> SuiteResult:
     res = SuiteResult("rates")
-    rng = sampling.generator(seed)
-    for _ in range(trials):
+    for _ in range(25):
         dim = int(rng.integers(2, 7))
         ens = sampling.random_ensemble(dim, int(rng.integers(1, 6)), rng)
         lo = measures.holevo(ens)
@@ -243,12 +237,9 @@ def rates_suite(seed: int = 5, trials: int = 25) -> SuiteResult:
     return res
 
 
-def run_all(seed: int = 0) -> list[SuiteResult]:
-    return [
-        qmat_suite(seed),
-        measures_suite(seed + 1),
-        purify_suite(seed + 2),
-        classical_suite(seed + 3),
-        blocksim_suite(seed + 4),
-        rates_suite(seed + 5),
-    ]
+def run_all(seed: int) -> list[SuiteResult]:
+    """Every suite, suite k drawing from seed (seed + k) mod 2^64: a seed near 2^64 wraps to 0."""
+    suites = (qmat_suite, measures_suite, purify_suite, classical_suite, blocksim_suite,
+              rates_suite)
+    return [suite(sampling.generator((seed + k) % (sampling.SEED_MAX + 1)))
+            for k, suite in enumerate(suites)]

@@ -1089,9 +1089,9 @@ class TestStackedLocalStep:
             source = BlockSource.build(Ensemble.from_lists([0.4, 0.6], states), n)
             scheme = project_patch_scheme(source, rate)
             framed = blocksim._in_frame(source, scheme.frame)
-            roots = framed.base._roots()
+            base_eig = framed.base._eigenpairs()
             for string in itertools.product(range(2), repeat=n):
-                _, loc = blocksim._score_string(framed, scheme, string, True, roots)
+                _, loc = blocksim._score_string(framed, scheme, string, True, base_eig)
                 assert abs(loc - per_marginal_local(framed, scheme, string)) <= 1e-12
 
     def test_bell_output(self, rng, bell_state):
@@ -1175,8 +1175,8 @@ class TestExactSweep:
         if method == "exact-diagonal":
             return lambda s: tuple(t.item() for t in engine_scores(source, scheme, s))
         framed = blocksim._in_frame(source, scheme.frame)
-        roots = framed.base._roots()
-        return lambda s: blocksim._score_string(framed, scheme, s, True, roots)
+        base_eig = framed.base._eigenpairs()
+        return lambda s: blocksim._score_string(framed, scheme, s, True, base_eig)
 
     def test_equals_per_string_loop(self, rng):
         for source, method in self._sources(rng):

@@ -578,3 +578,14 @@ class TestSelftest:
         out = capsys.readouterr().out
         assert "total:" in out
         assert "0 failed" in out.splitlines()[-1]
+
+    @pytest.mark.parametrize("seed", [2**64 - 1, 2**64 - 3])
+    def test_seeds_near_two_to_the_64_wrap_around(self, capsys, seed):
+        # Suite k runs on (seed + k) mod 2^64, so every seed the CLI accepts runs.
+        with mock.patch.object(sampling, "generator", wraps=sampling.generator) as generator:
+            assert main(["selftest", "--seed", str(seed)]) == 0
+        assert [c.args[0] for c in generator.call_args_list] == [
+            (seed + k) % 2**64 for k in range(6)]
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.splitlines()[-1].endswith(f" passed, 0 failed (seed {seed})")

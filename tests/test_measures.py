@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -26,19 +27,18 @@ from mixcomp.measures import (
     measured_classical_fidelity,
     shannon_entropy,
     sqrt_fidelity,
-    sqrt_fidelity_from_roots,
+    sqrt_fidelity_from_eigenpairs,
     vn_entropy,
 )
 from mixcomp.qmat import (
     _eig,
-    _spectrum_root,
     as_density,
     is_diagonal,
-    matrix_sqrt_psd,
     maximally_mixed,
 )
 
 from conftest import diag_state
+from reference import reference_sqrt_fidelity
 
 
 def h_bits(*ps) -> float:
@@ -152,14 +152,43 @@ class TestSqrtFidelity:
              sampling.random_density(3, rng), *diagonal[20:]]
         a_mats, b_mats = (np.stack([s.matrix for s in x]) for x in (a, b))
         a_diag, b_diag = (np.array([is_diagonal(x) for x in m]) for m in (a_mats, b_mats))
-        a_roots, b_roots = (_spectrum_root(*_eig(m, f))
-                            for m, f in ((a_mats, a_diag), (b_mats, b_diag)))
-        got = sqrt_fidelity_from_roots(a_mats, a_roots, b_mats, b_roots, a_diag & b_diag)
+        a_eig, b_eig = (_eig(m, f) for m, f in ((a_mats, a_diag), (b_mats, b_diag)))
+        got = sqrt_fidelity_from_eigenpairs(a_mats, a_eig, b_mats, b_eig, a_diag & b_diag)
         assert (a_diag & b_diag).tolist() == [False] * 3 + [True] * 20
         assert got.tolist() == [sqrt_fidelity(x, y) for x, y in zip(a, b)]
-        single = sqrt_fidelity_from_roots(a_mats[0], matrix_sqrt_psd(a[0]),
-                                          b_mats[0], matrix_sqrt_psd(b[0]))
+        single = sqrt_fidelity_from_eigenpairs(a_mats[0], a[0].eigenpairs(),
+                                               b_mats[0], b[0].eigenpairs())
         assert float(single) == sqrt_fidelity(a[0], b[0])
+
+
+#: Absolute budget for G against the 40-digit reference, by the shape of the pair.  A
+#: pure or rank-deficient state beside a full-rank one carries eigenvalues of order
+#: 1e-17 whose roots, of order 3e-9, reach G at first order; between two full-rank or
+#: two pure states they do not.
+G_BUDGET = {"full-full": 1e-14, "pure-full": 2e-8, "half-full": 2e-8, "pure-pure": 1e-14}
+
+
+def shaped_pair(shape: str, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Two exactly Hermitian float matrices of one shape, from a seed fixed by d."""
+    rng = sampling.generator(100 * d)
+    draw = {"full": lambda: sampling.random_density(d, rng),
+            "half": lambda: sampling.random_density(d, rng, rank=max(1, d // 2)),
+            "pure": lambda: sampling.random_pure_state(d, rng).projector()}
+    return tuple(draw[kind]().matrix for kind in shape.split("-"))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 8])
+@pytest.mark.parametrize("shape", sorted(G_BUDGET))
+def test_sqrt_fidelity_against_a_40_digit_reference(shape, d):
+    # Raw arrays, validated states and a one-member ensemble pair (whose
+    # average fidelity is F = G^2) against the singular values of sqrt(a) sqrt(b).
+    a, b = shaped_pair(shape, d)
+    want = reference_sqrt_fidelity(a, b)
+    ensembles = (Ensemble.from_lists([1.0], [x]) for x in (a, b))
+    for got, oracle in ((sqrt_fidelity(a, b), want),
+                        (sqrt_fidelity(*map(as_density, (a, b))), want),
+                        (avg_ensemble_fidelity(*ensembles), want * want)):
+        assert float(abs(mpmath.mpf(got) - oracle)) <= G_BUDGET[shape]
 
 
 class TestClassicalFidelity:

@@ -5,6 +5,9 @@ entry share one closed form for the entropy of a pair's 2 x 2 Gram spectrum.
 The reference (``tests/reference.py``) is computed with mpmath from the
 states' float entries: each diagonal and the prior are normalised in 40
 digits, so the reference is the rate of the states those entries stand for.
+The same pairs turned by one fixed unitary are no longer diagonal, so they
+take the eigenbasis formula; their reference is computed from the turned
+float matrices.
 """
 
 import mpmath
@@ -16,12 +19,17 @@ from hypothesis import strategies as st
 from mixcomp import sampling
 from mixcomp.classical import CoinSource
 from mixcomp.measures import Ensemble, entropy_of_spectrum, holevo, vn_entropy
-from mixcomp.purify import _purification_spectrum, two_state_purification_rate, upsilon_rate
+from mixcomp.purify import (
+    _purification_spectrum,
+    canonical_overlap,
+    two_state_purification_rate,
+    upsilon_rate,
+)
 from mixcomp.qmat import DensityOperator
 from mixcomp.rates import rate_report
 
 from conftest import diag_state
-from reference import reference_bracket, reference_rate
+from reference import reference_bracket, reference_overlap_rate, reference_rate
 
 #: Near 1/2 the pair nears one pure state and the rate nears 0.
 NEAR_HALF = (0.39, 0.45, 0.49, 0.499, 0.4999, 0.49999)
@@ -99,6 +107,26 @@ def test_pair_formula_matches_the_gram_route(ens):
 
 def rotated(u: np.ndarray, *diagonal) -> np.ndarray:
     return u @ np.diag(diagonal).astype(complex) @ u.conj().T
+
+
+#: Relative budgets of the turned pairs' rates, by epsilon, and of their overlap, each a
+#: measured error rounded up to one significant digit.  Near 1/2 the eigenvalues'
+#: rounding, of order 1e-16, is divided by the eigenvalue gap 1 - 2 eps.
+TURNED_RATE_BUDGET = dict(zip(NEAR_HALF, (4e-16, 2e-15, 2e-14, 6e-14, 2e-12, 2e-11)))
+TURNED_OVERLAP_BUDGET = 9e-16
+
+
+@pytest.mark.parametrize("eps", NEAR_HALF)
+def test_turned_pair_rates_against_a_40_digit_reference(eps):
+    u = sampling.random_unitary(2, sampling.generator(2027))
+    a, b = ((m + m.conj().T) / 2.0 for m in (rotated(u, eps, 1.0 - eps),
+                                             rotated(u, 1.0 - eps, eps)))
+    ens = Ensemble.from_lists([0.5, 0.5], [a, b])
+    assert not ens.diagonal.any()
+    c, want = reference_overlap_rate(ens.probs, a, b)
+    for got in (two_state_purification_rate(ens), pair_entry(ens)):
+        assert relative_error(got, want) <= TURNED_RATE_BUDGET[eps]
+    assert relative_error(canonical_overlap(a, b), c * c) <= TURNED_OVERLAP_BUDGET
 
 
 def bracket_cases():

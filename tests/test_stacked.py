@@ -44,7 +44,6 @@ from mixcomp.purify import (
 )
 from mixcomp.qmat import (
     DensityOperator,
-    _spectrum_root,
     as_density,
     eig_hermitian,
     is_diagonal,
@@ -191,9 +190,9 @@ def spectra_oracle(states) -> np.ndarray:
     return vals
 
 
-def roots_oracle(stack: np.ndarray) -> np.ndarray:
-    """The roots of a stack as one eigh call on every matrix computed them, with
-    the diagonal ones replaced by their diagonals and the identity."""
+def eigenpairs_oracle(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenpairs of a stack as one eigh call on every matrix computed them,
+    with the diagonal ones replaced by their diagonals and the identity."""
     flags = np.array([is_diagonal(m) for m in stack], dtype=bool)
     vals, vecs = np.linalg.eigh(stack)
     if flags.any():
@@ -202,7 +201,7 @@ def roots_oracle(stack: np.ndarray) -> np.ndarray:
     order = np.argsort(-vals, axis=-1, kind="stable")
     vals = np.take_along_axis(vals, order, axis=-1)
     vecs = np.take_along_axis(vecs, order[..., None, :], axis=-1)
-    return _spectrum_root(vals, vecs)
+    return vals, vecs
 
 
 def entry_results(ensemble: Ensemble, other: Ensemble, order) -> dict:
@@ -231,7 +230,7 @@ def assert_read_only(*arrays) -> None:
 
 @settings(max_examples=100)
 @given(kept_ensembles())
-def test_member_spectra_and_roots_read_what_the_members_kept(drawn):
+def test_member_spectra_and_eigenpairs_read_what_the_members_kept(drawn):
     probs, (inputs, _) = fresh_inputs(*drawn)
     ensemble = Ensemble.from_lists(probs, inputs)
     # The checked members, each from its own from_matrix call (or the wrapped input).
@@ -260,14 +259,15 @@ def test_member_spectra_and_roots_read_what_the_members_kept(drawn):
                                        (ensemble.values, ensemble.vectors)):
                 assert got.tobytes() == kept.tobytes() and np.shares_memory(got, held)
         assert_read_only(view.matrix, *(view._spectrum or ()))
-    # Member spectra and roots: the per-state rule's bits, and one eigh call's.
+    # Member spectra and eigenpairs: the per-state rule's bits, and one eigh call's.
     mean = ensemble.average()
-    spectra, roots = ensemble._spectra(), ensemble._roots()
+    spectra, eigenpairs = ensemble._spectra(), ensemble._eigenpairs()
     assert spectra.tobytes() == spectra_oracle((mean, *checked)).tobytes()
     assert spectra[0].tobytes() == mean.eigenvalues().tobytes()
     for row, s in zip(spectra[1:], checked):
         assert max_abs(row - np.linalg.eigvalsh(s.matrix)[::-1]) <= 1e-15
-    assert roots.tobytes() == roots_oracle(np.stack([s.matrix for s in checked])).tobytes()
+    for got, want in zip(eigenpairs, eigenpairs_oracle(np.stack([s.matrix for s in checked]))):
+        assert got.tobytes() == want.tobytes()
     # The ensemble keeps its mean state, and the mean state its eigenpairs.
     assert ensemble.average() is mean and mean.eigenpairs() is mean.eigenpairs()
     assert_read_only(mean.matrix, *mean.eigenpairs())
@@ -409,8 +409,8 @@ def wrapped_copy(ensemble: Ensemble) -> Ensemble:
 
 
 @pytest.mark.parametrize("m", [1, 3, 8])
-def test_avg_ensemble_fidelity_solves_roots_only_for_wrapped_members(monkeypatch, rng, m):
-    # Validated members root from their kept eigenpairs: only the two
+def test_avg_ensemble_fidelity_solves_only_wrapped_members(monkeypatch, rng, m):
+    # Validated members read their kept eigenpairs: only the two
     # orientations are solved.  The wrapped members of an ensemble share one
     # eigh call, on each call, since nothing is kept across calls.
     a, b = dense_ensemble(rng, 3, m), dense_ensemble(rng, 3, m)
@@ -593,7 +593,7 @@ def test_validated_state_reuses_its_check_and_wrapped_state_is_solved(
 def test_dense_chain_costs_five_solves_per_string(monkeypatch, rng, kept):
     # The scorer's block state is wrapped, and project_and_patch drops its
     # check's eigenpairs: one eigh call validates the output, and fidelity
-    # solves both roots and both orientations.  Keeping every coordinate
+    # solves both eigenpairs and both orientations.  Keeping every coordinate
     # leaves the output full rank, so no clamp is what drops them.
     rho, sigma = sampling.random_density(4, rng), sampling.random_density(4, rng)
     sub = typical_subspace(rho, kept)

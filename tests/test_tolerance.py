@@ -150,6 +150,27 @@ def test_one_route_to_a_state_spectrum():
     assert problems == []
 
 
+def test_no_measure_builds_a_square_root_matrix():
+    # Guard: measures read a state's eigenpairs, not V sqrt(L) V^dag.  Only
+    # the public qmat.matrix_sqrt_psd builds a root (qmat._spectrum_root), and
+    # no module keeps a stack of roots (_roots) or a root-taking fidelity
+    # (sqrt_fidelity_from_roots) beside the eigenpair formula.
+    problems = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = _tree(path)
+        allowed = {id(node) for f in tree.body if path.name == "qmat.py"
+                   and isinstance(f, ast.FunctionDef) and f.name == "matrix_sqrt_psd"
+                   for node in ast.walk(f)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1]
+                    == "_spectrum_root" and id(node) not in allowed):
+                problems.append(f"{path.name}:{node.lineno} calls _spectrum_root")
+            if isinstance(node, ast.FunctionDef) and node.name in ("_roots",
+                                                                   "sqrt_fidelity_from_roots"):
+                problems.append(f"{path.name}:{node.lineno} defines {node.name}")
+    assert problems == []
+
+
 def test_no_package_error_drives_control_flow():
     # Guard: a handler that catches a package error turns a refusal into a
     # branch.  Only the CLI's top level may catch one, to exit 2 with it.
